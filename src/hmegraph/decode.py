@@ -11,7 +11,9 @@ can be inspected:
    correction row and drops nodes whose row votes for deletion.
 4. :func:`build_graph` scores directed edges between surviving nodes from
    the two neighbor heads, then :func:`prune_and_acyclify` removes weak
-   edges and breaks cycles, never disconnecting start from end.
+   edges and breaks cycles, never disconnecting start from end.  It keeps
+   a witness start-to-end path and searches again only when a removal
+   cuts the witness, since any other removal leaves the end reachable.
 5. :func:`longest_path` picks the maximum-weight start-to-end path and
    renders it back to LaTeX.
 
@@ -23,19 +25,21 @@ others.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, replace
+import math
+from bisect import insort
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     CycleDetected,
     NodeCountMismatch,
+    NonFinite,
     NonStochasticRow,
     NoPath,
     ShapeMismatch,
 )
-from .tokens import ROLE_END, TokenVocab, emit_latex
+from .tokens import TokenVocab, emit_latex, repair_groups
 
 ROW_SUM_TOL = 1e-4
 
@@ -69,37 +73,10 @@ class ExprGraph:
     nodes: dict[int, Node]
     edges: dict[tuple[int, int], float]
     n_slots: int
-    sos: int = 0
-    _adj: dict[int, list[int]] | None = field(default=None, repr=False)
 
     @property
     def eos(self) -> int:
         return self.n_slots + 1
-
-    def successors(self) -> dict[int, list[int]]:
-        if self._adj is None:
-            adj: dict[int, list[int]] = {}
-            for s, d in self.edges:
-                adj.setdefault(s, []).append(d)
-            for lst in adj.values():
-                lst.sort()
-            self._adj = adj
-        return self._adj
-
-    def reaches_end(self) -> bool:
-        """Whether the virtual end is reachable from the virtual start."""
-        adj = self.successors()
-        seen = {self.sos}
-        queue = deque([self.sos])
-        while queue:
-            u = queue.popleft()
-            if u == self.eos:
-                return True
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return False
 
 
 @dataclass
@@ -109,6 +86,11 @@ class PathResult:
     path: list[int]
     weight: float
     latex: str
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise NonFinite(f"non-finite value in {what}")
 
 
 def vat_extract(P: np.ndarray, vocab: TokenVocab, logits: bool = False) -> list[Node]:
@@ -121,11 +103,13 @@ def vat_extract(P: np.ndarray, vocab: TokenVocab, logits: bool = False) -> list[
     Raises:
         ShapeMismatch: P is not (channels, H, W) with the vocabulary's
             channel count.
+        NonFinite: P holds NaN or infinity.
     """
     if P.ndim != 3 or P.shape[0] != vocab.grid_classes:
         raise ShapeMismatch(
             f"grid shape {P.shape} does not match {vocab.grid_classes} classes"
         )
+    _require_finite(P, "grid")
     probs = P.astype(np.float64)
     if logits:
         probs = probs - probs.max(axis=0, keepdims=True)
@@ -172,18 +156,20 @@ def apply_corrections(
 
     Raises:
         NodeCountMismatch: row count differs from the node count.
-        ShapeMismatch: rows narrower than the correction classes.
+        ShapeMismatch: row width differs from the correction classes.
+        NonFinite: a row holds NaN or infinity.
     """
     if self_probs.ndim != 2 or self_probs.shape[0] != len(nodes):
         raise NodeCountMismatch(
             f"{self_probs.shape[0] if self_probs.ndim == 2 else '?'} correction "
             f"rows for {len(nodes)} nodes"
         )
-    if self_probs.shape[1] < vocab.correction_classes:
+    if self_probs.shape[1] != vocab.correction_classes:
         raise ShapeMismatch(
             f"correction rows have {self_probs.shape[1]} classes, "
             f"need {vocab.correction_classes}"
         )
+    _require_finite(self_probs, "correction rows")
     votes = np.argmax(self_probs, axis=1)
     deleted: set[int] = set()
     out: list[Node] = []
@@ -215,6 +201,7 @@ def build_graph(
     Raises:
         NodeCountMismatch: matrices not square (N+2) or node positions out
             of range.
+        NonFinite: a score holds NaN or infinity.
         NonStochasticRow: a score row is not a probability distribution.
     """
     if left.ndim != 2 or left.shape[0] != left.shape[1] or left.shape != right.shape:
@@ -225,6 +212,7 @@ def build_graph(
     if n < 0:
         raise NodeCountMismatch("neighbor matrices must cover the two virtual nodes")
     for name, m in (("left", left), ("right", right)):
+        _require_finite(m, f"{name} neighbor scores")
         if np.any(m < -ROW_SUM_TOL):
             bad = int(np.argwhere(m < -ROW_SUM_TOL)[0][0])
             raise NonStochasticRow(bad, float(m[bad].sum()))
@@ -256,86 +244,127 @@ def build_graph(
 def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     """Remove weak edges, then break cycles, preserving start-to-end.
 
-    Edges below `epsilon` are removed in ascending weight order; a removal
-    that would disconnect the virtual end is skipped.  While a directed
-    cycle remains, the lightest cycle edge whose removal keeps the end
-    reachable is dropped.
+    Edges below `epsilon` are removed in ascending ``(weight, src, dst)``
+    order; a removal that would disconnect the virtual end is skipped.
+    While a directed cycle remains (the first one a depth-first search over
+    ascending vertices and successors meets), the lightest cycle edge whose
+    removal keeps the end reachable is dropped.
+
+    One pass makes exactly these sequential decisions with few searches.
+    It keeps a *witness*, a start-to-end path of the current graph.  A
+    removal off the witness leaves it intact, so the end stays reachable
+    and the removal goes ahead unsearched; a run of weak edges off the
+    witness therefore goes at once.  Only a removal on the witness
+    searches again: a new path becomes the witness, and if none exists the
+    edge was the last route to the end and is kept.  The witness crosses
+    as few undecided weak edges as possible, so when strong edges alone
+    connect start to end the first search is the only one the weak-edge
+    phase makes.
 
     Raises:
         NoPath: the end was unreachable before pruning started.
         CycleDetected: a cycle that cannot be broken (defensive; a
             reachable end always leaves one breakable edge per cycle).
     """
-    g = ExprGraph(dict(graph.nodes), dict(graph.edges), graph.n_slots)
-    if not g.reaches_end():
+    edges = graph.edges
+    n = graph.n_slots + 2
+    live: list[list[int]] = [[] for _ in range(n)]  # successors over kept edges
+    pending: list[list[int]] = [[] for _ in range(n)]  # over undecided weak edges
+    for (s, d), w in edges.items():
+        (pending if w < epsilon else live)[s].append(d)
+    for out in live:
+        out.sort()
+    # Weak edges keyed (weight, src, dst) up to `cut` are decided: in `live`
+    # when kept, otherwise gone.
+    cut: tuple = (-math.inf,)
+    witness = _witness_path(live, pending, edges, cut)
+    if witness is None:
         raise NoPath("virtual end unreachable before pruning")
-
-    weak = sorted(
-        ((w, s, d) for (s, d), w in g.edges.items() if w < epsilon),
-        key=lambda t: (t[0], t[1], t[2]),
-    )
-    # Fast path: dropping every weak edge at once is equivalent to the
-    # guarded sequential order whenever the result stays connected, because
-    # every intermediate graph is a supergraph of the final one.
-    trial = ExprGraph(g.nodes, {k: v for k, v in g.edges.items() if v >= epsilon},
-                      g.n_slots)
-    if trial.reaches_end():
-        g = ExprGraph(g.nodes, dict(trial.edges), g.n_slots)
-    else:
-        for w, s, d in weak:
-            del g.edges[(s, d)]
-            g._adj = None
-            if not g.reaches_end():
-                g.edges[(s, d)] = w
-                g._adj = None
-
-    while True:
-        cycle = _find_cycle(g)
-        if cycle is None:
-            break
-        candidates = sorted(
-            ((g.edges[e], e) for e in cycle), key=lambda t: (t[0], t[1])
-        )
-        for w, e in candidates:
-            del g.edges[e]
-            g._adj = None
-            if g.reaches_end():
+    # Undecided weak edges ordered before the witness's first one are off it,
+    # so they go without a search; once none is on it, all the rest go.
+    while on_witness := [k for e in witness if (k := (edges[e], *e)) > cut and k[0] < epsilon]:
+        cut = min(on_witness)
+        found = _witness_path(live, pending, edges, cut)
+        if found is None:
+            insort(live[cut[1]], cut[2])
+        else:
+            witness = found
+    pending = [[]] * n  # every weak edge is decided
+    while (cycle := _find_cycle(live)) is not None:
+        for _, (s, d) in sorted((edges[e], e) for e in cycle):
+            live[s].remove(d)
+            if (s, d) not in witness:
                 break
-            g.edges[e] = w
-            g._adj = None
+            found = _witness_path(live, pending, edges, cut)
+            if found is not None:
+                witness = found
+                break
+            insort(live[s], d)
         else:
             raise CycleDetected(f"cycle through {sorted({s for s, _ in cycle})} is unbreakable")
-    return g
+    kept = {(s, d): edges[(s, d)] for s, out in enumerate(live) for d in out}
+    return ExprGraph(dict(graph.nodes), kept, graph.n_slots)
 
 
-def _find_cycle(graph: ExprGraph) -> list[tuple[int, int]] | None:
-    """First directed cycle found by DFS over sorted adjacency, as edges.
+def _witness_path(live, pending, edges, cut) -> set[tuple[int, int]] | None:
+    """Edges of a start-to-end path with the fewest undecided weak edges.
 
-    Iterative so deep graphs cannot exhaust the interpreter stack.
+    `live[u]` lists u's successors over kept edges, which cost nothing;
+    `pending[u]` lists those over weak edges, which cost one each and exist
+    while their (weight, u, v) key is above `cut`.  The search goes level
+    by level: all that kept edges reach, then one weak edge further.  None
+    when the end (the last vertex) is unreachable.
     """
-    adj = graph.successors()
-    color: dict[int, int] = {}
-    for start in sorted({s for s, _ in graph.edges} | {d for _, d in graph.edges}):
-        if color.get(start, 0):
+    end = len(live) - 1
+    pred = [-1] * len(live)  # -1: not reached yet
+    pred[0] = 0
+    reached = [0]
+    while reached:
+        for u in reached:  # grows while it is walked
+            for v in live[u]:
+                if pred[v] < 0:
+                    pred[v] = u
+                    reached.append(v)
+        if pred[end] >= 0:
+            path, v = set(), end
+            while v:
+                path.add((pred[v], v))
+                v = pred[v]
+            return path
+        frontier = []
+        for u in reached:
+            for v in pending[u]:
+                if pred[v] < 0 and (edges[(u, v)], u, v) > cut:
+                    pred[v] = u
+                    frontier.append(v)
+        reached = frontier
+    return None
+
+
+def _find_cycle(succ: list[list[int]]) -> list[tuple[int, int]] | None:
+    """First directed cycle found by DFS over ascending vertices, as edges.
+
+    Successor lists must be sorted.  Iterative so deep graphs cannot exhaust
+    the interpreter stack.
+    """
+    color = [0] * len(succ)  # 0 unseen, 1 on the stack, 2 done
+    for start in range(len(succ)):
+        if color[start]:
             continue
         color[start] = 1
-        stack = [(start, iter(adj.get(start, ())))]
+        stack = [(start, iter(succ[start]))]
         while stack:
             u, it = stack[-1]
-            advanced = False
             for v in it:
-                if color.get(v, 0) == 1:
+                if color[v] == 1:
                     on_stack = [frame[0] for frame in stack]
-                    cycle = [(u, v)]
                     tail = on_stack[on_stack.index(v):]
-                    cycle.extend(zip(tail, tail[1:]))
-                    return cycle
-                if color.get(v, 0) == 0:
+                    return [(u, v), *zip(tail, tail[1:])]
+                if color[v] == 0:
                     color[v] = 1
-                    stack.append((v, iter(adj.get(v, ()))))
-                    advanced = True
+                    stack.append((v, iter(succ[v])))
                     break
-            if not advanced:
+            else:
                 color[u] = 2
                 stack.pop()
     return None
@@ -344,83 +373,55 @@ def _find_cycle(graph: ExprGraph) -> list[tuple[int, int]] | None:
 def longest_path(graph: ExprGraph, vocab: TokenVocab) -> PathResult:
     """Maximum-weight start-to-end path by DP over a topological order.
 
-    Runs in O(V + E).  When two predecessors give a node the same distance,
-    the smaller graph position wins, making the result deterministic.  The
-    winning node sequence renders to LaTeX; a path whose group structure is
-    ill-nested is repaired by dropping unopened ENDs and closing groups
-    left open at the end.
+    Runs in O(V + E) over Kahn's order.  When two predecessors give a node
+    the same distance, the smaller graph position wins, making the result
+    deterministic.  The winning node sequence renders to LaTeX; a path
+    whose group structure is ill-nested is repaired by dropping unopened
+    ENDs and closing groups left open at the end.
 
     Raises:
         CycleDetected: the graph is not acyclic.
         NoPath: no start-to-end path exists.
     """
-    adj = graph.successors()
-    verts = {graph.sos, graph.eos} | set(graph.nodes)
-    indeg = {v: 0 for v in verts}
-    for _, d in graph.edges:
+    n = graph.n_slots + 2
+    succ: list[list[int]] = [[] for _ in range(n)]
+    weights: list[list[float]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for (s, d), w in graph.edges.items():
+        succ[s].append(d)
+        weights[s].append(w)
         indeg[d] += 1
-    queue = deque(v for v in sorted(verts) if indeg[v] == 0)
-    order = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in adj.get(u, ()):
+    dist = [-math.inf] * n
+    pred = [n] * n  # n: no predecessor yet, larger than any position
+    dist[0] = 0.0
+    # Kahn's order, grown while it is walked; a vertex is walked only after
+    # all its predecessors, so its distance is final by then.
+    order = [v for v in range(n) if indeg[v] == 0]
+    for u in order:
+        du = dist[u]
+        for v, w in zip(succ[u], weights[u]):
             indeg[v] -= 1
             if indeg[v] == 0:
-                queue.append(v)
-    if len(order) != len(verts):
-        raise CycleDetected("expression graph still holds a cycle")
-
-    dist = {v: float("-inf") for v in verts}
-    pred: dict[int, int | None] = {v: None for v in verts}
-    dist[graph.sos] = 0.0
-    for u in order:
-        if dist[u] == float("-inf"):
-            continue
-        for v in adj.get(u, ()):
-            cand = dist[u] + graph.edges[(u, v)]
-            if cand > dist[v] or (cand == dist[v] and (pred[v] is None or u < pred[v])):
+                order.append(v)
+            if du == -math.inf:
+                continue
+            cand = du + w
+            if cand > dist[v] or (cand == dist[v] and u < pred[v]):
                 dist[v] = cand
                 pred[v] = u
-    if dist[graph.eos] == float("-inf"):
+    if len(order) != n:
+        raise CycleDetected("expression graph still holds a cycle")
+    end = n - 1
+    if dist[end] == -math.inf:
         raise NoPath("no start-to-end path after pruning")
 
-    path = [graph.eos]
-    while path[-1] != graph.sos:
+    path = [end]
+    while path[-1]:
         path.append(pred[path[-1]])
     path.reverse()
     seq = [graph.nodes[i].class_id for i in path[1:-1]]
-    latex = emit_latex(_repair(seq, vocab), vocab)
-    return PathResult(path, dist[graph.eos], latex)
-
-
-def _repair(seq: list[int], vocab: TokenVocab) -> list[int]:
-    """Make a class sequence well-nested with minimal edits.
-
-    ENDs that no reading can match to an open group are dropped; groups
-    still open at the end are closed by appended ENDs.  Counting treats a
-    \\sqrt as opening one or two groups, tracked as an interval.
-    """
-    lo = hi = 0
-    out: list[int] = []
-    for cid in seq:
-        role = vocab.role_of(cid)
-        if role == ROLE_END:
-            if hi == 0:
-                continue
-            lo = max(lo, 1) - 1
-            hi -= 1
-        elif vocab.is_structural(cid):
-            if vocab.symbol_of(cid) == "\\sqrt":
-                lo += 1
-                hi += 2
-            else:
-                g = vocab.group_count(cid)
-                lo += g
-                hi += g
-        out.append(cid)
-    out.extend([vocab.end_id] * lo)
-    return out
+    latex = emit_latex(repair_groups(seq, vocab), vocab)
+    return PathResult(path, dist[end], latex)
 
 
 def decode_with_graph(
@@ -439,13 +440,10 @@ def decode_with_graph(
     Raises:
         NodeCountMismatch: score matrices disagree with the node count the
             grid implies (correction rows N, neighbor matrices N+2).
+        NonFinite: an input holds NaN or infinity.
         NoPath: nothing decodable, including an all-blank grid.
     """
     nodes = expand_imaginary(vat_extract(P, vocab, logits=logits), vocab)
-    if self_probs.ndim != 2 or self_probs.shape[0] != len(nodes):
-        raise NodeCountMismatch(
-            f"correction rows {self_probs.shape} for {len(nodes)} expanded nodes"
-        )
     if left.shape != (len(nodes) + 2, len(nodes) + 2) or right.shape != left.shape:
         raise NodeCountMismatch(
             f"neighbor matrices {left.shape} / {right.shape} for "

@@ -86,7 +86,7 @@ class ShapeMismatch(HmeGraphError):
 
 
 class NonFinite(HmeGraphError):
-    """A loss input or result is NaN or infinite."""
+    """A decode or loss input, or a loss result, is NaN or infinite."""
 
 
 # --- graph decoding --------------------------------------------------------

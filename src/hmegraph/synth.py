@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridTooSmall, IllNested, Infeasible, NoPath, TooLarge
+from .errors import CycleDetected, GridTooSmall, IllNested, Infeasible, NoPath, TooLarge
 from .tokens import (
     ROLE_END,
     ROLE_VISIBLE,
@@ -524,10 +524,89 @@ def oracle_longest_path(graph) -> tuple[float, list[int]]:
             path.pop()
             seen.remove(v)
 
-    dfs(graph.sos, 0.0, [graph.sos], {graph.sos})
+    dfs(0, 0.0, [0], {0})
     if best is None:
         raise NoPath("oracle found no start-to-end path")
     return best
+
+
+def oracle_prune(graph, epsilon: float = 0.5) -> dict[tuple[int, int], float]:
+    """Guarded pruning by its plain definition, with a fresh search at each step.
+
+    Edges below `epsilon` are tried for removal in ascending
+    (weight, src, dst) order; a removal stands only when the end is still
+    reachable from the start.  Then, while a directed cycle remains, the
+    first one a depth-first search meets (roots and successors ascending)
+    loses its lightest edge, ties broken by the edge, whose removal keeps
+    the end reachable.  Returns the surviving edges.
+
+    Bounds: at most 12 real nodes.
+
+    Raises:
+        TooLarge: beyond the bound.
+        NoPath: the end is unreachable before pruning.
+        CycleDetected: a cycle with no removable edge.
+    """
+    if len(graph.nodes) > 12:
+        raise TooLarge(f"{len(graph.nodes)} nodes exceed the 12-node oracle bound")
+    edges = dict(graph.edges)
+
+    def reaches_end() -> bool:
+        adj: dict[int, list[int]] = {}
+        for s, d in edges:
+            adj.setdefault(s, []).append(d)
+        seen, frontier = {0}, [0]
+        while frontier:
+            for v in adj.get(frontier.pop(), ()):
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return graph.eos in seen
+
+    def removed(e) -> bool:
+        w = edges.pop(e)
+        if reaches_end():
+            return True
+        edges[e] = w
+        return False
+
+    def first_cycle():
+        verts = {v for e in edges for v in e}
+        adj = {v: sorted(d for s, d in edges if s == v) for v in verts}
+        state: dict[int, str] = {}
+        stack: list[int] = []
+
+        def visit(u):
+            state[u] = "open"
+            stack.append(u)
+            for v in adj[u]:
+                if state.get(v) == "open":
+                    loop = stack[stack.index(v):] + [v]
+                    return list(zip(loop, loop[1:]))
+                if v not in state:
+                    found = visit(v)
+                    if found:
+                        return found
+            state[u] = "done"
+            stack.pop()
+            return None
+
+        for root in sorted(adj):
+            if root not in state:
+                found = visit(root)
+                if found:
+                    return found
+        return None
+
+    if not reaches_end():
+        raise NoPath("oracle found the end unreachable before pruning")
+    for w, s, d in sorted((w, s, d) for (s, d), w in graph.edges.items()):
+        if w < epsilon:
+            removed((s, d))
+    while (cycle := first_cycle()) is not None:
+        if not any(removed(e) for e in sorted(cycle, key=lambda e: (edges[e], e))):
+            raise CycleDetected("oracle met a cycle with no removable edge")
+    return edges
 
 
 def oracle_edit(a: list[int], b: list[int]) -> int:

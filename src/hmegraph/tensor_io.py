@@ -119,7 +119,7 @@ def graph_to_json(graph, vocab) -> dict:
     endpoints always resolve.
     """
     nodes = [
-        {"id": graph.sos, "label": vocab.symbol_of(vocab.sos_id), "row": -1, "col": -1},
+        {"id": 0, "label": vocab.symbol_of(vocab.sos_id), "row": -1, "col": -1},
     ]
     for i in sorted(graph.nodes):
         n = graph.nodes[i]
@@ -151,7 +151,7 @@ def export_dot(graph, vocab, highlight: tuple | list = ()) -> str:
         return s.replace("\\", "\\\\").replace('"', '\\"')
 
     lines = ["digraph expression {", "  rankdir=LR;"]
-    lines.append(f'  n{graph.sos} [label="{esc(vocab.symbol_of(vocab.sos_id))}"];')
+    lines.append(f'  n0 [label="{esc(vocab.symbol_of(vocab.sos_id))}"];')
     for i in sorted(graph.nodes):
         n = graph.nodes[i]
         label = f"{esc(vocab.symbol_of(n.class_id))}@({n.row},{n.col})"

@@ -462,29 +462,49 @@ def emit_latex(seq: list[int], vocab: TokenVocab) -> str:
     return " ".join(parts)
 
 
-def _closable(seq, start, pending, vocab) -> bool:
-    """Whether seq[start:] can close exactly `pending` open groups.
+def _pending_step(lo: int, hi: int, cid: int, vocab: TokenVocab) -> tuple[int, int] | None:
+    """Interval of pending group ENDs after one more token.
 
-    Future \\sqrt instances may take one or two groups, so the pending-end
-    count is tracked as an interval.
+    A \\sqrt may open one or two groups, so the count of ENDs still owed is
+    tracked as the interval [lo, hi].  Returns None for an END that no
+    reading can match to an open group.
     """
-    lo = hi = pending
+    role = vocab.role_of(cid)
+    if role == ROLE_END:
+        return None if hi == 0 else (max(lo, 1) - 1, hi - 1)
+    if role in (ROLE_HSE, ROLE_IRS):
+        if vocab.symbol_of(cid) == "\\sqrt":
+            return lo + 1, hi + 2
+        g = vocab.group_count(cid)
+        return lo + g, hi + g
+    return lo, hi
+
+
+def _closable(seq, start, pending, vocab) -> bool:
+    """Whether seq[start:] can close exactly `pending` open groups."""
+    span = (pending, pending)
     for cid in seq[start:]:
-        role = vocab.role_of(cid)
-        if role == ROLE_END:
-            if hi == 0:
-                return False
-            lo = max(lo, 1) - 1
-            hi -= 1
-        elif role in (ROLE_HSE, ROLE_IRS):
-            if vocab.symbol_of(cid) == "\\sqrt":
-                lo += 1
-                hi += 2
-            else:
-                g = vocab.group_count(cid)
-                lo += g
-                hi += g
-    return lo == 0
+        span = _pending_step(*span, cid, vocab)
+        if span is None:
+            return False
+    return span[0] == 0
+
+
+def repair_groups(seq: list[int], vocab: TokenVocab) -> list[int]:
+    """Make a class sequence well-nested with minimal edits.
+
+    ENDs that no reading can match to an open group are dropped; groups
+    still open at the end are closed by appended ENDs.
+    """
+    span = (0, 0)
+    out: list[int] = []
+    for cid in seq:
+        step = _pending_step(*span, cid, vocab)
+        if step is not None:
+            span = step
+            out.append(cid)
+    out.extend([vocab.end_id] * span[0])
+    return out
 
 
 def gt_targets(seq: list[int]) -> tuple[list[int], list[int], list[int]]:

@@ -7,7 +7,10 @@ import pytest
 
 from hmegraph import (
     CycleDetected,
+    GridTooSmall,
     NodeCountMismatch,
+    NoiseSpec,
+    NonFinite,
     NonStochasticRow,
     NoPath,
     ShapeMismatch,
@@ -16,14 +19,18 @@ from hmegraph import (
     decode_pipeline,
     decode_with_graph,
     expand_imaginary,
+    gen_expression,
     longest_path,
     make_sample,
     oracle_longest_path,
+    oracle_prune,
     parse_latex,
     prune_and_acyclify,
     vat_extract,
 )
-from hmegraph.decode import ExprGraph, Node, _repair
+from hmegraph import decode
+from hmegraph.decode import ExprGraph, Node
+from hmegraph.tokens import repair_groups
 
 
 def grid_for(vocab, placed, h, w):
@@ -224,6 +231,95 @@ class TestPrune:
         assert g.edges == edges
 
 
+def dyadic_stochastic(rng, n):
+    """Rows of eighths: exact sums, and many ties between weights."""
+    m = np.zeros((n, n))
+    for row in m:
+        for _ in range(8):
+            row[rng.randrange(n)] += 0.125
+    return m
+
+
+def random_prune_case(rng):
+    """A graph for pruning: dense from build_graph, or sparse with cycles.
+
+    Dense graphs use one-sided or mixed alpha over rows of eighths and
+    delete some slots; sparse ones may leave the end unreachable or reach
+    it through weak edges only.
+    """
+    n = rng.randint(1, 12)
+    alive = [i for i in range(1, n + 1) if rng.random() < 0.85]
+    if rng.random() < 0.5:
+        nodes = [Node(0, 0, i, 1.0, index=i) for i in alive]
+        alpha = rng.choice([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 1.0)])
+        left, right = dyadic_stochastic(rng, n + 2), dyadic_stochastic(rng, n + 2)
+        return build_graph(nodes, left, right, alpha_l2r=alpha[0], alpha_r2l=alpha[1])
+    density = rng.uniform(0.1, 0.5)
+    verts = [0] + alive + [n + 1]
+    edges = {
+        (a, b): rng.randrange(0, 9) / 8.0
+        for a in verts[:-1]
+        for b in verts[1:]
+        if a != b and (a, b) != (0, n + 1) and rng.random() < density
+    }
+    nodes = {i: Node(0, 0, i, 1.0, index=i) for i in alive}
+    return ExprGraph(nodes, edges, n_slots=n)
+
+
+class TestPruneMatchesOracle:
+    def test_random_graphs(self, vocab):
+        rng = random.Random(20241018)
+        seen = {"nopath": 0, "weak_kept": 0, "cycle_broken": 0}
+        for trial in range(1200):
+            g = random_prune_case(rng)
+            eps = rng.choice([0.25, 0.5, 0.75])
+            try:
+                want = oracle_prune(g, eps)
+            except NoPath:
+                with pytest.raises(NoPath):
+                    prune_and_acyclify(g, eps)
+                seen["nopath"] += 1
+                continue
+            got = prune_and_acyclify(g, eps).edges
+            assert set(got) == set(want), f"trial {trial}"
+            assert all(got[e] == g.edges[e] for e in got)
+            seen["weak_kept"] += any(w < eps for w in got.values())
+            seen["cycle_broken"] += any(
+                w >= eps and e not in got for e, w in g.edges.items()
+            )
+        assert min(seen.values()) >= 50, seen
+
+    def test_search_count_gate(self, vocab, monkeypatch):
+        """Witness searches per decode on the one-sided conn-flip ablation."""
+        searches = 0
+        search = decode._witness_path
+
+        def counted(*args):
+            nonlocal searches
+            searches += 1
+            return search(*args)
+
+        monkeypatch.setattr(decode, "_witness_path", counted)
+        worst = 0
+        for alphas in [(1.0, 0.0), (0.0, 1.0)]:
+            seed, decoded = 50000, 0
+            while decoded < 500:
+                latex = gen_expression(seed, max_depth=2, vocab=vocab)
+                seed += 1
+                try:
+                    sample = make_sample(latex, vocab, (14, 56),
+                                         noise=NoiseSpec(conn_flip_prob=0.30), seed=seed)
+                except GridTooSmall:
+                    continue
+                searches = 0
+                decode_pipeline(sample.probs, sample.self_probs, sample.left,
+                                sample.right, vocab,
+                                alpha_l2r=alphas[0], alpha_r2l=alphas[1])
+                worst = max(worst, searches)
+                decoded += 1
+        assert 1 <= worst <= 64
+
+
 class TestLongestPath:
     def test_matches_oracle_exactly(self, vocab):
         rng = random.Random(20240820)
@@ -274,23 +370,23 @@ class TestLongestPath:
 class TestRepair:
     def test_drops_unopened_ends(self, vocab):
         x = vocab.id_of("x")
-        assert _repair([vocab.end_id, x], vocab) == [x]
+        assert repair_groups([vocab.end_id, x], vocab) == [x]
 
     def test_closes_open_groups(self, vocab):
         frac, x = vocab.id_of("\\frac"), vocab.id_of("x")
-        assert _repair([frac, x], vocab) == [frac, x, vocab.end_id, vocab.end_id]
+        assert repair_groups([frac, x], vocab) == [frac, x, vocab.end_id, vocab.end_id]
 
     def test_sqrt_interval(self, vocab):
         sq, a, b = vocab.id_of("\\sqrt"), vocab.id_of("a"), vocab.id_of("b")
         end = vocab.end_id
         # Two ENDs are feasible for one \sqrt (indexed reading): kept as is.
-        assert _repair([sq, a, end, b, end], vocab) == [sq, a, end, b, end]
+        assert repair_groups([sq, a, end, b, end], vocab) == [sq, a, end, b, end]
         # Three are not: the third is dropped.
-        assert _repair([sq, a, end, b, end, end], vocab) == [sq, a, end, b, end]
+        assert repair_groups([sq, a, end, b, end, end], vocab) == [sq, a, end, b, end]
 
     def test_wellformed_untouched(self, vocab):
         seq = parse_latex("\\frac { x } { y } + 1", vocab)
-        assert _repair(seq, vocab) == seq
+        assert repair_groups(seq, vocab) == seq
 
 
 class TestPipeline:
@@ -313,6 +409,34 @@ class TestPipeline:
         m = np.eye(2, dtype=np.float32)
         with pytest.raises(NoPath):
             decode_pipeline(P, sp, m, m, vocab)
+
+    @pytest.mark.parametrize(
+        "fault,error",
+        [
+            ("grid_nan", NonFinite),
+            ("correction_nan", NonFinite),
+            ("left_nan", NonFinite),
+            ("right_nan", NonFinite),
+            ("correction_too_wide", ShapeMismatch),
+        ],
+    )
+    def test_input_fault_named(self, vocab, fault, error):
+        sample = make_sample("x + 1", vocab, (8, 16))
+        P, sp = sample.probs.copy(), sample.self_probs.copy()
+        left, right = sample.left.copy(), sample.right.copy()
+        if fault == "grid_nan":
+            P[0, 0, 0] = np.nan
+        elif fault == "correction_nan":
+            sp[1] = np.nan
+        elif fault == "left_nan":
+            left[2] = np.nan
+        elif fault == "right_nan":
+            right[2] = np.nan
+        else:
+            # An extra class column that wins every vote.
+            sp = np.hstack([sp, np.full((len(sp), 1), 2.0, dtype=sp.dtype)])
+        with pytest.raises(error):
+            decode_pipeline(P, sp, left, right, vocab)
 
     def test_matrix_size_mismatch(self, vocab):
         s = "x + y"
