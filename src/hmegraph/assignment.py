@@ -22,12 +22,14 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import (
-    ChannelMismatch,
     EvenKernel,
     Infeasible,
+    NodeCountMismatch,
     NonFinite,
     ShapeMismatch,
     StepMismatch,
+    check_finite,
+    check_shape,
 )
 from .tokens import TokenVocab, end_parents, gt_targets
 
@@ -46,14 +48,16 @@ def estimate_positions(
     so the result has one entry per predictable token, in label order.
 
     Raises:
+        ShapeMismatch: `attn` is not 3-d.
         StepMismatch: fewer attention slices than label tokens.
+        NonFinite: `attn` holds NaN or infinity.
     """
-    if attn.ndim != 3:
-        raise ShapeMismatch(f"attention stack must be 3-d, got shape {attn.shape}")
+    check_shape(attn, (None, None, None), "attention stack")
     if attn.shape[0] < len(label):
         raise StepMismatch(
             f"{attn.shape[0]} attention steps for {len(label)} label tokens"
         )
+    check_finite(attn, "attention stack")
     h, w = attn.shape[1:]
     out = []
     for step, cid in enumerate(label):
@@ -84,16 +88,14 @@ def build_cost(
 
     Raises:
         EvenKernel: km is even or < 1 (the window must center on a cell).
-        ChannelMismatch: P has the wrong channel count for `vocab`.
-        ShapeMismatch: positions do not line up with the label.
+        ShapeMismatch: P is not (channels, H, W) with the vocabulary's
+            channel count, or positions do not line up with the label.
+        NonFinite: P holds NaN or infinity.
     """
     if km < 1 or km % 2 == 0:
         raise EvenKernel(f"window size must be odd and positive, got {km}")
-    if P.ndim != 3 or P.shape[0] != vocab.grid_classes:
-        raise ChannelMismatch(
-            f"grid has {P.shape[0] if P.ndim == 3 else '?'} channels, "
-            f"vocabulary needs {vocab.grid_classes}"
-        )
+    check_shape(P, (vocab.grid_classes, None, None), "grid")
+    check_finite(P, "grid")
     pred = [cid for cid in label if vocab.is_predictable(cid)]
     if len(pred) != len(positions):
         raise ShapeMismatch(
@@ -101,13 +103,11 @@ def build_cost(
         )
     h, w = P.shape[1:]
     half = km // 2
-    cost = np.empty((len(pred), h * w), dtype=np.float64)
+    cost = np.full((len(pred), h, w), BLOCK_COST)
     for l, (cid, (r, c)) in enumerate(zip(pred, positions)):
-        window = np.zeros((h, w), dtype=np.float64)
-        window[max(0, r - half): r + half + 1, max(0, c - half): c + half + 1] = 1.0
-        dist = np.abs(P[cid].astype(np.float64) - window)
-        cost[l] = (dist * window + (1.0 - window) * BLOCK_COST).ravel()
-    return cost
+        window = np.s_[max(0, r - half): r + half + 1, max(0, c - half): c + half + 1]
+        cost[l][window] = np.abs(P[cid][window].astype(np.float64) - 1.0)
+    return cost.reshape(len(pred), h * w)
 
 
 def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -122,10 +122,12 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
         (row, column) pairs sorted by row.
 
     Raises:
+        ShapeMismatch: `cost` is not 2-d.
         Infeasible: more rows than columns.
+        NonFinite: `cost` holds NaN or infinity.
     """
-    if cost.ndim != 2:
-        raise ShapeMismatch(f"cost matrix must be 2-d, got shape {cost.shape}")
+    check_shape(cost, (None, None), "cost matrix")
+    check_finite(cost, "cost matrix")
     n_rows, n_cols = cost.shape
     if n_rows > n_cols:
         raise Infeasible(f"{n_rows} rows cannot injectively map to {n_cols} columns")
@@ -210,13 +212,15 @@ def loss_vat(P: np.ndarray, target_grid: np.ndarray) -> float:
     """Mean negative log-likelihood of the target class at every cell.
 
     Raises:
-        ShapeMismatch: grid shape or class range disagrees with P.
-        NonFinite: NaN input or a zero-probability target (infinite loss).
+        ShapeMismatch: the target grid is not an integer (H, W) array, or
+            its shape or class range disagrees with P.
+        NonFinite: NaN or infinity at a target cell, or a zero-probability
+            target (infinite loss, index None).
     """
-    if P.ndim != 3 or P.shape[1:] != target_grid.shape:
-        raise ShapeMismatch(
-            f"grid {P.shape} does not cover target grid {target_grid.shape}"
-        )
+    check_shape(target_grid, (None, None), "target grid")
+    if not np.issubdtype(target_grid.dtype, np.integer):
+        raise ShapeMismatch(f"target grid holds {target_grid.dtype}, not class ids")
+    check_shape(P, (None, *target_grid.shape), "grid")
     if target_grid.min() < 0 or target_grid.max() >= P.shape[0]:
         raise ShapeMismatch("target grid holds class ids outside the grid channels")
     h, w = target_grid.shape
@@ -224,6 +228,7 @@ def loss_vat(P: np.ndarray, target_grid: np.ndarray) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         loss = float(np.mean(-np.log(picked.astype(np.float64))))
     if not np.isfinite(loss):
+        check_finite(P, "grid")
         raise NonFinite("cell loss is not finite")
     return loss
 
@@ -255,8 +260,11 @@ def loss_pgd(
     :func:`hmegraph.tokens.gt_targets`.
 
     Raises:
-        ShapeMismatch: row counts or target ranges disagree.
-        NonFinite: NaN input or a zero-probability target.
+        ShapeMismatch: an array is not 2-d, target lists differ in length,
+            or targets fall outside their range.
+        NodeCountMismatch: row counts disagree with the node count.
+        NonFinite: NaN or infinity in an input, or a zero-probability
+            target (infinite loss, index None).
     """
     self_t, left_t, right_t = targets
     n = len(self_t)
@@ -264,15 +272,11 @@ def loss_pgd(
         raise ShapeMismatch("need at least one node")
     if not (len(left_t) == len(right_t) == n):
         raise ShapeMismatch("target lists differ in length")
-    if self_probs.ndim != 2 or self_probs.shape[0] != n:
-        raise ShapeMismatch(
-            f"correction rows {self_probs.shape} do not cover {n} nodes"
-        )
+    check_shape(self_probs, (n, None), "correction rows", NodeCountMismatch)
+    check_finite(self_probs, "correction rows")
     for name, m in (("left", left), ("right", right)):
-        if m.ndim != 2 or m.shape != (n + 2, n + 2):
-            raise ShapeMismatch(
-                f"{name} matrix {m.shape} does not match {n} nodes plus virtuals"
-            )
+        check_shape(m, (n + 2, n + 2), f"{name} neighbor scores", NodeCountMismatch)
+        check_finite(m, f"{name} neighbor scores")
     if n and (max(self_t) >= self_probs.shape[1] or min(self_t) < 0):
         raise ShapeMismatch("self target outside correction classes")
     if n and not all(0 <= t < n + 2 for t in left_t + right_t):

@@ -34,10 +34,10 @@ import numpy as np
 from .errors import (
     CycleDetected,
     NodeCountMismatch,
-    NonFinite,
     NonStochasticRow,
     NoPath,
-    ShapeMismatch,
+    check_finite,
+    check_shape,
 )
 from .tokens import TokenVocab, emit_latex, repair_groups
 
@@ -88,11 +88,6 @@ class PathResult:
     latex: str
 
 
-def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.isfinite(a).all():
-        raise NonFinite(f"non-finite value in {what}")
-
-
 def vat_extract(P: np.ndarray, vocab: TokenVocab, logits: bool = False) -> list[Node]:
     """Collect non-blank argmax cells of a classification grid as nodes.
 
@@ -105,11 +100,8 @@ def vat_extract(P: np.ndarray, vocab: TokenVocab, logits: bool = False) -> list[
             channel count.
         NonFinite: P holds NaN or infinity.
     """
-    if P.ndim != 3 or P.shape[0] != vocab.grid_classes:
-        raise ShapeMismatch(
-            f"grid shape {P.shape} does not match {vocab.grid_classes} classes"
-        )
-    _require_finite(P, "grid")
+    check_shape(P, (vocab.grid_classes, None, None), "grid")
+    check_finite(P, "grid")
     probs = P.astype(np.float64)
     if logits:
         probs = probs - probs.max(axis=0, keepdims=True)
@@ -155,21 +147,14 @@ def apply_corrections(
     the END nodes it implied.  Surviving nodes keep their positions.
 
     Raises:
+        ShapeMismatch: rows are not 2-d, or their width differs from the
+            correction classes.
         NodeCountMismatch: row count differs from the node count.
-        ShapeMismatch: row width differs from the correction classes.
         NonFinite: a row holds NaN or infinity.
     """
-    if self_probs.ndim != 2 or self_probs.shape[0] != len(nodes):
-        raise NodeCountMismatch(
-            f"{self_probs.shape[0] if self_probs.ndim == 2 else '?'} correction "
-            f"rows for {len(nodes)} nodes"
-        )
-    if self_probs.shape[1] != vocab.correction_classes:
-        raise ShapeMismatch(
-            f"correction rows have {self_probs.shape[1]} classes, "
-            f"need {vocab.correction_classes}"
-        )
-    _require_finite(self_probs, "correction rows")
+    check_shape(self_probs, (None, vocab.correction_classes), "correction rows")
+    check_shape(self_probs, (len(nodes), None), "correction rows", NodeCountMismatch)
+    check_finite(self_probs, "correction rows")
     votes = np.argmax(self_probs, axis=1)
     deleted: set[int] = set()
     out: list[Node] = []
@@ -199,27 +184,21 @@ def build_graph(
     start -> end edge are never created.
 
     Raises:
-        NodeCountMismatch: matrices not square (N+2) or node positions out
-            of range.
+        ShapeMismatch: a matrix is not 2-d.
+        NodeCountMismatch: matrices not equal and square (N+2) with N >= 0,
+            or node positions out of range.
         NonFinite: a score holds NaN or infinity.
         NonStochasticRow: a score row is not a probability distribution.
     """
-    if left.ndim != 2 or left.shape[0] != left.shape[1] or left.shape != right.shape:
-        raise NodeCountMismatch(
-            f"neighbor matrices {left.shape} / {right.shape} must be equal and square"
-        )
-    n = left.shape[0] - 2
-    if n < 0:
-        raise NodeCountMismatch("neighbor matrices must cover the two virtual nodes")
+    check_shape(left, (None, None), "left neighbor scores")
+    n = max(len(left) - 2, 0)
     for name, m in (("left", left), ("right", right)):
-        _require_finite(m, f"{name} neighbor scores")
-        if np.any(m < -ROW_SUM_TOL):
-            bad = int(np.argwhere(m < -ROW_SUM_TOL)[0][0])
-            raise NonStochasticRow(bad, float(m[bad].sum()))
+        check_shape(m, (n + 2, n + 2), f"{name} neighbor scores", NodeCountMismatch)
+        check_finite(m, f"{name} neighbor scores")
         sums = m.sum(axis=1)
-        off = np.abs(sums - 1.0) > ROW_SUM_TOL
+        off = (np.abs(sums - 1.0) > ROW_SUM_TOL) | np.any(m < -ROW_SUM_TOL, axis=1)
         if np.any(off):
-            bad = int(np.flatnonzero(off)[0])
+            bad = int(np.argmax(off))  # the first True
             raise NonStochasticRow(bad, float(sums[bad]))
     index_map: dict[int, Node] = {}
     for node in nodes:
@@ -438,17 +417,16 @@ def decode_with_graph(
     """Full grid-to-LaTeX decode, also returning the pruned graph.
 
     Raises:
+        ShapeMismatch: an input has the wrong rank, or the wrong grid
+            channel or correction class count.
         NodeCountMismatch: score matrices disagree with the node count the
             grid implies (correction rows N, neighbor matrices N+2).
         NonFinite: an input holds NaN or infinity.
         NoPath: nothing decodable, including an all-blank grid.
     """
     nodes = expand_imaginary(vat_extract(P, vocab, logits=logits), vocab)
-    if left.shape != (len(nodes) + 2, len(nodes) + 2) or right.shape != left.shape:
-        raise NodeCountMismatch(
-            f"neighbor matrices {left.shape} / {right.shape} for "
-            f"{len(nodes)} expanded nodes"
-        )
+    # build_graph holds `right` to the shape of `left`.
+    check_shape(left, (len(nodes) + 2,) * 2, "left neighbor scores", NodeCountMismatch)
     kept = apply_corrections(nodes, self_probs, vocab)
     graph = build_graph(kept, left, right, alpha_l2r=alpha_l2r, alpha_r2l=alpha_r2l)
     pruned = prune_and_acyclify(graph, epsilon=epsilon)

@@ -1,9 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the array-argument checks.
 
 Every domain failure raises a subclass of :class:`HmeGraphError` so callers
 can catch one base type at API boundaries (the CLI maps them to exit code 1).
 Plain I/O failures are left to the builtin ``OSError``.
+
+Array arguments go through :func:`check_shape` and :func:`check_finite`, so
+a fault raises one class wherever it is found: a wrong rank or axis size
+raises :class:`ShapeMismatch`; a size that disagrees with a node count,
+:class:`NodeCountMismatch` (a ShapeMismatch); NaN or infinity,
+:class:`NonFinite`, whose ``index`` is the first bad value's row-major flat
+position (None only for a loss that is not finite from finite inputs).
 """
+
+import numpy as np
 
 
 class HmeGraphError(Exception):
@@ -55,14 +64,6 @@ class TruncatedPayload(HmeGraphError):
     """File ends before the header-declared payload is complete."""
 
 
-class NonFiniteValue(HmeGraphError):
-    """Tensor payload contains NaN or infinity."""
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"non-finite value at flat payload index {index}")
-
-
 # --- assignment ------------------------------------------------------------
 
 class StepMismatch(HmeGraphError):
@@ -73,20 +74,8 @@ class EvenKernel(HmeGraphError):
     """Window kernel size must be odd so the window centers on a cell."""
 
 
-class ChannelMismatch(HmeGraphError):
-    """Probability grid channel count disagrees with the vocabulary."""
-
-
 class Infeasible(HmeGraphError):
     """Assignment problem has more rows than columns."""
-
-
-class ShapeMismatch(HmeGraphError):
-    """Tensor arguments disagree in shape."""
-
-
-class NonFinite(HmeGraphError):
-    """A decode or loss input, or a loss result, is NaN or infinite."""
 
 
 # --- graph decoding --------------------------------------------------------
@@ -108,10 +97,6 @@ class CycleDetected(HmeGraphError):
     """A directed cycle survived where a DAG was required."""
 
 
-class NodeCountMismatch(HmeGraphError):
-    """Score matrix dimensions disagree with the node count."""
-
-
 # --- metrics / synthesis ---------------------------------------------------
 
 class LengthMismatch(HmeGraphError):
@@ -128,3 +113,42 @@ class GridTooSmall(HmeGraphError):
 
 class TooLarge(HmeGraphError):
     """Input exceeds the stated bounds of a brute-force oracle."""
+
+
+# --- array arguments -------------------------------------------------------
+
+class ShapeMismatch(HmeGraphError):
+    """An array argument has the wrong rank, axis size or element type."""
+
+
+class NodeCountMismatch(ShapeMismatch):
+    """An array axis disagrees with the node count."""
+
+
+class NonFinite(HmeGraphError):
+    """An array argument, or a loss result, is NaN or infinite."""
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)
+
+
+def check_shape(a, shape: tuple, what: str, error: type = ShapeMismatch) -> None:
+    """Require one axis of `a` per entry of `shape`, each of that size.
+
+    A None entry matches any size.  A wrong rank raises ShapeMismatch; a
+    wrong size raises `error`, NodeCountMismatch for axes that count nodes.
+    """
+    got = np.shape(a)
+    if len(got) != len(shape):
+        raise ShapeMismatch(f"{what} must be {len(shape)}-d, got shape {got}")
+    if any(want is not None and n != want for n, want in zip(got, shape)):
+        raise error(f"{what} has shape {got}, expected {shape} (None: any size)")
+
+
+def check_finite(a, what: str) -> None:
+    """Raise NonFinite at the first NaN or infinity of `a`, in row-major order."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        index = int(np.argmin(finite.reshape(-1)))  # the first False
+        raise NonFinite(f"{what}: {np.ravel(a)[index]} at flat index {index}", index)

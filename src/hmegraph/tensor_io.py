@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagic, DimOverflow, NonFiniteValue, TruncatedPayload
+from .errors import BadMagic, DimOverflow, TruncatedPayload, check_finite
 
 MAGIC = b"NAMT"
 VERSION = 1
@@ -38,8 +38,9 @@ def write_tensor(tensor: np.ndarray, path) -> None:
     little-endian float32.
 
     Raises:
-        DimOverflow: a dimension at or above 2**20.
-        NonFiniteValue: NaN or infinity in the data.
+        DimOverflow: rank outside 1..8, or a dimension at or above 2**20.
+        NonFinite: NaN or infinity in the data; ``index`` is its flat
+            position.
         OSError: on filesystem failure.
     """
     rank = np.asarray(tensor).ndim  # before ascontiguousarray promotes 0-d to 1-d
@@ -49,10 +50,7 @@ def write_tensor(tensor: np.ndarray, path) -> None:
     for d in arr.shape:
         if d >= MAX_DIM:
             raise DimOverflow(f"dimension {d} exceeds {MAX_DIM - 1}")
-    flat = arr.ravel()
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise NonFiniteValue(int(bad[0]))
+    check_finite(arr, "tensor")
     header = (
         MAGIC
         + struct.pack("<II", VERSION, arr.ndim)
@@ -61,7 +59,7 @@ def write_tensor(tensor: np.ndarray, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(flat.tobytes())
+        fh.write(arr.tobytes())
 
 
 def read_tensor(path) -> np.ndarray:
@@ -73,7 +71,8 @@ def read_tensor(path) -> np.ndarray:
         BadMagic: wrong magic, version, or dtype code.
         DimOverflow: header dimension at or above 2**20.
         TruncatedPayload: file shorter (or longer) than the header declares.
-        NonFiniteValue: NaN or infinity in the payload.
+        NonFinite: NaN or infinity in the payload; ``index`` is its flat
+            position.
         OSError: on filesystem failure.
     """
     with open(path, "rb") as fh:
@@ -104,9 +103,7 @@ def read_tensor(path) -> np.ndarray:
     if len(blob) != expected:
         raise TruncatedPayload(f"{path}: expected {expected} bytes, found {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4", offset=need, count=count)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise NonFiniteValue(int(bad[0]))
+    check_finite(flat, f"{path}: payload")
     return flat.reshape(dims).astype(np.float32)
 
 

@@ -5,26 +5,34 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmegraph import (
-    ChannelMismatch,
     EvenKernel,
+    GridTooSmall,
+    HmeGraphError,
     Infeasible,
     NonFinite,
     ShapeMismatch,
     StepMismatch,
     build_cost,
     build_vocab,
+    default_vocab,
     estimate_positions,
+    gen_expression,
     gt_targets,
     hungarian,
     loss_pgd,
     loss_total,
     loss_vat,
+    make_sample,
     make_targets,
     oracle_hungarian,
     parse_latex,
+    read_tensor,
     teacher_matrices,
+    write_tensor,
 )
 from hmegraph.assignment import BLOCK_COST
 
@@ -107,7 +115,7 @@ class TestBuildCost:
     def test_channel_mismatch(self, small_vocab):
         v = small_vocab
         P = np.ones((v.grid_classes + 1, 3, 3))
-        with pytest.raises(ChannelMismatch):
+        with pytest.raises(ShapeMismatch):
             build_cost(P, [(0, 0)], parse_latex("a", v), v)
 
     def test_position_count_mismatch(self, small_vocab):
@@ -212,6 +220,14 @@ class TestLosses:
         with pytest.raises(ShapeMismatch):
             loss_vat(P, np.full((2, 2), vocab.grid_classes, dtype=np.int64))
 
+    def test_vat_float_target_grid(self, vocab, tmp_path):
+        # `hmegraph match --out` stores the target grid as float32.
+        P = np.full((vocab.grid_classes, 2, 2), 1.0 / vocab.grid_classes)
+        path = tmp_path / "t.grid.namt"
+        write_tensor(np.full((2, 2), vocab.none_id, dtype=np.int64), path)
+        with pytest.raises(ShapeMismatch):
+            loss_vat(P, read_tensor(path))
+
     def test_teacher_rows_score_zero(self, vocab):
         seq = parse_latex("\\frac { x } { y } + 1", vocab)
         sp, left, right = teacher_matrices(seq, vocab)
@@ -263,3 +279,39 @@ class TestLosses:
         left[1, 3] = 1.0  # true left target of node 1 is 0, now probability 0
         with pytest.raises(NonFinite):
             loss_pgd(sp, left, right, gt_targets(seq))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    bad=st.lists(
+        st.tuples(
+            st.sampled_from(["attn", "probs", "self_probs", "left", "right"]),
+            st.integers(0, 10**6),
+            st.sampled_from([np.nan, np.inf, -np.inf]),
+        ),
+        max_size=2,
+    ),
+)
+def test_chain_names_fault_or_reads_only_finite_inputs(seed, bad):
+    vocab = default_vocab()
+    try:
+        sample = make_sample(gen_expression(seed, max_depth=2), vocab, (8, 24), seed=seed)
+    except GridTooSmall:
+        return
+    arrays = {
+        key: getattr(sample, key).copy()
+        for key in ("attn", "probs", "self_probs", "left", "right")
+    }
+    for key, pos, value in bad:
+        arrays[key].flat[pos % arrays[key].size] = value
+    seq, (h, w) = sample.seq, sample.probs.shape[1:]
+    try:
+        positions = estimate_positions(arrays["attn"], seq, vocab)
+        cost = build_cost(arrays["probs"], positions, seq, vocab)
+        target = make_targets(hungarian(cost), seq, vocab, h, w)
+        loss_vat(arrays["probs"], target.grid)
+        loss_pgd(arrays["self_probs"], arrays["left"], arrays["right"], gt_targets(seq))
+    except HmeGraphError:
+        return
+    assert all(np.isfinite(a).all() for a in arrays.values())

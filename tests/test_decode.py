@@ -4,10 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmegraph import (
     CycleDetected,
     GridTooSmall,
+    HmeGraphError,
     NodeCountMismatch,
     NoiseSpec,
     NonFinite,
@@ -15,13 +18,22 @@ from hmegraph import (
     NoPath,
     ShapeMismatch,
     apply_corrections,
+    build_cost,
     build_graph,
     decode_pipeline,
     decode_with_graph,
+    default_vocab,
+    emit_latex,
+    estimate_positions,
     expand_imaginary,
     gen_expression,
+    gt_targets,
+    hungarian,
     longest_path,
+    loss_pgd,
+    loss_vat,
     make_sample,
+    make_targets,
     oracle_longest_path,
     oracle_prune,
     parse_latex,
@@ -410,33 +422,77 @@ class TestPipeline:
         with pytest.raises(NoPath):
             decode_pipeline(P, sp, m, m, vocab)
 
+    # id: (entry point, array, where the bad value goes, the value, error)
+    FAULTS = {
+        "grid_nan": ("decode", "probs", (0, 0, 0), np.nan, NonFinite),
+        "correction_nan": ("decode", "self_probs", 1, np.nan, NonFinite),
+        "left_nan": ("decode", "left", 2, np.nan, NonFinite),
+        "right_nan": ("decode", "right", 2, np.nan, NonFinite),
+        "correction_too_wide": ("decode", None, None, None, ShapeMismatch),
+        "attention_inf": ("positions", "attn", (1, 2, 3), np.inf, NonFinite),
+        "attention_rank": ("positions", None, None, None, ShapeMismatch),
+        "cost_grid_unread_nan": ("cost", "probs", (3, 7, 9), np.nan, NonFinite),
+        "cost_grid_channels": ("cost", None, None, None, ShapeMismatch),
+        "cost_matrix_neg_inf": ("hungarian", "cost", (1, 5), -np.inf, NonFinite),
+        "cost_matrix_nan": ("hungarian", "cost", (0, 0), np.nan, NonFinite),
+        "vat_target_cell_nan": ("vat", "probs", None, np.nan, NonFinite),
+        "pgd_correction_nan": ("pgd", "self_probs", (2, 4), np.nan, NonFinite),
+        "pgd_right_inf": ("pgd", "right", (1, 3), np.inf, NonFinite),
+        "pgd_left_rows": ("pgd", None, None, None, NodeCountMismatch),
+    }
+
     @pytest.mark.parametrize(
-        "fault,error",
-        [
-            ("grid_nan", NonFinite),
-            ("correction_nan", NonFinite),
-            ("left_nan", NonFinite),
-            ("right_nan", NonFinite),
-            ("correction_too_wide", ShapeMismatch),
-        ],
+        "fault,error", [(fault, spec[-1]) for fault, spec in FAULTS.items()]
     )
     def test_input_fault_named(self, vocab, fault, error):
+        """Each entry point raises the class that names the fault; NonFinite
+        also carries the flat position of the first bad value."""
+        entry, name, where, value, _ = self.FAULTS[fault]
         sample = make_sample("x + 1", vocab, (8, 16))
-        P, sp = sample.probs.copy(), sample.self_probs.copy()
-        left, right = sample.left.copy(), sample.right.copy()
-        if fault == "grid_nan":
-            P[0, 0, 0] = np.nan
-        elif fault == "correction_nan":
-            sp[1] = np.nan
-        elif fault == "left_nan":
-            left[2] = np.nan
-        elif fault == "right_nan":
-            right[2] = np.nan
-        else:
+        seq = sample.seq
+        arrays = {
+            key: getattr(sample, key).copy()
+            for key in ("probs", "self_probs", "left", "right", "attn")
+        }
+        positions = estimate_positions(sample.attn, seq, vocab)
+        arrays["cost"] = build_cost(sample.probs, positions, seq, vocab)
+        target_grid = make_targets(
+            hungarian(arrays["cost"]), seq, vocab, *sample.probs.shape[1:]
+        ).grid
+        if entry == "vat":
+            # A cell whose target class is read by the loss.
+            where = (int(target_grid[0, 0]), 0, 0)
+        if name is not None:
+            arrays[name][where] = value
+        elif fault == "correction_too_wide":
             # An extra class column that wins every vote.
-            sp = np.hstack([sp, np.full((len(sp), 1), 2.0, dtype=sp.dtype)])
-        with pytest.raises(error):
-            decode_pipeline(P, sp, left, right, vocab)
+            sp = arrays["self_probs"]
+            arrays["self_probs"] = np.hstack([sp, np.full((len(sp), 1), 2.0, dtype=sp.dtype)])
+        elif fault == "attention_rank":
+            arrays["attn"] = arrays["attn"][0]
+        elif fault == "cost_grid_channels":
+            arrays["probs"] = arrays["probs"][1:]
+        elif fault == "pgd_left_rows":
+            arrays["left"] = arrays["left"][:-1]
+        calls = {
+            "decode": lambda a: decode_pipeline(
+                a["probs"], a["self_probs"], a["left"], a["right"], vocab
+            ),
+            "positions": lambda a: estimate_positions(a["attn"], seq, vocab),
+            "cost": lambda a: build_cost(a["probs"], positions, seq, vocab),
+            "hungarian": lambda a: hungarian(a["cost"]),
+            "vat": lambda a: loss_vat(a["probs"], target_grid),
+            "pgd": lambda a: loss_pgd(
+                a["self_probs"], a["left"], a["right"], gt_targets(seq)
+            ),
+        }
+        with pytest.raises(error) as exc:
+            calls[entry](arrays)
+        assert type(exc.value) is error
+        if error is NonFinite:
+            marked = np.zeros(arrays[name].shape, dtype=bool)
+            marked[where] = True
+            assert exc.value.index == int(np.flatnonzero(marked)[0])
 
     def test_matrix_size_mismatch(self, vocab):
         s = "x + y"
@@ -453,3 +509,58 @@ class TestPipeline:
                 sample.right,
                 vocab,
             )
+
+
+BAD_VALUES = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def decode_inputs(draw):
+    """Small decode inputs: a one-hot grid, one-hot correction rows and
+    row-stochastic neighbor scores, with NaN or infinity planted at drawn
+    positions or one array cut short."""
+    vocab = default_vocab()
+    h, w = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    symbols = ["x", "1", "+", "\\frac", "\\sqrt", "^"]
+    ids = [vocab.none_id] + [vocab.id_of(s) for s in symbols]
+    cells = draw(st.lists(st.sampled_from(ids), min_size=h * w, max_size=h * w))
+    P = np.zeros((vocab.grid_classes, h, w), dtype=np.float32)
+    P[cells, np.arange(h * w) // w, np.arange(h * w) % w] = 1.0
+    n = len(expand_imaginary(vat_extract(P, vocab), vocab))
+    votes = draw(st.lists(st.sampled_from(ids + [vocab.end_id]), min_size=n, max_size=n))
+    sp = np.zeros((n, vocab.correction_classes), dtype=np.float32)
+    sp[np.arange(n), votes] = 1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left, right = (rng.integers(0, 5, (n + 2, n + 2)) + 0.25 for _ in range(2))
+    arrays = {"P": P, "sp": sp, "left": left / left.sum(axis=1, keepdims=True),
+              "right": right / right.sum(axis=1, keepdims=True)}
+    for name, pos, value in draw(st.lists(
+        st.tuples(st.sampled_from(sorted(arrays)), st.integers(0, 10**6), BAD_VALUES),
+        max_size=2,
+    )):
+        if arrays[name].size:
+            arrays[name].flat[pos % arrays[name].size] = value
+    cut = draw(st.sampled_from([None, None, None, "sp", "left", "right"]))
+    if cut is not None:
+        arrays[cut] = arrays[cut][:-1]
+    return arrays
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inputs=decode_inputs(),
+    epsilon=st.sampled_from([0.3, 0.5, 0.7]),
+    alpha=st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]),
+    logits=st.booleans(),
+)
+def test_decode_names_fault_or_round_trips(inputs, epsilon, alpha, logits):
+    vocab = default_vocab()
+    try:
+        result, _ = decode_with_graph(
+            inputs["P"], inputs["sp"], inputs["left"], inputs["right"], vocab,
+            epsilon=epsilon, alpha_l2r=alpha[0], alpha_r2l=alpha[1], logits=logits,
+        )
+    except HmeGraphError:
+        return
+    assert all(np.isfinite(a).all() for a in inputs.values())
+    assert emit_latex(parse_latex(result.latex, vocab), vocab) == result.latex

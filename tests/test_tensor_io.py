@@ -9,7 +9,7 @@ import pytest
 from hmegraph import (
     BadMagic,
     DimOverflow,
-    NonFiniteValue,
+    NonFinite,
     TruncatedPayload,
     export_dot,
     graph_to_json,
@@ -94,12 +94,12 @@ class TestWriteErrors:
     def test_nan_reports_flat_index(self, tmp_path):
         arr = np.zeros((2, 3), dtype=np.float32)
         arr[1, 1] = np.nan
-        with pytest.raises(NonFiniteValue) as exc:
+        with pytest.raises(NonFinite) as exc:
             write_tensor(arr, tmp_path / "t.namt")
         assert exc.value.index == 4
 
     def test_infinity_rejected(self, tmp_path):
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFinite):
             write_tensor(np.array([np.inf], dtype=np.float32), tmp_path / "t.namt")
 
 
@@ -179,7 +179,7 @@ class TestReadErrors:
             + struct.pack("<I", 1)
         )
         path.write_bytes(header + struct.pack("<ff", 1.0, float("nan")))
-        with pytest.raises(NonFiniteValue) as exc:
+        with pytest.raises(NonFinite) as exc:
             read_tensor(path)
         assert exc.value.index == 1
 
