@@ -8,7 +8,7 @@ dilutes edge scores below the pruning threshold and recovery collapses.
 """
 
 from hmegraph import (
-    decode_pipeline,
+    decode_with_graph,
     default_vocab,
     evaluate,
     gen_expression,
@@ -32,9 +32,9 @@ def run_suite(vocab, noise, count=200):
         flips += len(sample.flipped)
         inserts += len(sample.spurious)
         conn += len(sample.conn_flipped)
-        result = decode_pipeline(
+        result = decode_with_graph(
             sample.probs, sample.self_probs, sample.left, sample.right, vocab
-        )
+        )[0]
         labels.append(latex)
         predictions.append(result.latex)
     return evaluate(predictions, labels, vocab), (flips, inserts, conn)

@@ -48,11 +48,13 @@ def estimate_positions(
     so the result has one entry per predictable token, in label order.
 
     Raises:
-        ShapeMismatch: `attn` is not 3-d.
+        ShapeMismatch: `attn` is not 3-d, or its maps have no cells.
         StepMismatch: fewer attention slices than label tokens.
         NonFinite: `attn` holds NaN or infinity.
     """
     check_shape(attn, (None, None, None), "attention stack")
+    if attn.shape[1] * attn.shape[2] == 0:
+        raise ShapeMismatch(f"attention maps of shape {attn.shape[1:]} have no cells")
     if attn.shape[0] < len(label):
         raise StepMismatch(
             f"{attn.shape[0]} attention steps for {len(label)} label tokens"
@@ -89,7 +91,8 @@ def build_cost(
     Raises:
         EvenKernel: km is even or < 1 (the window must center on a cell).
         ShapeMismatch: P is not (channels, H, W) with the vocabulary's
-            channel count, or positions do not line up with the label.
+            channel count, positions do not line up with the label, or a
+            position lies outside the H x W grid.
         NonFinite: P holds NaN or infinity.
     """
     if km < 1 or km % 2 == 0:
@@ -105,6 +108,8 @@ def build_cost(
     half = km // 2
     cost = np.full((len(pred), h, w), BLOCK_COST)
     for l, (cid, (r, c)) in enumerate(zip(pred, positions)):
+        if not (0 <= r < h and 0 <= c < w):
+            raise ShapeMismatch(f"position {(r, c)} outside the {h}x{w} grid")
         window = np.s_[max(0, r - half): r + half + 1, max(0, c - half): c + half + 1]
         cost[l][window] = np.abs(P[cid][window].astype(np.float64) - 1.0)
     return cost.reshape(len(pred), h * w)

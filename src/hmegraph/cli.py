@@ -193,7 +193,6 @@ def cmd_decode(args: argparse.Namespace, cfg: Config) -> int:
         epsilon=cfg.epsilon,
         alpha_l2r=cfg.alpha_l2r,
         alpha_r2l=cfg.alpha_r2l,
-        logits=args.logits,
     )
     if args.dot:
         Path(args.dot).write_text(
@@ -322,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--self", dest="self_probs", help="correction rows to score")
     p.add_argument("--left", help="left neighbor matrix to score")
     p.add_argument("--right", help="right neighbor matrix to score")
-    p.add_argument("--out", help="output prefix for .grid.namt and .json")
+    p.add_argument("--out", help="output prefix for .grid.namt and .json; the grid holds"
+                   " class ids as float32: cast with .astype(np.int64) before loss_vat")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("decode", parents=[common], help="grid to LaTeX")
@@ -333,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, help="edge-pruning threshold")
     p.add_argument("--alpha-l2r", type=float, help="forward edge weight")
     p.add_argument("--alpha-r2l", type=float, help="backward edge weight")
-    p.add_argument("--logits", action="store_true", help="grid holds logits")
     p.add_argument("--dot", help="write the pruned graph as Graphviz dot")
     p.set_defaults(func=cmd_decode)
 

@@ -3,8 +3,9 @@
 Decoding runs in five steps, each exposed on its own so partial pipelines
 can be inspected:
 
-1. :func:`vat_extract` collects every non-blank cell of a classification
-   grid as a node, in raster order.
+1. :func:`vat_extract` collects every non-blank argmax cell of a
+   classification grid as a node, in raster order, scored with the grid's
+   own value there.
 2. :func:`expand_imaginary` appends the invisible group-end nodes that
    structural symbols imply; a grid can never predict them directly.
 3. :func:`apply_corrections` re-labels every node from a per-node
@@ -46,10 +47,12 @@ ROW_SUM_TOL = 1e-4
 
 @dataclass(frozen=True)
 class Node:
-    """One candidate symbol: class, cell, detection score, graph position.
+    """One candidate symbol: class, cell, score, graph position.
 
-    `index` is 0 until :func:`expand_imaginary` assigns positions.  END
-    nodes remember the position of the structural node that implied them.
+    `score` is the grid's own value at the node's class and cell, whether
+    the grid holds probabilities or logits; no stage reads it.  `index` is
+    0 until :func:`expand_imaginary` assigns positions.  END nodes remember
+    the position of the structural node that implied them.
     """
 
     class_id: int
@@ -88,12 +91,13 @@ class PathResult:
     latex: str
 
 
-def vat_extract(P: np.ndarray, vocab: TokenVocab, logits: bool = False) -> list[Node]:
+def vat_extract(P: np.ndarray, vocab: TokenVocab) -> list[Node]:
     """Collect non-blank argmax cells of a classification grid as nodes.
 
     Cells scan in raster order (row-major); an argmax tie within a cell
-    resolves to the lowest class id.  With ``logits=True`` the grid is
-    softmax-normalized over channels first.
+    resolves to the lowest class id.  A node's score is the grid's own
+    value at its class and cell, so probabilities and logits extract the
+    same nodes.
 
     Raises:
         ShapeMismatch: P is not (channels, H, W) with the vocabulary's
@@ -102,18 +106,13 @@ def vat_extract(P: np.ndarray, vocab: TokenVocab, logits: bool = False) -> list[
     """
     check_shape(P, (vocab.grid_classes, None, None), "grid")
     check_finite(P, "grid")
-    probs = P.astype(np.float64)
-    if logits:
-        probs = probs - probs.max(axis=0, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=0, keepdims=True)
-    classes = np.argmax(probs, axis=0)
+    classes = np.argmax(P, axis=0)
     nodes = []
     for r, c in np.ndindex(classes.shape):
         cid = int(classes[r, c])
         if cid == vocab.none_id:
             continue
-        nodes.append(Node(cid, int(r), int(c), float(probs[cid, r, c])))
+        nodes.append(Node(cid, int(r), int(c), float(P[cid, r, c])))
     return nodes
 
 
@@ -412,7 +411,6 @@ def decode_with_graph(
     epsilon: float = 0.5,
     alpha_l2r: float = 1.0,
     alpha_r2l: float = 1.0,
-    logits: bool = False,
 ) -> tuple[PathResult, ExprGraph]:
     """Full grid-to-LaTeX decode, also returning the pruned graph.
 
@@ -424,36 +422,10 @@ def decode_with_graph(
         NonFinite: an input holds NaN or infinity.
         NoPath: nothing decodable, including an all-blank grid.
     """
-    nodes = expand_imaginary(vat_extract(P, vocab, logits=logits), vocab)
+    nodes = expand_imaginary(vat_extract(P, vocab), vocab)
     # build_graph holds `right` to the shape of `left`.
     check_shape(left, (len(nodes) + 2,) * 2, "left neighbor scores", NodeCountMismatch)
     kept = apply_corrections(nodes, self_probs, vocab)
     graph = build_graph(kept, left, right, alpha_l2r=alpha_l2r, alpha_r2l=alpha_r2l)
     pruned = prune_and_acyclify(graph, epsilon=epsilon)
     return longest_path(pruned, vocab), pruned
-
-
-def decode_pipeline(
-    P: np.ndarray,
-    self_probs: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    vocab: TokenVocab,
-    epsilon: float = 0.5,
-    alpha_l2r: float = 1.0,
-    alpha_r2l: float = 1.0,
-    logits: bool = False,
-) -> PathResult:
-    """As `decode_with_graph`, keeping only the path result."""
-    result, _ = decode_with_graph(
-        P,
-        self_probs,
-        left,
-        right,
-        vocab,
-        epsilon=epsilon,
-        alpha_l2r=alpha_l2r,
-        alpha_r2l=alpha_r2l,
-        logits=logits,
-    )
-    return result

@@ -1,9 +1,8 @@
-"""Expression-level accuracy and stage-timing summaries."""
+"""Expression-level accuracy: token edit distance and ExpRate reports."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import mean, median
 
 from .errors import EmptyInput, HmeGraphError, LengthMismatch
 from .tokens import TokenVocab, parse_latex
@@ -83,36 +82,3 @@ def evaluate(preds: list[str], refs: list[str], vocab: TokenVocab) -> EvalReport
         n=n,
         per_sample=dists,
     )
-
-
-def time_stats(samples: list[dict[str, float]]) -> dict:
-    """Aggregate per-stage millisecond timings over samples.
-
-    Each sample maps stage name to its duration in milliseconds.  Stages
-    are aggregated over the samples that report them; a sample's total is
-    the sum of its own stages.  Throughput is 1000 / mean(total).
-
-    Returns:
-        {"stages": {name: {"mean": ms, "median": ms}}, "fps": float,
-         "n": int}
-
-    Raises:
-        EmptyInput: no samples.
-    """
-    if not samples:
-        raise EmptyInput("no timing samples")
-    by_stage: dict[str, list[float]] = {}
-    totals = []
-    for sample in samples:
-        totals.append(sum(sample.values()))
-        for stage, ms in sample.items():
-            by_stage.setdefault(stage, []).append(float(ms))
-    mean_total = mean(totals)
-    return {
-        "stages": {
-            stage: {"mean": mean(vals), "median": median(vals)}
-            for stage, vals in sorted(by_stage.items())
-        },
-        "fps": 1000.0 / mean_total if mean_total > 0 else float("inf"),
-        "n": len(samples),
-    }

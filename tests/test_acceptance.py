@@ -17,7 +17,7 @@ from hmegraph import (
     ExprGraph,
     Node,
     build_cost,
-    decode_pipeline,
+    decode_with_graph,
     default_vocab,
     emit_latex,
     estimate_positions,
@@ -220,9 +220,9 @@ def test_5_noiseless_closure():
     wrong = 0
     for _ in range(1000):
         latex, sample = next(stream)
-        result = decode_pipeline(
+        result = decode_with_graph(
             sample.probs, sample.self_probs, sample.left, sample.right, VOCAB
-        )
+        )[0]
         if result.latex != latex:
             wrong += 1
             if wrong <= 3:
@@ -245,9 +245,9 @@ def correction_suite(noise, seed0, event_count):
         events = event_count(sample)
         total_events += events
         singles += events == 1
-        result = decode_pipeline(
+        result = decode_with_graph(
             sample.probs, sample.self_probs, sample.left, sample.right, VOCAB
-        )
+        )[0]
         if result.latex != latex:
             wrong.append(latex)
     return wrong, total_events, singles
@@ -282,7 +282,7 @@ def ablation_rate(alphas, noise, seed0, count):
     correct = 0
     for _ in range(count):
         latex, sample = next(stream)
-        result = decode_pipeline(
+        result = decode_with_graph(
             sample.probs,
             sample.self_probs,
             sample.left,
@@ -290,7 +290,7 @@ def ablation_rate(alphas, noise, seed0, count):
             VOCAB,
             alpha_l2r=alphas[0],
             alpha_r2l=alphas[1],
-        )
+        )[0]
         correct += result.latex == latex
     return correct / count
 

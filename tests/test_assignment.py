@@ -124,6 +124,15 @@ class TestBuildCost:
         with pytest.raises(ShapeMismatch):
             build_cost(P, [(0, 0), (1, 1)], parse_latex("a", v), v)
 
+    def test_position_off_grid(self, small_vocab):
+        # Unchecked, a negative row wraps around as a slice start and a row
+        # past the grid blocks every cell.
+        v = small_vocab
+        P = np.ones((v.grid_classes, 3, 3))
+        for pos in [(-2, 1), (-3, 1), (3, 1), (1, -1), (1, 3), (9, 9)]:
+            with pytest.raises(ShapeMismatch):
+                build_cost(P, [pos], parse_latex("a", v), v, km=5)
+
 
 class TestHungarian:
     def test_matches_oracle_on_dyadic_costs(self):

@@ -9,6 +9,7 @@ import pytest
 
 from hmegraph import (
     default_vocab,
+    loss_vat,
     parse_latex,
     read_tensor,
     teacher_matrices,
@@ -203,6 +204,8 @@ class TestMatch:
         assert doc["loss"]["total"] == 0.0
         grid = read_tensor(str(out_prefix) + ".grid.namt")
         assert grid.shape == (h, w)
+        # The container stores float32 only; class ids need the cast back.
+        assert loss_vat(P, grid.astype(np.int64)) == doc["loss"]["vat"]
         side = json.loads((tmp_path / "match.json").read_text())
         assert side["cells"] == doc["cells"]
 

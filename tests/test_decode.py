@@ -20,7 +20,6 @@ from hmegraph import (
     apply_corrections,
     build_cost,
     build_graph,
-    decode_pipeline,
     decode_with_graph,
     default_vocab,
     emit_latex,
@@ -97,7 +96,7 @@ class TestVatExtract:
         rng = np.random.default_rng(7)
         logits = rng.normal(size=(vocab.grid_classes, 3, 4)).astype(np.float32)
         probs = np.exp(logits) / np.exp(logits).sum(axis=0, keepdims=True)
-        a = vat_extract(logits, vocab, logits=True)
+        a = vat_extract(logits, vocab)
         b = vat_extract(probs, vocab)
         assert [(n.class_id, n.row, n.col) for n in a] == [
             (n.class_id, n.row, n.col) for n in b
@@ -324,9 +323,9 @@ class TestPruneMatchesOracle:
                 except GridTooSmall:
                     continue
                 searches = 0
-                decode_pipeline(sample.probs, sample.self_probs, sample.left,
-                                sample.right, vocab,
-                                alpha_l2r=alphas[0], alpha_r2l=alphas[1])
+                decode_with_graph(sample.probs, sample.self_probs, sample.left,
+                                  sample.right, vocab,
+                                  alpha_l2r=alphas[0], alpha_r2l=alphas[1])
                 worst = max(worst, searches)
                 decoded += 1
         assert 1 <= worst <= 64
@@ -409,9 +408,9 @@ class TestPipeline:
             sample.probs, sample.self_probs, sample.left, sample.right, vocab
         )
         assert result.latex == s
-        assert decode_pipeline(
+        assert decode_with_graph(
             sample.probs, sample.self_probs, sample.left, sample.right, vocab
-        ).latex == s
+        )[0].latex == s
         path_edges = set(zip(result.path, result.path[1:]))
         assert path_edges <= set(graph.edges)
 
@@ -420,7 +419,7 @@ class TestPipeline:
         sp = np.zeros((0, vocab.correction_classes), dtype=np.float32)
         m = np.eye(2, dtype=np.float32)
         with pytest.raises(NoPath):
-            decode_pipeline(P, sp, m, m, vocab)
+            decode_with_graph(P, sp, m, m, vocab)
 
     # id: (entry point, array, where the bad value goes, the value, error)
     FAULTS = {
@@ -431,8 +430,10 @@ class TestPipeline:
         "correction_too_wide": ("decode", None, None, None, ShapeMismatch),
         "attention_inf": ("positions", "attn", (1, 2, 3), np.inf, NonFinite),
         "attention_rank": ("positions", None, None, None, ShapeMismatch),
+        "attention_no_cells": ("positions", None, None, None, ShapeMismatch),
         "cost_grid_unread_nan": ("cost", "probs", (3, 7, 9), np.nan, NonFinite),
         "cost_grid_channels": ("cost", None, None, None, ShapeMismatch),
+        "cost_position_off_grid": ("cost", None, None, None, ShapeMismatch),
         "cost_matrix_neg_inf": ("hungarian", "cost", (1, 5), -np.inf, NonFinite),
         "cost_matrix_nan": ("hungarian", "cost", (0, 0), np.nan, NonFinite),
         "vat_target_cell_nan": ("vat", "probs", None, np.nan, NonFinite),
@@ -470,12 +471,17 @@ class TestPipeline:
             arrays["self_probs"] = np.hstack([sp, np.full((len(sp), 1), 2.0, dtype=sp.dtype)])
         elif fault == "attention_rank":
             arrays["attn"] = arrays["attn"][0]
+        elif fault == "attention_no_cells":
+            arrays["attn"] = arrays["attn"][:, :0]
         elif fault == "cost_grid_channels":
             arrays["probs"] = arrays["probs"][1:]
+        elif fault == "cost_position_off_grid":
+            # As a slice start, row -4 would wrap around to the grid's end.
+            positions = [(-4, 0)] + positions[1:]
         elif fault == "pgd_left_rows":
             arrays["left"] = arrays["left"][:-1]
         calls = {
-            "decode": lambda a: decode_pipeline(
+            "decode": lambda a: decode_with_graph(
                 a["probs"], a["self_probs"], a["left"], a["right"], vocab
             ),
             "positions": lambda a: estimate_positions(a["attn"], seq, vocab),
@@ -498,11 +504,11 @@ class TestPipeline:
         s = "x + y"
         sample = make_sample(s, vocab, (8, 16))
         with pytest.raises(NodeCountMismatch):
-            decode_pipeline(
+            decode_with_graph(
                 sample.probs, sample.self_probs[:-1], sample.left, sample.right, vocab
             )
         with pytest.raises(NodeCountMismatch):
-            decode_pipeline(
+            decode_with_graph(
                 sample.probs,
                 sample.self_probs,
                 sample.left[:-1, :-1],
@@ -551,14 +557,13 @@ def decode_inputs(draw):
     inputs=decode_inputs(),
     epsilon=st.sampled_from([0.3, 0.5, 0.7]),
     alpha=st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]),
-    logits=st.booleans(),
 )
-def test_decode_names_fault_or_round_trips(inputs, epsilon, alpha, logits):
+def test_decode_names_fault_or_round_trips(inputs, epsilon, alpha):
     vocab = default_vocab()
     try:
         result, _ = decode_with_graph(
             inputs["P"], inputs["sp"], inputs["left"], inputs["right"], vocab,
-            epsilon=epsilon, alpha_l2r=alpha[0], alpha_r2l=alpha[1], logits=logits,
+            epsilon=epsilon, alpha_l2r=alpha[0], alpha_r2l=alpha[1],
         )
     except HmeGraphError:
         return

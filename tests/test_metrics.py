@@ -1,4 +1,4 @@
-"""Expression-level metrics: edit distance, corpus scoring, timing stats."""
+"""Expression-level metrics: edit distance and corpus scoring."""
 
 import random
 
@@ -12,7 +12,6 @@ from hmegraph import (
     UnbalancedBraces,
     evaluate,
     oracle_edit,
-    time_stats,
     token_edit_distance,
 )
 from hmegraph.metrics import UNPARSEABLE
@@ -101,27 +100,3 @@ class TestEvaluate:
             "n": 1,
             "per_sample": [0],
         }
-
-
-class TestTimeStats:
-    def test_aggregation(self):
-        samples = [
-            {"extract": 2.0, "graph": 4.0},
-            {"extract": 4.0},
-        ]
-        stats = time_stats(samples)
-        assert stats["n"] == 2
-        assert stats["stages"]["extract"] == {"mean": 3.0, "median": 3.0}
-        assert stats["stages"]["graph"] == {"mean": 4.0, "median": 4.0}
-        # Totals are 6.0 and 4.0 ms; throughput uses their mean.
-        assert stats["fps"] == pytest.approx(1000.0 / 5.0)
-
-    def test_median_odd(self):
-        samples = [{"a": 1.0}, {"a": 9.0}, {"a": 2.0}]
-        stats = time_stats(samples)
-        assert stats["stages"]["a"]["median"] == 2.0
-        assert stats["stages"]["a"]["mean"] == 4.0
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            time_stats([])

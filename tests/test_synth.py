@@ -7,11 +7,11 @@ from hmegraph import (
     GridTooSmall,
     IllNested,
     Infeasible,
-    NoiseSpec,
     NoPath,
+    NoiseSpec,
     TooLarge,
     coverage_corpus,
-    decode_pipeline,
+    decode_with_graph,
     default_vocab,
     gen_expression,
     layout_and_render,
@@ -159,9 +159,9 @@ class TestNoise:
             except GridTooSmall:
                 continue
             kept += 1
-            res = decode_pipeline(
+            res = decode_with_graph(
                 sample.probs, sample.self_probs, sample.left, sample.right, vocab
-            )
+            )[0]
             assert res.latex == s
         assert kept >= 40
 
@@ -173,9 +173,9 @@ class TestNoise:
         truth = dict(zip(sample.cells, sample.seq))
         for cell in sample.flipped:
             assert grid_classes[cell] != truth[cell]
-        res = decode_pipeline(
+        res = decode_with_graph(
             sample.probs, sample.self_probs, sample.left, sample.right, vocab
-        )
+        )[0]
         assert res.latex == "x + y"
 
     def test_structural_tokens_never_flip(self, vocab):
@@ -194,9 +194,9 @@ class TestNoise:
             c for c, cid in zip(sample.cells, sample.seq) if vocab.is_predictable(cid)
         )
         assert not occupied & set(sample.spurious)
-        res = decode_pipeline(
+        res = decode_with_graph(
             sample.probs, sample.self_probs, sample.left, sample.right, vocab
-        )
+        )[0]
         assert res.latex == "a + b"
 
     def test_temperature_keeps_argmax(self, vocab):
@@ -208,9 +208,9 @@ class TestNoise:
         )
         assert np.allclose(sample.left.sum(axis=1), 1.0, atol=1e-5)
         assert sample.left.max() < 1.0
-        res = decode_pipeline(
+        res = decode_with_graph(
             sample.probs, sample.self_probs, sample.left, sample.right, vocab
-        )
+        )[0]
         assert res.latex == "x ^ { 2 }"
 
     def test_conn_flips_recorded(self, vocab):
@@ -229,9 +229,9 @@ class TestNoise:
         for seed in range(40):
             s = gen_expression(seed, max_depth=1)
             sample = make_sample(s, vocab, (10, 32), noise=noise, seed=seed)
-            res = decode_pipeline(
+            res = decode_with_graph(
                 sample.probs, sample.self_probs, sample.left, sample.right, vocab
-            )
+            )[0]
             good += res.latex == s
         assert good == 40
 
