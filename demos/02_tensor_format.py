@@ -16,7 +16,11 @@ from hmegraph import read_tensor, write_tensor
 
 
 def main():
-    work = Path(tempfile.mkdtemp(prefix="namt-demo-"))
+    with tempfile.TemporaryDirectory(prefix="namt-demo-") as tmp:
+        show(Path(tmp))
+
+
+def show(work):
     rng = np.random.default_rng(1)
     tensor = rng.random((2, 3, 4), dtype=np.float32)
 

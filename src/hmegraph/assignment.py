@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     EvenKernel,
@@ -131,6 +130,8 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
         Infeasible: more rows than columns.
         NonFinite: `cost` holds NaN or infinity.
     """
+    from scipy.optimize import linear_sum_assignment  # slow; only matching needs it
+
     check_shape(cost, (None, None), "cost matrix")
     check_finite(cost, "cost matrix")
     n_rows, n_cols = cost.shape

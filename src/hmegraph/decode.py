@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,13 +107,10 @@ def vat_extract(P: np.ndarray, vocab: TokenVocab) -> list[Node]:
     check_shape(P, (vocab.grid_classes, None, None), "grid")
     check_finite(P, "grid")
     classes = np.argmax(P, axis=0)
-    nodes = []
-    for r, c in np.ndindex(classes.shape):
-        cid = int(classes[r, c])
-        if cid == vocab.none_id:
-            continue
-        nodes.append(Node(cid, int(r), int(c), float(P[cid, r, c])))
-    return nodes
+    rows, cols = np.nonzero(classes != vocab.none_id)  # raster order
+    cids = classes[rows, cols]
+    scores = P[cids, rows, cols].astype(np.float64)  # float scores from any dtype
+    return list(map(Node, cids.tolist(), rows.tolist(), cols.tolist(), scores.tolist()))
 
 
 def expand_imaginary(nodes: list[Node], vocab: TokenVocab) -> list[Node]:
@@ -126,7 +123,7 @@ def expand_imaginary(nodes: list[Node], vocab: TokenVocab) -> list[Node]:
     out: list[Node] = []
     for node in nodes:
         idx = len(out) + 1
-        out.append(replace(node, index=idx))
+        out.append(Node(node.class_id, node.row, node.col, node.score, idx, node.parent))
         if vocab.is_structural(node.class_id):
             for _ in range(vocab.group_count(node.class_id)):
                 out.append(
@@ -163,7 +160,9 @@ def apply_corrections(
             continue
         if node.parent is not None and node.parent in deleted:
             continue
-        out.append(node if vote == node.class_id else replace(node, class_id=vote))
+        if vote != node.class_id:
+            node = Node(vote, node.row, node.col, node.score, node.index, node.parent)
+        out.append(node)
     return out
 
 
@@ -180,7 +179,9 @@ def build_graph(
     ``alpha_l2r * right[i, j] + alpha_r2l * left[j, i]`` (j is i's right
     neighbor exactly when i is j's left neighbor).  Self-edges, edges into
     the virtual start, edges out of the virtual end, and the bare
-    start -> end edge are never created.
+    start -> end edge are never created.  Edges are inserted in row-major
+    ``(src, dst)`` order; :func:`prune_and_acyclify` relies on that order,
+    since its witness searches walk weak successors as they were inserted.
 
     Raises:
         ShapeMismatch: a matrix is not 2-d.
@@ -206,16 +207,15 @@ def build_graph(
                 f"node position {node.index} outside 1..{n}"
             )
         index_map[node.index] = node
-    sos, eos = 0, n + 1
-    sources = [sos] + sorted(index_map)
-    targets = sorted(index_map) + [eos]
-    edges: dict[tuple[int, int], float] = {}
-    for i in sources:
-        for j in targets:
-            if i == j or (i == sos and j == eos):
-                continue
-            w = alpha_l2r * float(right[i, j]) + alpha_r2l * float(left[j, i])
-            edges[(i, j)] = w
+    ids = sorted(index_map)
+    src, dst = np.array([0] + ids), np.array(ids + [n + 1])
+    # float64 before scaling, so each weight rounds as the scalar formula would.
+    weights = alpha_l2r * right[np.ix_(src, dst)].astype(np.float64)
+    weights += alpha_r2l * left.T[np.ix_(src, dst)].astype(np.float64)
+    keep = src[:, None] != dst[None, :]
+    keep[0, -1] = False  # the bare start -> end edge
+    r, c = np.nonzero(keep)  # row-major
+    edges = dict(zip(zip(src[r].tolist(), dst[c].tolist()), weights[r, c].tolist()))
     return ExprGraph(index_map, edges, n_slots=n)
 
 

@@ -294,3 +294,9 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)[0]["symbols"] == ["x"]
+
+    def test_import_leaves_scipy_unloaded(self):
+        # Only matching needs scipy; every other command skips its import cost.
+        code = "import sys, hmegraph.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

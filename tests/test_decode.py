@@ -102,11 +102,52 @@ class TestVatExtract:
             (n.class_id, n.row, n.col) for n in b
         ]
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_score_is_float_for_any_dtype(self, vocab, dtype):
+        P = 3 * grid_for(vocab, {(0, 1): vocab.id_of("x")}, 1, 2).astype(dtype)
+        (node,) = vat_extract(P, vocab)
+        assert type(node.score) is float and node.score == 3.0
+
     def test_shape_error(self, vocab):
         with pytest.raises(ShapeMismatch):
             vat_extract(np.zeros((3, 3)), vocab)
         with pytest.raises(ShapeMismatch):
             vat_extract(np.zeros((vocab.grid_classes + 2, 3, 3)), vocab)
+
+
+def loop_vat_extract(P, vocab):
+    """Reference: one cell at a time in raster order."""
+    classes = np.argmax(P, axis=0)
+    nodes = []
+    for r, c in np.ndindex(classes.shape):
+        cid = int(classes[r, c])
+        if cid != vocab.none_id:
+            nodes.append(Node(cid, r, c, float(P[cid, r, c])))
+    return nodes
+
+
+@st.composite
+def extraction_grids(draw):
+    """Grids in three dtypes with argmax ties, blank cells and empty axes."""
+    vocab = default_vocab()
+    h, w = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.int64]))
+    if draw(st.booleans()):
+        P = rng.integers(0, 3, (vocab.grid_classes, h, w))  # ties in most cells
+    else:
+        P = rng.normal(size=(vocab.grid_classes, h, w))
+    blank = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    P[vocab.none_id][blank] = 3
+    return P.astype(dtype)
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=extraction_grids())
+def test_vat_extract_matches_cell_loop(P):
+    vocab = default_vocab()
+    # repr shows the score's type: 3.0, never 3.
+    assert repr(vat_extract(P, vocab)) == repr(loop_vat_extract(P, vocab))
 
 
 class TestExpandImaginary:
@@ -193,6 +234,35 @@ class TestBuildGraph:
         g = build_graph([nodes[1]], left, right)
         assert g.eos == 3
         assert set(g.edges) == {(0, 2), (2, 3)}
+
+    @staticmethod
+    def loop_edges(nodes, left, right, alpha_l2r, alpha_r2l):
+        """Reference: one pair at a time, sources and targets ascending."""
+        eos = len(left) - 1
+        ids = sorted(node.index for node in nodes)
+        edges = {}
+        for i in [0] + ids:
+            for j in ids + [eos]:
+                if i != j and (i, j) != (0, eos):
+                    edges[(i, j)] = alpha_l2r * float(right[i, j]) + alpha_r2l * float(left[j, i])
+        return edges
+
+    @pytest.mark.parametrize("alpha", [(1, 1), (1, 0), (0, 1), (0.3, 0.7)])
+    def test_matches_pair_loop(self, vocab, alpha):
+        """Same edges, in the same insertion order, with the same weights."""
+        rng = np.random.default_rng(5)
+        for case in range(120):
+            n = case % 12  # n = 0: the 2x2 matrices give no edges
+            nodes = [Node(0, 0, i, 1.0, index=i) for i in range(1, n + 1) if rng.random() < 0.8]
+            dtype = np.float32 if case % 2 else np.float64
+            left, right = (self.stochastic(rng, n).astype(dtype) for _ in range(2))
+            g = build_graph(nodes, left, right, alpha_l2r=alpha[0], alpha_r2l=alpha[1])
+            want = self.loop_edges(nodes, left, right, *alpha)
+            assert [(e, repr(w)) for e, w in g.edges.items()] == [
+                (e, repr(w)) for e, w in want.items()
+            ]
+            if n == 0:
+                assert g.edges == {}
 
     def test_non_stochastic_rows(self, vocab):
         nodes = expand_imaginary(plain_nodes(vocab, [vocab.id_of("x")]), vocab)
