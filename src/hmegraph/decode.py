@@ -15,6 +15,10 @@ can be inspected:
    edges and breaks cycles, never disconnecting start from end.  It keeps
    a witness start-to-end path and searches again only when a removal
    cuts the witness, since any other removal leaves the end reachable.
+   :func:`decode_with_graph` runs the same pruning core on the weight
+   matrix itself: strong edges become successor lists, weak ones are
+   grouped and ranked only when strong edges alone miss the end, and only
+   the kept edges ever become a dict.
 5. :func:`longest_path` picks the maximum-weight start-to-end path and
    renders it back to LaTeX.
 
@@ -26,6 +30,7 @@ others.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import insort
 from dataclasses import dataclass
@@ -166,29 +171,17 @@ def apply_corrections(
     return out
 
 
-def build_graph(
+def _edge_weights(
     nodes: list[Node],
     left: np.ndarray,
     right: np.ndarray,
-    alpha_l2r: float = 1.0,
-    alpha_r2l: float = 1.0,
-) -> ExprGraph:
-    """Score every admissible directed edge between nodes.
+    alpha_l2r: float,
+    alpha_r2l: float,
+) -> tuple[dict[int, Node], np.ndarray, np.ndarray]:
+    """Checked inputs of :func:`build_graph` as arrays over graph positions.
 
-    The weight of i -> j combines both neighbor heads:
-    ``alpha_l2r * right[i, j] + alpha_r2l * left[j, i]`` (j is i's right
-    neighbor exactly when i is j's left neighbor).  Self-edges, edges into
-    the virtual start, edges out of the virtual end, and the bare
-    start -> end edge are never created.  Edges are inserted in row-major
-    ``(src, dst)`` order; :func:`prune_and_acyclify` relies on that order,
-    since its witness searches walk weak successors as they were inserted.
-
-    Raises:
-        ShapeMismatch: a matrix is not 2-d.
-        NodeCountMismatch: matrices not equal and square (N+2) with N >= 0,
-            or node positions out of range.
-        NonFinite: a score holds NaN or infinity.
-        NonStochasticRow: a score row is not a probability distribution.
+    Returns the node map, the float64 weight of every i -> j, and the mask
+    of admissible edges.  Raises as :func:`build_graph` documents.
     """
     check_shape(left, (None, None), "left neighbor scores")
     n = max(len(left) - 2, 0)
@@ -207,16 +200,50 @@ def build_graph(
                 f"node position {node.index} outside 1..{n}"
             )
         index_map[node.index] = node
-    ids = sorted(index_map)
-    src, dst = np.array([0] + ids), np.array(ids + [n + 1])
     # float64 before scaling, so each weight rounds as the scalar formula would.
-    weights = alpha_l2r * right[np.ix_(src, dst)].astype(np.float64)
-    weights += alpha_r2l * left.T[np.ix_(src, dst)].astype(np.float64)
-    keep = src[:, None] != dst[None, :]
-    keep[0, -1] = False  # the bare start -> end edge
-    r, c = np.nonzero(keep)  # row-major
-    edges = dict(zip(zip(src[r].tolist(), dst[c].tolist()), weights[r, c].tolist()))
-    return ExprGraph(index_map, edges, n_slots=n)
+    weights = alpha_l2r * right.astype(np.float64)
+    weights += alpha_r2l * left.T.astype(np.float64)
+    src = np.zeros(n + 2, dtype=bool)
+    src[list(index_map)] = True
+    dst = src.copy()
+    src[0] = dst[n + 1] = True
+    valid = src[:, None] & dst
+    np.fill_diagonal(valid, False)
+    valid[0, n + 1] = False  # the bare start -> end edge
+    return index_map, weights, valid
+
+
+def build_graph(
+    nodes: list[Node],
+    left: np.ndarray,
+    right: np.ndarray,
+    alpha_l2r: float = 1.0,
+    alpha_r2l: float = 1.0,
+) -> ExprGraph:
+    """Score every admissible directed edge between nodes.
+
+    The weight of i -> j combines both neighbor heads:
+    ``alpha_l2r * right[i, j] + alpha_r2l * left[j, i]`` (j is i's right
+    neighbor exactly when i is j's left neighbor).  Self-edges, edges into
+    the virtual start, edges out of the virtual end, and the bare
+    start -> end edge are never created.  Edges are inserted in row-major
+    ``(src, dst)`` order.  The pruning decisions do not depend on that
+    order, since they follow the ranks of the weak edges by
+    ``(weight, src, dst)``; it is also the order in which
+    :func:`decode_with_graph`, which prunes these weights without building
+    this dict, walks weak successors, so both make the same searches.
+
+    Raises:
+        ShapeMismatch: a matrix is not 2-d.
+        NodeCountMismatch: matrices not equal and square (N+2) with N >= 0,
+            or node positions out of range.
+        NonFinite: a score holds NaN or infinity.
+        NonStochasticRow: a score row is not a probability distribution.
+    """
+    index_map, weights, valid = _edge_weights(nodes, left, right, alpha_l2r, alpha_r2l)
+    r, c = np.nonzero(valid)  # row-major
+    edges = dict(zip(zip(r.tolist(), c.tolist()), weights[r, c].tolist()))
+    return ExprGraph(index_map, edges, n_slots=len(weights) - 2)
 
 
 def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
@@ -237,7 +264,7 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     edge was the last route to the end and is kept.  The witness crosses
     as few undecided weak edges as possible, so when strong edges alone
     connect start to end the first search is the only one the weak-edge
-    phase makes.
+    phase makes, and the weak edges are never even grouped.
 
     Raises:
         NoPath: the end was unreachable before pruning started.
@@ -246,57 +273,95 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     """
     edges = graph.edges
     n = graph.n_slots + 2
-    live: list[list[int]] = [[] for _ in range(n)]  # successors over kept edges
-    pending: list[list[int]] = [[] for _ in range(n)]  # over undecided weak edges
+    live: list[list[int]] = [[] for _ in range(n)]
     for (s, d), w in edges.items():
-        (pending if w < epsilon else live)[s].append(d)
+        if not w < epsilon:
+            live[s].append(d)
     for out in live:
         out.sort()
-    # Weak edges keyed (weight, src, dst) up to `cut` are decided: in `live`
-    # when kept, otherwise gone.
-    cut: tuple = (-math.inf,)
-    witness = _witness_path(live, pending, edges, cut)
+
+    def weak():
+        keys = [(w, s, d) for (s, d), w in edges.items() if w < epsilon]
+        rank = {k: r for r, k in enumerate(sorted(keys))}
+        pending: list[list[int]] = [[] for _ in range(n)]
+        ranks: list[list[int]] = [[] for _ in range(n)]
+        for k in keys:  # insertion order
+            pending[k[1]].append(k[2])
+            ranks[k[1]].append(rank[k])
+        return pending, ranks
+
+    kept = _prune(live, weak, lambda s, d: edges[(s, d)])
+    return ExprGraph(dict(graph.nodes), kept, graph.n_slots)
+
+
+def _rows(n: int, src: np.ndarray, values: np.ndarray) -> list[list[int]]:
+    """Per-vertex lists of `values` keyed by `src`, which is ascending."""
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    values = values.tolist()
+    return [values[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+def _prune(live: list[list[int]], weak, weight) -> dict[tuple[int, int], float]:
+    """The pruning pass of :func:`prune_and_acyclify`, on successor lists.
+
+    `live[u]` lists u's successors over strong edges, ascending; it is
+    pruned in place.  `weak()` returns ``(pending, ranks)``: `pending[u]`
+    lists u's successors over weak edges, `ranks[u]` their ranks in
+    ascending ``(weight, src, dst)`` order.  It is called at most once, and
+    only when strong edges alone do not reach the end.  `weight(s, d)`
+    reads an edge's weight.  Returns the kept edges with their weights, by
+    source and then target.
+    """
+    weak = functools.cache(weak)
+    witness = _witness_path(live, weak, -1)
     if witness is None:
         raise NoPath("virtual end unreachable before pruning")
-    # Undecided weak edges ordered before the witness's first one are off it,
-    # so they go without a search; once none is on it, all the rest go.
-    while on_witness := [k for e in witness if (k := (edges[e], *e)) > cut and k[0] < epsilon]:
-        cut = min(on_witness)
-        found = _witness_path(live, pending, edges, cut)
+    # Weak edges ranked up to `cut` are decided: in `live` when kept,
+    # otherwise gone.  Undecided ones ranked before the witness's first are
+    # off it, so they go without a search; once none is on it, all the rest go.
+    cut = -1
+    while on_witness := [(r, e) for e, r in witness.items() if r > cut]:
+        cut, (s, d) = min(on_witness)
+        found = _witness_path(live, weak, cut)
         if found is None:
-            insort(live[cut[1]], cut[2])
+            insort(live[s], d)
         else:
             witness = found
-    pending = [[]] * n  # every weak edge is decided
+
+    def decided():  # no weak edge is pending any more
+        return [()] * len(live), [()] * len(live)
+
     while (cycle := _find_cycle(live)) is not None:
-        for _, (s, d) in sorted((edges[e], e) for e in cycle):
+        for _, (s, d) in sorted((weight(*e), e) for e in cycle):
             live[s].remove(d)
             if (s, d) not in witness:
                 break
-            found = _witness_path(live, pending, edges, cut)
+            found = _witness_path(live, decided, cut)
             if found is not None:
                 witness = found
                 break
             insort(live[s], d)
         else:
             raise CycleDetected(f"cycle through {sorted({s for s, _ in cycle})} is unbreakable")
-    kept = {(s, d): edges[(s, d)] for s, out in enumerate(live) for d in out}
-    return ExprGraph(dict(graph.nodes), kept, graph.n_slots)
+    return {(s, d): weight(s, d) for s, out in enumerate(live) for d in out}
 
 
-def _witness_path(live, pending, edges, cut) -> set[tuple[int, int]] | None:
-    """Edges of a start-to-end path with the fewest undecided weak edges.
+def _witness_path(live, weak, cut) -> dict[tuple[int, int], int] | None:
+    """A start-to-end path with the fewest undecided weak edges.
 
-    `live[u]` lists u's successors over kept edges, which cost nothing;
-    `pending[u]` lists those over weak edges, which cost one each and exist
-    while their (weight, u, v) key is above `cut`.  The search goes level
-    by level: all that kept edges reach, then one weak edge further.  None
+    Kept edges (`live`) cost nothing; a weak edge from `weak()` costs one
+    and exists while its rank is above `cut`.  The search goes level by
+    level: all that kept edges reach, then one weak edge further, so
+    `weak()` is called only when kept edges alone miss the end.  Returns
+    the path's edges, each mapped to its rank (-1 for a kept edge), or None
     when the end (the last vertex) is unreachable.
     """
     end = len(live) - 1
     pred = [-1] * len(live)  # -1: not reached yet
+    rank = [-1] * len(live)  # of the weak edge that reached each vertex
     pred[0] = 0
     reached = [0]
+    pending = None
     while reached:
         for u in reached:  # grows while it is walked
             for v in live[u]:
@@ -304,16 +369,19 @@ def _witness_path(live, pending, edges, cut) -> set[tuple[int, int]] | None:
                     pred[v] = u
                     reached.append(v)
         if pred[end] >= 0:
-            path, v = set(), end
+            path, v = {}, end
             while v:
-                path.add((pred[v], v))
+                path[(pred[v], v)] = rank[v]
                 v = pred[v]
             return path
+        if pending is None:
+            pending, ranks = weak()
         frontier = []
         for u in reached:
-            for v in pending[u]:
-                if pred[v] < 0 and (edges[(u, v)], u, v) > cut:
+            for v, r in zip(pending[u], ranks[u]):
+                if pred[v] < 0 and r > cut:
                     pred[v] = u
+                    rank[v] = r
                     frontier.append(v)
         reached = frontier
     return None
@@ -414,18 +482,35 @@ def decode_with_graph(
 ) -> tuple[PathResult, ExprGraph]:
     """Full grid-to-LaTeX decode, also returning the pruned graph.
 
+    The graph is the one :func:`prune_and_acyclify` makes from
+    :func:`build_graph`'s edges, but pruned straight from the weight
+    matrix, so only the kept edges become Python objects.
+
     Raises:
         ShapeMismatch: an input has the wrong rank, or the wrong grid
             channel or correction class count.
         NodeCountMismatch: score matrices disagree with the node count the
             grid implies (correction rows N, neighbor matrices N+2).
         NonFinite: an input holds NaN or infinity.
+        NonStochasticRow: a neighbor score row is not a distribution.
         NoPath: nothing decodable, including an all-blank grid.
     """
     nodes = expand_imaginary(vat_extract(P, vocab), vocab)
-    # build_graph holds `right` to the shape of `left`.
+    # _edge_weights holds `right` to the shape of `left`.
     check_shape(left, (len(nodes) + 2,) * 2, "left neighbor scores", NodeCountMismatch)
     kept = apply_corrections(nodes, self_probs, vocab)
-    graph = build_graph(kept, left, right, alpha_l2r=alpha_l2r, alpha_r2l=alpha_r2l)
-    pruned = prune_and_acyclify(graph, epsilon=epsilon)
+    index_map, weights, valid = _edge_weights(kept, left, right, alpha_l2r, alpha_r2l)
+    n = len(weights)
+    below = weights < epsilon
+    live = _rows(n, *np.nonzero(valid & ~below))  # row-major
+
+    def weak_lists():
+        src, dst = np.nonzero(valid & below)  # row-major, as build_graph inserts
+        # A stable sort by weight leaves ties in (src, dst) order.
+        order = np.argsort(weights[src, dst], kind="stable")
+        ranks = np.empty_like(order)
+        ranks[order] = np.arange(len(order))
+        return _rows(n, src, dst), _rows(n, src, ranks)
+
+    pruned = ExprGraph(index_map, _prune(live, weak_lists, weights.item), n - 2)
     return longest_path(pruned, vocab), pruned

@@ -401,6 +401,92 @@ class TestPruneMatchesOracle:
         assert 1 <= worst <= 64
 
 
+def dense_decode_inputs(rng, vocab):
+    """decode_with_graph inputs over one grid row: every pair scored in
+    rows of eighths, some slots deleted (structural ones take their ENDs
+    along), and a one-sided or mixed alpha."""
+    symbols = [vocab.id_of(s) for s in ["x", "y", "+", "2", "^", "\\frac"]]
+    width = rng.randint(1, 10)
+    placed = {(0, c): rng.choice(symbols) for c in range(width) if rng.random() < 0.8}
+    P = grid_for(vocab, placed, 1, width)
+    nodes = expand_imaginary(vat_extract(P, vocab), vocab)
+    self_probs = np.zeros((len(nodes), vocab.correction_classes))
+    drop = rng.choice([0.1, 0.5])
+    for i, node in enumerate(nodes):
+        self_probs[i, vocab.none_id if rng.random() < drop else node.class_id] = 1.0
+    n = len(nodes) + 2
+    left, right = dyadic_stochastic(rng, n), dyadic_stochastic(rng, n)
+    alpha = rng.choice([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.5, 1.0)])
+    return P, self_probs, left, right, alpha
+
+
+def bench_samples(vocab, noises, count, seed):
+    """The first `count` samples from `seed` on that fit the benchmark's
+    14x56 grid; sample k gets noise ``noises[k % len(noises)]``."""
+    k = 0
+    while k < count:
+        latex = gen_expression(seed, max_depth=2, vocab=vocab)
+        seed += 1
+        try:
+            sample = make_sample(latex, vocab, (14, 56), noise=noises[k % len(noises)], seed=seed)
+        except GridTooSmall:
+            continue
+        yield sample
+        k += 1
+
+
+class TestDecodePruneMatchesAdapter:
+    """decode_with_graph prunes from the weight block; prune_and_acyclify
+    on build_graph's edge dict is the inspection view of the same core."""
+
+    def test_same_kept_edges(self, vocab):
+        rng = random.Random(20261018)
+        cases = [dense_decode_inputs(rng, vocab) for _ in range(1100)]
+        flips = bench_samples(vocab, [NoiseSpec(conn_flip_prob=0.30)], 100, 70000)
+        cases += [(s.probs, s.self_probs, s.left, s.right, [(1.0, 0.0), (0.0, 1.0)][k % 2])
+                  for k, s in enumerate(flips)]
+        seen = {"nopath": 0, "weak_kept": 0, "cycle_broken": 0}
+        for trial, (P, self_probs, left, right, alpha) in enumerate(cases):
+            eps = rng.choice([0.25, 0.5, 0.75])
+            kept = apply_corrections(expand_imaginary(vat_extract(P, vocab), vocab),
+                                     self_probs, vocab)
+            graph = build_graph(kept, left, right, alpha_l2r=alpha[0], alpha_r2l=alpha[1])
+            args = (P, self_probs, left, right, vocab, eps, *alpha)
+            try:
+                want = prune_and_acyclify(graph, eps).edges
+            except NoPath:
+                with pytest.raises(NoPath):
+                    decode_with_graph(*args)
+                seen["nopath"] += 1
+                continue
+            got = decode_with_graph(*args)[1].edges
+            assert [(e, repr(w)) for e, w in got.items()] == [
+                (e, repr(w)) for e, w in want.items()
+            ], f"trial {trial}"
+            seen["weak_kept"] += any(w < eps for w in got.values())
+            seen["cycle_broken"] += any(
+                w >= eps and e not in got for e, w in graph.edges.items()
+            )
+        assert min(seen.values()) >= 50, seen
+
+    def test_decode_builds_no_edge_dict(self, vocab, monkeypatch):
+        """Decoding the benchmark's default profiles never builds the dense
+        edge dict nor prunes through it."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense edge dict on the decode path")
+
+        monkeypatch.setattr(decode, "build_graph", refuse)
+        monkeypatch.setattr(decode, "prune_and_acyclify", refuse)
+        profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
+                    NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
+        for k, sample in enumerate(bench_samples(vocab, profiles, 100, 80000)):
+            result, _ = decode_with_graph(sample.probs, sample.self_probs,
+                                          sample.left, sample.right, vocab)
+            if k % 5 == 0:  # quiet
+                assert result.latex == emit_latex(sample.seq, vocab)
+
+
 class TestLongestPath:
     def test_matches_oracle_exactly(self, vocab):
         rng = random.Random(20240820)
