@@ -60,13 +60,9 @@ def estimate_positions(
         )
     check_finite(attn, "attention stack")
     h, w = attn.shape[1:]
-    out = []
-    for step, cid in enumerate(label):
-        if not vocab.is_predictable(cid):
-            continue
-        flat = int(np.argmax(attn[step]))
-        out.append((flat // w, flat % w))
-    return out
+    steps = [step for step, cid in enumerate(label) if vocab.is_predictable(cid)]
+    flat = attn[steps].reshape(len(steps), h * w).argmax(axis=1)
+    return [divmod(f, w) for f in flat.tolist()]
 
 
 def build_cost(
@@ -118,9 +114,18 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-cost assignment of every row to a distinct column.
 
     Wraps the Jonker-Volgenant solver from scipy and then canonicalizes
-    ties: whenever two rows can swap columns at identical total cost, the
-    earlier row takes the smaller column index.  Output is deterministic
-    for a given matrix.
+    pairwise ties: whenever two rows can swap their columns at identical
+    total cost, the earlier row takes the smaller column index.  Output is
+    deterministic for a given matrix.  Only pairwise swaps are
+    canonicalized; a tie that needs a cycle of three or more rows, or a move
+    to an unused lower column, keeps the solver's choice, so the pairs can
+    differ from :func:`hmegraph.synth.oracle_hungarian`, which returns the
+    lexicographically smallest optimal column tuple.
+
+    Columns that hold the matrix maximum in every row are interchangeable;
+    only the `n_rows` lowest-index ones reach the solver.  That changes no
+    optimum: an assignment uses at most `n_rows` of them, and any dropped
+    one can be traded for an unused lower one at equal cost.
 
     Returns:
         (row, column) pairs sorted by row.
@@ -133,26 +138,44 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     from scipy.optimize import linear_sum_assignment  # slow; only matching needs it
 
     check_shape(cost, (None, None), "cost matrix")
-    check_finite(cost, "cost matrix")
     n_rows, n_cols = cost.shape
+    if cost.size:
+        # One scan checks and compresses: NaN spreads through both
+        # reductions, and an infinity shows in one of them.
+        lo = cost.min(axis=0)
+        top = cost.max()
+        if not (np.isfinite(top) and np.isfinite(lo.min())):
+            check_finite(cost, "cost matrix")
     if n_rows > n_cols:
         raise Infeasible(f"{n_rows} rows cannot injectively map to {n_cols} columns")
-    row_ind, col_ind = linear_sum_assignment(cost)
-    cols = [0] * n_rows
-    for r, c in zip(row_ind, col_ind):
-        cols[int(r)] = int(c)
+    if n_rows == 0:
+        return []
+    keep = lo != top
+    keep[np.flatnonzero(~keep)[:n_rows]] = True
+    kept = np.flatnonzero(keep)
+    _, col_ind = linear_sum_assignment(cost[:, kept])  # rows come back as 0..n-1
+    cols = kept[col_ind].tolist()
+    # Swaps only permute the assigned columns, so the tie loop reads the
+    # n x n block of them: row i on the column that row k was given is
+    # block[i][k].  Python floats add exactly as float64 does; other dtypes
+    # keep numpy's own arithmetic.
+    block = cost[:, cols]
+    if block.dtype == np.float64:
+        block = block.tolist()
+    slot = list(range(n_rows))
     changed = True
     while changed:
         changed = False
         for i in range(n_rows):
+            row_i = block[i]
             for j in range(i + 1, n_rows):
-                if cols[j] < cols[i] and (
-                    cost[i, cols[j]] + cost[j, cols[i]]
-                    == cost[i, cols[i]] + cost[j, cols[j]]
+                si, sj = slot[i], slot[j]
+                if cols[sj] < cols[si] and (
+                    row_i[sj] + block[j][si] == row_i[si] + block[j][sj]
                 ):
-                    cols[i], cols[j] = cols[j], cols[i]
+                    slot[i], slot[j] = sj, si
                     changed = True
-    return [(i, cols[i]) for i in range(n_rows)]
+    return [(i, cols[slot[i]]) for i in range(n_rows)]
 
 
 @dataclass

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.optimize import linear_sum_assignment
+
 from hmegraph import (
     EvenKernel,
     GridTooSmall,
@@ -35,6 +37,7 @@ from hmegraph import (
     write_tensor,
 )
 from hmegraph.assignment import BLOCK_COST
+from hmegraph.errors import check_finite
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +169,123 @@ class TestHungarian:
     def test_bad_rank(self):
         with pytest.raises(ShapeMismatch):
             hungarian(np.zeros(4))
+
+    def test_float32_ties_use_float32_sums(self):
+        # In float32, 1 + 2**-24 rounds to 1, so the two rows can swap at
+        # identical total cost; the solver, working in float64, prefers the
+        # anti-diagonal.
+        cost = np.array([[1.0, 1.0], [0.0, 2.0**-24]], dtype=np.float32)
+        assert hungarian(cost) == [(0, 0), (1, 1)]
+        assert hungarian(cost.astype(np.float64)) == [(0, 1), (1, 0)]
+
+    def test_no_rows(self):
+        # build_cost gives (0, H*W) for a label with no predictable tokens.
+        assert hungarian(np.zeros((0, 5))) == []
+        assert hungarian(np.zeros((0, 0))) == []
+
+    def test_infeasible_with_blocked_columns(self):
+        with pytest.raises(Infeasible):
+            hungarian(np.full((3, 2), BLOCK_COST))
+        with pytest.raises(Infeasible):
+            hungarian(np.zeros((1, 0)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("windows,cell", [
+        (True, (1, 9)),  # in a column that is otherwise blocked
+        (True, (2, 3)),  # inside a window
+        (False, (2, 7)),  # every other cell blocked: +inf is the matrix maximum
+    ], ids=["blocked_column", "window", "all_blocked"])
+    def test_non_finite_index(self, value, windows, cell):
+        # A NaN or infinity is named at its row-major position wherever it
+        # sits, including in a column the matcher would drop as
+        # interchangeable.
+        cost = np.full((3, 12), BLOCK_COST)
+        if windows:
+            cost[:, 2:5] = [[0.5, 0.25, 1.0], [0.0, 0.75, 0.5], [0.25, 0.25, 0.0]]
+        cost[cell] = value
+        with pytest.raises(NonFinite) as want:
+            check_finite(cost, "cost matrix")
+        with pytest.raises(NonFinite) as got:
+            hungarian(cost)
+        assert got.value.index == want.value.index == cell[0] * 12 + cell[1]
+
+    def test_non_finite_before_infeasible(self):
+        cost = np.zeros((3, 2))
+        cost[2, 1] = np.nan
+        with pytest.raises(NonFinite) as got:
+            hungarian(cost)
+        assert got.value.index == 5
+
+
+def full_matrix_hungarian(cost):
+    """The matcher before column compression: scipy on every column, then
+    the sequential pairwise-swap loop.  Returns the pairs and the swap count."""
+    n_rows = cost.shape[0]
+    row_ind, col_ind = linear_sum_assignment(cost)
+    cols = [0] * n_rows
+    for r, c in zip(row_ind, col_ind):
+        cols[int(r)] = int(c)
+    swaps = 0
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n_rows):
+            for j in range(i + 1, n_rows):
+                if cols[j] < cols[i] and (
+                    cost[i, cols[j]] + cost[j, cols[i]]
+                    == cost[i, cols[i]] + cost[j, cols[j]]
+                ):
+                    cols[i], cols[j] = cols[j], cols[i]
+                    swaps += 1
+                    changed = True
+    return [(i, cols[i]) for i in range(n_rows)], swaps
+
+
+def tie_heavy_cost(rng):
+    """A dyadic cost matrix with forced ties: few distinct values, columns of
+    the matrix maximum (blocked), columns of a second constant, repeated
+    rows, and sometimes build_cost-style windows in a blocked background."""
+    n_rows = rng.randint(1, 7)
+    n_cols = n_rows if rng.random() < 0.2 else rng.randint(n_rows, 30)
+    levels = rng.choice([2, 4, 8])
+    cost = np.array([[rng.randrange(levels) / 4.0 for _ in range(n_cols)]
+                     for _ in range(n_rows)])
+    top = rng.choice([BLOCK_COST, levels / 4.0, (levels - 1) / 4.0])
+    if rng.random() < 0.3:
+        background = np.full((n_rows, n_cols), top)
+        for r in range(n_rows):
+            lo = rng.randrange(n_cols)
+            hi = min(n_cols, lo + rng.randint(1, 5))
+            background[r, lo:hi] = cost[r, lo:hi]
+        cost = background
+    for c in range(n_cols):
+        roll = rng.random()
+        if roll < 0.4:
+            cost[:, c] = top
+        elif roll < 0.5:
+            cost[:, c] = rng.randrange(levels) / 4.0
+    for _ in range(rng.randint(0, 2)):
+        cost[rng.randrange(n_rows)] = cost[rng.randrange(n_rows)]
+    return cost
+
+
+def test_hungarian_pairs_match_full_matrix_solve():
+    # Pairs, not totals: dropping interchangeable columns must not move a
+    # single assignment.
+    rng = random.Random(20261018)
+    dropped = swapped = square = 0
+    for _ in range(3000):
+        cost = tie_heavy_cost(rng)
+        n_rows, n_cols = cost.shape
+        want, swaps = full_matrix_hungarian(cost)
+        assert hungarian(cost) == want, cost.tolist()
+        blocked = int(np.sum(np.all(cost == cost.max(), axis=0)))
+        dropped += blocked > n_rows
+        swapped += swaps > 0
+        square += n_rows == n_cols
+    assert dropped >= 50
+    assert swapped >= 50
+    assert square >= 50
 
 
 class TestMakeTargets:
