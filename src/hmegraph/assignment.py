@@ -7,7 +7,10 @@ token-to-cell map is not annotated, so it is estimated per sample:
 1. take a rough position for each token from teacher-forced attention,
 2. build a cost matrix that only admits cells inside a km x km window
    around the rough position (cost ``|p - 1|`` inside, 1e6 outside),
-3. solve the rectangular assignment with the Hungarian method.
+3. solve the rectangular assignment with the Hungarian method.  Outside
+   the windows every row costs 1e6, so most columns are identical; the
+   solver sees only the union of the windows plus as many of those
+   blocked columns as there are rows, the lowest-index ones.
 
 Tokens with no ink of their own (group ENDs, <sos>, <eos>) never appear on
 the grid; ENDs inherit their owner's cell in the per-node supervision so

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
 from scipy.optimize import linear_sum_assignment
 
 from hmegraph import (
