@@ -20,7 +20,7 @@ def main():
     vocab = default_vocab()
     ids = [vocab.id_of(s) for s in ["x", "+", "y", "^", "2"]]
     nodes = {
-        i + 1: Node(class_id=cid, row=0, col=i, score=1.0, index=i + 1)
+        i + 1: Node(class_id=cid, row=0, col=i, index=i + 1)
         for i, cid in enumerate(ids)
     }
     n = len(nodes)

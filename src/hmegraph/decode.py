@@ -4,8 +4,10 @@ Decoding runs in five steps, each exposed on its own so partial pipelines
 can be inspected:
 
 1. :func:`vat_extract` collects every non-blank argmax cell of a
-   classification grid as a node, in raster order, scored with the grid's
-   own value there.
+   classification grid as a node, in raster order.  A cell is blank when
+   its none channel beats every symbol channel strictly, so blank cells
+   are found by one reduction over the symbol channels, and the argmax is
+   taken only over the cells that remain.
 2. :func:`expand_imaginary` appends the invisible group-end nodes that
    structural symbols imply; a grid can never predict them directly.
 3. :func:`apply_corrections` re-labels every node from a per-node
@@ -52,18 +54,15 @@ ROW_SUM_TOL = 1e-4
 
 @dataclass(frozen=True)
 class Node:
-    """One candidate symbol: class, cell, score, graph position.
+    """One candidate symbol: class, cell, graph position.
 
-    `score` is the grid's own value at the node's class and cell, whether
-    the grid holds probabilities or logits; no stage reads it.  `index` is
-    0 until :func:`expand_imaginary` assigns positions.  END nodes remember
-    the position of the structural node that implied them.
+    `index` is 0 until :func:`expand_imaginary` assigns positions.  END
+    nodes remember the position of the structural node that implied them.
     """
 
     class_id: int
     row: int
     col: int
-    score: float
     index: int = 0
     parent: int | None = None
 
@@ -100,9 +99,10 @@ def vat_extract(P: np.ndarray, vocab: TokenVocab) -> list[Node]:
     """Collect non-blank argmax cells of a classification grid as nodes.
 
     Cells scan in raster order (row-major); an argmax tie within a cell
-    resolves to the lowest class id.  A node's score is the grid's own
-    value at its class and cell, so probabilities and logits extract the
-    same nodes.
+    resolves to the lowest class id.  The none class is the last channel,
+    so a symbol that ties it wins the cell: a cell is blank only when its
+    none value is strictly above every symbol value.  Only the argmax
+    decides, so probabilities and logits extract the same nodes.
 
     Raises:
         ShapeMismatch: P is not (channels, H, W) with the vocabulary's
@@ -111,11 +111,12 @@ def vat_extract(P: np.ndarray, vocab: TokenVocab) -> list[Node]:
     """
     check_shape(P, (vocab.grid_classes, None, None), "grid")
     check_finite(P, "grid")
-    classes = np.argmax(P, axis=0)
-    rows, cols = np.nonzero(classes != vocab.none_id)  # raster order
-    cids = classes[rows, cols]
-    scores = P[cids, rows, cols].astype(np.float64)  # float scores from any dtype
-    return list(map(Node, cids.tolist(), rows.tolist(), cols.tolist(), scores.tolist()))
+    none = vocab.none_id
+    if none == 0:  # no symbol channel: every cell is blank
+        return []
+    rows, cols = np.nonzero(P[:none].max(axis=0) >= P[none])  # raster order
+    cids = P[:none, rows, cols].argmax(axis=0)
+    return list(map(Node, cids.tolist(), rows.tolist(), cols.tolist()))
 
 
 def expand_imaginary(nodes: list[Node], vocab: TokenVocab) -> list[Node]:
@@ -124,17 +125,18 @@ def expand_imaginary(nodes: list[Node], vocab: TokenVocab) -> list[Node]:
     Each structural node gains its group count of END nodes immediately
     after it, at the same cell, carrying the structural node's position as
     parent.  Positions are 1-based; 0 and N+1 stay virtual.
+
+    Raises:
+        VocabMiss: a node's class id is outside the vocabulary.
     """
+    vocab.check_ids([node.class_id for node in nodes])
+    groups, end = vocab.group_table, vocab.end_id
     out: list[Node] = []
     for node in nodes:
         idx = len(out) + 1
-        out.append(Node(node.class_id, node.row, node.col, node.score, idx, node.parent))
-        if vocab.is_structural(node.class_id):
-            for _ in range(vocab.group_count(node.class_id)):
-                out.append(
-                    Node(vocab.end_id, node.row, node.col, node.score,
-                         index=len(out) + 1, parent=idx)
-                )
+        out.append(Node(node.class_id, node.row, node.col, idx, node.parent))
+        for _ in range(groups[node.class_id]):
+            out.append(Node(end, node.row, node.col, len(out) + 1, idx))
     return out
 
 
@@ -166,7 +168,7 @@ def apply_corrections(
         if node.parent is not None and node.parent in deleted:
             continue
         if vote != node.class_id:
-            node = Node(vote, node.row, node.col, node.score, node.index, node.parent)
+            node = Node(vote, node.row, node.col, node.index, node.parent)
         out.append(node)
     return out
 

@@ -78,17 +78,40 @@ class TokenVocab:
     """Immutable symbol table with dense class ids.
 
     ``symbols[i]`` is the surface form of class id ``i`` and ``roles[i]`` its
-    role string.  Ids 0..K-1 are the predictable classes, K is the none
-    class, and END / <sos> / <eos> follow in that order.
+    role string.  Ids 0..K-1 are the predictable classes, the ones a grid
+    cell can take besides none (K is ``num_predictable``); then come
+    ``none_id`` (K), ``end_id``, ``sos_id`` and ``eos_id``.  A cell grid has
+    ``grid_classes`` channels (predictables + none), a per-node correction
+    row ``correction_classes`` (predictables + none + END).
+
+    The tables are built once: ``group_table[i]`` is the group count of
+    class ``i`` when it is structural, else 0 (a structural role on a
+    symbol with no known count raises VocabMiss), and ``sqrt_id`` is the
+    id of \\sqrt, or -1 when the vocabulary has none.
     """
 
     symbols: list[str]
     roles: list[str]
     _index: dict[str, int] = field(init=False, repr=False)
+    num_predictable: int = field(init=False, repr=False)
+    none_id: int = field(init=False, repr=False)
+    end_id: int = field(init=False, repr=False)
+    sos_id: int = field(init=False, repr=False)
+    eos_id: int = field(init=False, repr=False)
+    grid_classes: int = field(init=False, repr=False)
+    correction_classes: int = field(init=False, repr=False)
+    group_table: tuple[int, ...] = field(init=False, repr=False)
+    sqrt_id: int = field(init=False, repr=False)
 
     def __post_init__(self):
         self._index = {s: i for i, s in enumerate(self.symbols)}
         self._validate()
+        k = self.num_predictable = len(self.symbols) - 4
+        self.none_id, self.end_id, self.sos_id, self.eos_id = k, k + 1, k + 2, k + 3
+        self.grid_classes, self.correction_classes = k + 1, k + 2
+        self.group_table = tuple(self.group_count(i) if self.is_structural(i) else 0
+                                 for i in range(len(self.symbols)))
+        self.sqrt_id = self._index.get("\\sqrt", -1)
 
     def _validate(self) -> None:
         if len(self.symbols) != len(self.roles):
@@ -106,39 +129,6 @@ class TokenVocab:
                 "predictable classes must form a dense prefix followed by "
                 f"{expected}, got tail {self.roles[k:]}"
             )
-
-    # --- id arithmetic ---------------------------------------------------
-
-    @property
-    def num_predictable(self) -> int:
-        """K: number of classes a grid cell can take besides none."""
-        return len(self.symbols) - 4
-
-    @property
-    def none_id(self) -> int:
-        return self.num_predictable
-
-    @property
-    def end_id(self) -> int:
-        return self.num_predictable + 1
-
-    @property
-    def sos_id(self) -> int:
-        return self.num_predictable + 2
-
-    @property
-    def eos_id(self) -> int:
-        return self.num_predictable + 3
-
-    @property
-    def grid_classes(self) -> int:
-        """Channel count of a cell-classification grid: K predictables + none."""
-        return self.num_predictable + 1
-
-    @property
-    def correction_classes(self) -> int:
-        """Width of a per-node correction row: predictables + none + END."""
-        return self.num_predictable + 2
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -164,6 +154,12 @@ class TokenVocab:
     def is_structural(self, class_id: int) -> bool:
         """True when the class opens argument groups (HSE or IRS role)."""
         return self.role_of(class_id) in (ROLE_HSE, ROLE_IRS)
+
+    def check_ids(self, ids) -> None:
+        """Raise VocabMiss for the first of `ids` outside the vocabulary."""
+        if len(ids) and (min(ids) < 0 or max(ids) >= len(self.symbols)):
+            for cid in ids:
+                self.symbol_of(cid)
 
     def is_predictable(self, class_id: int) -> bool:
         return 0 <= class_id < self.num_predictable
@@ -342,16 +338,15 @@ def _parse_unit(toks, i, out, vocab, source) -> int:
         raise UnbalancedBraces(source, i)
     cid = vocab.id_of(t)
     out.append(cid)
-    if not vocab.is_structural(cid):
+    groups_left = vocab.group_table[cid]
+    if not groups_left:
         return i + 1
     i += 1
-    if t == "\\sqrt" and i < len(toks) and toks[i] == "[":
+    if cid == vocab.sqrt_id and i < len(toks) and toks[i] == "[":
         i = _parse_run(toks, i + 1, out, vocab, closer="]", source=source)
         out.append(vocab.end_id)
         i += 1
         groups_left = 1
-    else:
-        groups_left = vocab.group_count(cid)
     for _ in range(groups_left):
         if i >= len(toks) or toks[i] in ("}", "]"):
             raise DanglingGroup(f"{t!r} is missing an argument group")
@@ -376,27 +371,28 @@ def instance_group_counts(seq: list[int], vocab: TokenVocab) -> dict[int, int]:
     Raises:
         IllNested: the sequence closes groups it never opened, leaves groups
             open, or contains tokens that cannot appear in canonical form.
+        VocabMiss: an id outside the vocabulary.
     """
+    vocab.check_ids(seq)
+    groups, end, none, sqrt = vocab.group_table, vocab.end_id, vocab.none_id, vocab.sqrt_id
     counts: dict[int, int] = {}
     stack: list[int] = []
     for pos, cid in enumerate(seq):
-        role = vocab.role_of(cid)
-        if role == ROLE_END:
+        if cid == end:
             if not stack:
                 raise IllNested(f"group end at position {pos} closes nothing")
             stack[-1] -= 1
             if stack[-1] == 0:
                 stack.pop()
-        elif role in (ROLE_HSE, ROLE_IRS):
-            g = vocab.group_count(cid)
-            if vocab.symbol_of(cid) == "\\sqrt":
+        elif g := groups[cid]:
+            if cid == sqrt:
                 pending = sum(stack)
                 if not _closable(seq, pos + 1, pending + 1, vocab):
                     g = 2
             counts[pos] = g
             stack.append(g)
-        elif role in (ROLE_NONE, ROLE_SOS, ROLE_EOS):
-            raise IllNested(f"{vocab.symbol_of(cid)!r} cannot appear in canonical form")
+        elif cid >= none:  # none, <sos> or <eos>
+            raise IllNested(f"{vocab.symbols[cid]!r} cannot appear in canonical form")
     if stack:
         raise IllNested("group left open at sequence end")
     return counts
@@ -412,7 +408,7 @@ def end_parents(seq: list[int], vocab: TokenVocab) -> list[int | None]:
     parents: list[int | None] = [None] * len(seq)
     stack: list[list[int]] = []  # [owner position, groups remaining]
     for pos, cid in enumerate(seq):
-        if vocab.role_of(cid) == ROLE_END:
+        if cid == vocab.end_id:
             frame = stack[-1]
             parents[pos] = frame[0]
             frame[1] -= 1
@@ -435,12 +431,12 @@ def emit_latex(seq: list[int], vocab: TokenVocab) -> str:
         VocabMiss: an id outside the vocabulary.
     """
     counts = instance_group_counts(seq, vocab)
+    symbols, end, sqrt = vocab.symbols, vocab.end_id, vocab.sqrt_id
     parts: list[str] = []
     # Stack frames: [groups_remaining, closer_for_current_group].
     stack: list[list] = []
     for pos, cid in enumerate(seq):
-        role = vocab.role_of(cid)
-        if role == ROLE_END:
+        if cid == end:
             frame = stack[-1]
             parts.append(frame[1])
             frame[0] -= 1
@@ -450,10 +446,10 @@ def emit_latex(seq: list[int], vocab: TokenVocab) -> str:
                 frame[1] = "}"
                 parts.append("{")
             continue
-        parts.append(vocab.symbol_of(cid))
+        parts.append(symbols[cid])
         if pos in counts:
             groups = counts[pos]
-            if vocab.symbol_of(cid) == "\\sqrt" and groups == 2:
+            if cid == sqrt and groups == 2:
                 stack.append([2, "]"])
                 parts.append("[")
             else:
@@ -467,17 +463,14 @@ def _pending_step(lo: int, hi: int, cid: int, vocab: TokenVocab) -> tuple[int, i
 
     A \\sqrt may open one or two groups, so the count of ENDs still owed is
     tracked as the interval [lo, hi].  Returns None for an END that no
-    reading can match to an open group.
+    reading can match to an open group.  `cid` must be range-checked.
     """
-    role = vocab.role_of(cid)
-    if role == ROLE_END:
+    if cid == vocab.end_id:
         return None if hi == 0 else (max(lo, 1) - 1, hi - 1)
-    if role in (ROLE_HSE, ROLE_IRS):
-        if vocab.symbol_of(cid) == "\\sqrt":
-            return lo + 1, hi + 2
-        g = vocab.group_count(cid)
-        return lo + g, hi + g
-    return lo, hi
+    g = vocab.group_table[cid]
+    if g and cid == vocab.sqrt_id:
+        return lo + 1, hi + 2
+    return lo + g, hi + g
 
 
 def _closable(seq, start, pending, vocab) -> bool:
@@ -495,7 +488,11 @@ def repair_groups(seq: list[int], vocab: TokenVocab) -> list[int]:
 
     ENDs that no reading can match to an open group are dropped; groups
     still open at the end are closed by appended ENDs.
+
+    Raises:
+        VocabMiss: an id outside the vocabulary.
     """
+    vocab.check_ids(seq)
     span = (0, 0)
     out: list[int] = []
     for cid in seq:

@@ -114,7 +114,7 @@ def test_2_assignment_optimality():
 def random_dag(rng):
     n = int(rng.integers(1, 11))
     nodes = {
-        i: Node(class_id=0, row=0, col=i, score=1.0, index=i)
+        i: Node(class_id=0, row=0, col=i, index=i)
         for i in range(1, n + 1)
     }
     edges = {}
@@ -131,7 +131,7 @@ def random_dag(rng):
 
 def chain_graph(rng, n):
     nodes = {
-        i: Node(class_id=0, row=0, col=i, score=1.0, index=i)
+        i: Node(class_id=0, row=0, col=i, index=i)
         for i in range(1, n + 1)
     }
     edges = {(0, 1): 1.0, (n, n + 1): 1.0}

@@ -41,7 +41,18 @@ from hmegraph import (
 )
 from hmegraph import decode
 from hmegraph.decode import ExprGraph, Node
-from hmegraph.tokens import repair_groups
+from hmegraph.tokens import (
+    END_SYMBOL,
+    EOS_SYMBOL,
+    NONE_SYMBOL,
+    ROLE_END,
+    ROLE_EOS,
+    ROLE_NONE,
+    ROLE_SOS,
+    SOS_SYMBOL,
+    TokenVocab,
+    repair_groups,
+)
 
 
 def grid_for(vocab, placed, h, w):
@@ -54,7 +65,7 @@ def grid_for(vocab, placed, h, w):
 
 
 def plain_nodes(vocab, cids):
-    return [Node(cid, 0, i, 1.0) for i, cid in enumerate(cids)]
+    return [Node(cid, 0, i) for i, cid in enumerate(cids)]
 
 
 def dyadic(rng):
@@ -65,7 +76,7 @@ def random_dag(rng, vocab, max_nodes=8):
     """Random forward-edge graph; may or may not connect start to end."""
     n = rng.randint(1, max_nodes)
     cids = [rng.randrange(vocab.num_predictable) for _ in range(n)]
-    nodes = {i + 1: Node(cids[i], 0, i, 1.0, index=i + 1) for i in range(n)}
+    nodes = {i + 1: Node(cids[i], 0, i, index=i + 1) for i in range(n)}
     edges = {}
     for a in range(0, n + 1):
         for b in range(a + 1, n + 2):
@@ -86,7 +97,6 @@ class TestVatExtract:
             (plus, 0, 1),
             (y, 0, 2),
         ]
-        assert all(n.score == 1.0 for n in nodes)
 
     def test_empty_grid(self, vocab):
         P = grid_for(vocab, {}, 3, 3)
@@ -102,11 +112,40 @@ class TestVatExtract:
             (n.class_id, n.row, n.col) for n in b
         ]
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-    def test_score_is_float_for_any_dtype(self, vocab, dtype):
-        P = 3 * grid_for(vocab, {(0, 1): vocab.id_of("x")}, 1, 2).astype(dtype)
-        (node,) = vat_extract(P, vocab)
-        assert type(node.score) is float and node.score == 3.0
+    def test_symbol_tying_none_wins(self, vocab):
+        """Blank needs none strictly above every symbol; a tie goes to
+        the lower id, which is always a symbol's."""
+        x, y = vocab.id_of("x"), vocab.id_of("y")
+        P = np.zeros((vocab.grid_classes, 1, 3), dtype=np.float32)
+        P[vocab.none_id] = 0.5
+        P[x, 0, 0] = 0.5  # ties none
+        P[y, 0, 1] = 0.4  # below none: blank
+        P[[x, y], 0, 2] = 0.5  # two symbols tie none: the lower id wins
+        nodes = vat_extract(P, vocab)
+        assert [(n.class_id, n.col) for n in nodes] == [(x, 0), (min(x, y), 2)]
+
+    def test_int_grid_with_ties(self, vocab):
+        x, y = vocab.id_of("x"), vocab.id_of("y")
+        P = np.zeros((vocab.grid_classes, 2, 2), dtype=np.int64)
+        P[vocab.none_id] = 3
+        P[[x, y], 0, 0] = 3  # ties none and each other
+        P[y, 1, 1] = 4
+        P[x, 0, 1] = 2  # below none: blank
+        nodes = vat_extract(P, vocab)
+        assert [(n.class_id, n.row, n.col) for n in nodes] == [
+            (min(x, y), 0, 0),
+            (y, 1, 1),
+        ]
+        assert all(type(n.class_id) is int for n in nodes)
+
+    def test_vocab_without_symbols(self):
+        vocab = TokenVocab(
+            [NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
+            [ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS],
+        )
+        assert vocab.grid_classes == 1
+        assert vat_extract(np.ones((1, 2, 3)), vocab) == []
+        assert vat_extract(np.zeros((1, 2, 3), dtype=np.int64), vocab) == []
 
     def test_shape_error(self, vocab):
         with pytest.raises(ShapeMismatch):
@@ -122,7 +161,7 @@ def loop_vat_extract(P, vocab):
     for r, c in np.ndindex(classes.shape):
         cid = int(classes[r, c])
         if cid != vocab.none_id:
-            nodes.append(Node(cid, r, c, float(P[cid, r, c])))
+            nodes.append(Node(cid, r, c))
     return nodes
 
 
@@ -146,7 +185,7 @@ def extraction_grids(draw):
 @given(P=extraction_grids())
 def test_vat_extract_matches_cell_loop(P):
     vocab = default_vocab()
-    # repr shows the score's type: 3.0, never 3.
+    # repr tells a numpy integer from a Python int.
     assert repr(vat_extract(P, vocab)) == repr(loop_vat_extract(P, vocab))
 
 
@@ -253,7 +292,7 @@ class TestBuildGraph:
         rng = np.random.default_rng(5)
         for case in range(120):
             n = case % 12  # n = 0: the 2x2 matrices give no edges
-            nodes = [Node(0, 0, i, 1.0, index=i) for i in range(1, n + 1) if rng.random() < 0.8]
+            nodes = [Node(0, 0, i, index=i) for i in range(1, n + 1) if rng.random() < 0.8]
             dtype = np.float32 if case % 2 else np.float64
             left, right = (self.stochastic(rng, n).astype(dtype) for _ in range(2))
             g = build_graph(nodes, left, right, alpha_l2r=alpha[0], alpha_r2l=alpha[1])
@@ -282,30 +321,30 @@ class TestBuildGraph:
             build_graph(nodes, np.ones((3, 4)), np.ones((3, 4)))
         ok = np.full((3, 3), 1.0 / 3)
         with pytest.raises(NodeCountMismatch):
-            build_graph([Node(0, 0, 0, 1.0, index=9)], ok, ok)
+            build_graph([Node(0, 0, 0, index=9)], ok, ok)
 
 
 class TestPrune:
     def test_threshold_and_cycle_break(self, vocab):
-        nodes = {1: Node(0, 0, 0, 1.0, index=1), 2: Node(1, 0, 1, 1.0, index=2)}
+        nodes = {1: Node(0, 0, 0, index=1), 2: Node(1, 0, 1, index=2)}
         edges = {(0, 1): 0.9, (1, 2): 0.9, (2, 1): 0.6, (2, 3): 0.9, (1, 3): 0.1}
         g = prune_and_acyclify(ExprGraph(nodes, edges, n_slots=2), epsilon=0.5)
         assert set(g.edges) == {(0, 1), (1, 2), (2, 3)}
 
     def test_weak_bridge_survives(self, vocab):
-        nodes = {1: Node(0, 0, 0, 1.0, index=1)}
+        nodes = {1: Node(0, 0, 0, index=1)}
         edges = {(0, 1): 0.3, (1, 2): 0.9}
         g = prune_and_acyclify(ExprGraph(nodes, edges, n_slots=1), epsilon=0.5)
         assert (0, 1) in g.edges
 
     def test_unreachable_end(self, vocab):
-        nodes = {1: Node(0, 0, 0, 1.0, index=1)}
+        nodes = {1: Node(0, 0, 0, index=1)}
         g = ExprGraph(nodes, {(0, 1): 0.9}, n_slots=1)
         with pytest.raises(NoPath):
             prune_and_acyclify(g)
 
     def test_input_not_mutated(self, vocab):
-        nodes = {1: Node(0, 0, 0, 1.0, index=1), 2: Node(1, 0, 1, 1.0, index=2)}
+        nodes = {1: Node(0, 0, 0, index=1), 2: Node(1, 0, 1, index=2)}
         edges = {(0, 1): 0.9, (1, 2): 0.9, (2, 1): 0.6, (2, 3): 0.9}
         g = ExprGraph(nodes, dict(edges), n_slots=2)
         prune_and_acyclify(g)
@@ -331,7 +370,7 @@ def random_prune_case(rng):
     n = rng.randint(1, 12)
     alive = [i for i in range(1, n + 1) if rng.random() < 0.85]
     if rng.random() < 0.5:
-        nodes = [Node(0, 0, i, 1.0, index=i) for i in alive]
+        nodes = [Node(0, 0, i, index=i) for i in alive]
         alpha = rng.choice([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 1.0)])
         left, right = dyadic_stochastic(rng, n + 2), dyadic_stochastic(rng, n + 2)
         return build_graph(nodes, left, right, alpha_l2r=alpha[0], alpha_r2l=alpha[1])
@@ -343,7 +382,7 @@ def random_prune_case(rng):
         for b in verts[1:]
         if a != b and (a, b) != (0, n + 1) and rng.random() < density
     }
-    nodes = {i: Node(0, 0, i, 1.0, index=i) for i in alive}
+    nodes = {i: Node(0, 0, i, index=i) for i in alive}
     return ExprGraph(nodes, edges, n_slots=n)
 
 
@@ -486,6 +525,24 @@ class TestDecodePruneMatchesAdapter:
             if k % 5 == 0:  # quiet
                 assert result.latex == emit_latex(sample.seq, vocab)
 
+    def test_decode_uses_vocab_tables(self, vocab, monkeypatch):
+        """Decoding reads class roles and group counts from the vocabulary's
+        tables after one range check per sequence, never through the
+        per-id checked lookups."""
+        profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
+                    NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
+        samples = list(bench_samples(vocab, profiles, 100, 90000))
+        quiet = [emit_latex(s.seq, vocab) for s in samples[::5]]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-id vocabulary lookup on the decode path")
+
+        for name in ("role_of", "symbol_of", "is_structural", "group_count"):
+            monkeypatch.setattr(TokenVocab, name, refuse)
+        decoded = [decode_with_graph(s.probs, s.self_probs, s.left, s.right, vocab)[0].latex
+                   for s in samples]
+        assert decoded[::5] == quiet
+
 
 class TestLongestPath:
     def test_matches_oracle_exactly(self, vocab):
@@ -510,8 +567,8 @@ class TestLongestPath:
     def test_deterministic_tie_break(self, vocab):
         # Two equal-weight routes to the end: the smaller predecessor wins.
         nodes = {
-            1: Node(vocab.id_of("x"), 0, 0, 1.0, index=1),
-            2: Node(vocab.id_of("y"), 0, 1, 1.0, index=2),
+            1: Node(vocab.id_of("x"), 0, 0, index=1),
+            2: Node(vocab.id_of("y"), 0, 1, index=2),
         }
         edges = {(0, 1): 1.0, (0, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0}
         got = longest_path(ExprGraph(nodes, edges, n_slots=2), vocab)
@@ -519,7 +576,7 @@ class TestLongestPath:
         assert got.latex == "x"
 
     def test_cycle_detected(self, vocab):
-        nodes = {1: Node(0, 0, 0, 1.0, index=1), 2: Node(1, 0, 1, 1.0, index=2)}
+        nodes = {1: Node(0, 0, 0, index=1), 2: Node(1, 0, 1, index=2)}
         edges = {(0, 1): 1.0, (1, 2): 1.0, (2, 1): 1.0, (2, 3): 1.0}
         with pytest.raises(CycleDetected):
             longest_path(ExprGraph(nodes, edges, n_slots=2), vocab)

@@ -264,14 +264,14 @@ class TestOracles:
             oracle_hungarian(np.zeros((3, 2)))
 
     def test_longest_path_hand_case(self):
-        nodes = {1: Node(0, 0, 0, 1.0, index=1), 2: Node(0, 0, 1, 1.0, index=2)}
+        nodes = {1: Node(0, 0, 0, index=1), 2: Node(0, 0, 1, index=2)}
         edges = {(0, 1): 1.0, (1, 3): 1.0, (0, 2): 0.5, (2, 3): 3.0, (1, 2): 0.125}
         w, path = oracle_longest_path(ExprGraph(nodes, edges, n_slots=2))
         assert w == 4.125  # 0 -> 1 -> 2 -> 3 beats both two-edge routes
         assert path == [0, 1, 2, 3]
 
     def test_longest_path_bounds_and_nopath(self):
-        nodes = {i: Node(0, 0, i, 1.0, index=i) for i in range(1, 12)}
+        nodes = {i: Node(0, 0, i, index=i) for i in range(1, 12)}
         with pytest.raises(TooLarge):
             oracle_longest_path(ExprGraph(nodes, {}, n_slots=11))
         with pytest.raises(NoPath):

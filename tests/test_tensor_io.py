@@ -192,8 +192,8 @@ def tiny_graph(vocab):
     x = vocab.id_of("x")
     frac = vocab.id_of("\\frac")
     nodes = {
-        1: Node(frac, 0, 0, 1.0, index=1),
-        2: Node(x, 0, 1, 0.9, index=2),
+        1: Node(frac, 0, 0, index=1),
+        2: Node(x, 0, 1, index=2),
     }
     edges = {(0, 1): 1.5, (1, 2): 2.0, (2, 3): 1.0}
     return ExprGraph(nodes, edges, n_slots=2)

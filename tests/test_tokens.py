@@ -8,6 +8,7 @@ from hmegraph import (
     DanglingGroup,
     EmptyCorpus,
     IllNested,
+    Node,
     TokenVocab,
     UnbalancedBraces,
     UnknownControlSequence,
@@ -16,6 +17,7 @@ from hmegraph import (
     coverage_corpus,
     emit_latex,
     end_parents,
+    expand_imaginary,
     gen_expression,
     gt_targets,
     instance_group_counts,
@@ -35,6 +37,7 @@ from hmegraph.tokens import (
     ROLE_SOS,
     ROLE_VISIBLE,
     SOS_SYMBOL,
+    repair_groups,
 )
 
 
@@ -100,6 +103,13 @@ class TestVocabLayout:
     def test_validation_requires_specials(self):
         with pytest.raises(VocabMiss):
             TokenVocab(["a"], [ROLE_VISIBLE])
+
+    def test_structural_role_needs_group_count(self):
+        with pytest.raises(VocabMiss):
+            TokenVocab(
+                ["\\nosuch", NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
+                [ROLE_HSE, ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS],
+            )
 
     def test_save_load_roundtrip(self, vocab, tmp_path):
         path = tmp_path / "v.tsv"
@@ -274,6 +284,28 @@ class TestEmit:
             emit_latex([vocab.end_id], vocab)
         with pytest.raises(IllNested):
             emit_latex([vocab.id_of("\\frac"), vocab.id_of("x"), vocab.end_id], vocab)
+
+
+SEQUENCE_ENTRY_POINTS = {
+    "emit_latex": emit_latex,
+    "repair_groups": repair_groups,
+    "instance_group_counts": instance_group_counts,
+    "end_parents": end_parents,
+    "expand_imaginary": lambda seq, vocab: expand_imaginary(
+        [Node(cid, 0, col) for col, cid in enumerate(seq)], vocab
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEQUENCE_ENTRY_POINTS))
+@pytest.mark.parametrize("where", ["first", "after_groups"])
+def test_id_outside_vocab_raises(vocab, entry, where):
+    """Table lookups index Python sequences, where -1 would read the last
+    entry; each entry point's range check must refuse it first."""
+    prefix = [] if where == "first" else parse_latex("\\frac { x } { y }", vocab)
+    for bad in (-1, len(vocab)):
+        with pytest.raises(VocabMiss):
+            SEQUENCE_ENTRY_POINTS[entry](prefix + [bad], vocab)
 
 
 @settings(max_examples=200, deadline=None)
