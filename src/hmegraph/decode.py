@@ -17,10 +17,10 @@ can be inspected:
    edges and breaks cycles, never disconnecting start from end.  It keeps
    a witness start-to-end path and searches again only when a removal
    cuts the witness, since any other removal leaves the end reachable.
-   :func:`decode_with_graph` runs the same pruning core on the weight
-   matrix itself: strong edges become successor lists, weak ones are
-   grouped and ranked only when strong edges alone miss the end, and only
-   the kept edges ever become a dict.
+   It prunes a weight matrix and edge mask, copied from the edge dict;
+   :func:`decode_with_graph` hands over the matrix it scored, so a decode
+   never builds the dense dict.  Weak edges are ranked only when strong
+   edges alone miss the end.
 5. :func:`longest_path` picks the maximum-weight start-to-end path and
    renders it back to LaTeX.
 
@@ -33,6 +33,7 @@ others.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import insort
 from dataclasses import dataclass
@@ -229,11 +230,8 @@ def build_graph(
     neighbor exactly when i is j's left neighbor).  Self-edges, edges into
     the virtual start, edges out of the virtual end, and the bare
     start -> end edge are never created.  Edges are inserted in row-major
-    ``(src, dst)`` order.  The pruning decisions do not depend on that
-    order, since they follow the ranks of the weak edges by
-    ``(weight, src, dst)``; it is also the order in which
-    :func:`decode_with_graph`, which prunes these weights without building
-    this dict, walks weak successors, so both make the same searches.
+    ``(src, dst)`` order, though :func:`prune_and_acyclify` does not
+    depend on it.
 
     Raises:
         ShapeMismatch: a matrix is not 2-d.
@@ -266,34 +264,36 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     edge was the last route to the end and is kept.  The witness crosses
     as few undecided weak edges as possible, so when strong edges alone
     connect start to end the first search is the only one the weak-edge
-    phase makes, and the weak edges are never even grouped.
+    phase makes, and the weak edges are never even ranked.
+
+    The edges are copied into the weight matrix and edge mask that
+    :func:`decode_with_graph` prunes, so neither the decisions nor the
+    kept edges' order (by source, then target) follow the dict's order.
 
     Raises:
+        NodeCountMismatch: an edge end is neither the start, the end, nor
+            a node's position within 1..n_slots.
         NoPath: the end was unreachable before pruning started.
         CycleDetected: a cycle that cannot be broken (defensive; a
             reachable end always leaves one breakable edge per cycle).
     """
-    edges = graph.edges
+    _check_edge_ends(graph)
     n = graph.n_slots + 2
-    live: list[list[int]] = [[] for _ in range(n)]
-    for (s, d), w in edges.items():
-        if not w < epsilon:
-            live[s].append(d)
-    for out in live:
-        out.sort()
+    weights = np.zeros((n, n))
+    valid = np.zeros((n, n), dtype=bool)
+    for (s, d), w in graph.edges.items():
+        weights[s, d] = w
+        valid[s, d] = True
+    return ExprGraph(dict(graph.nodes), _prune(weights, valid, epsilon), graph.n_slots)
 
-    def weak():
-        keys = [(w, s, d) for (s, d), w in edges.items() if w < epsilon]
-        rank = {k: r for r, k in enumerate(sorted(keys))}
-        pending: list[list[int]] = [[] for _ in range(n)]
-        ranks: list[list[int]] = [[] for _ in range(n)]
-        for k in keys:  # insertion order
-            pending[k[1]].append(k[2])
-            ranks[k[1]].append(rank[k])
-        return pending, ranks
 
-    kept = _prune(live, weak, lambda s, d: edges[(s, d)])
-    return ExprGraph(dict(graph.nodes), kept, graph.n_slots)
+def _check_edge_ends(graph: ExprGraph) -> None:
+    """Name the first edge with an end that is not the start, the end, or
+    a node's position within 1..n_slots."""
+    ends = {0, graph.eos, *(v for v in graph.nodes if 1 <= v <= graph.n_slots)}
+    if not ends.issuperset(itertools.chain.from_iterable(graph.edges)):
+        bad = next(e for e in graph.edges if not ends.issuperset(e))
+        raise NodeCountMismatch(f"edge {bad}: an end is not 0, {graph.eos} or a node position")
 
 
 def _rows(n: int, src: np.ndarray, values: np.ndarray) -> list[list[int]]:
@@ -303,18 +303,29 @@ def _rows(n: int, src: np.ndarray, values: np.ndarray) -> list[list[int]]:
     return [values[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
-def _prune(live: list[list[int]], weak, weight) -> dict[tuple[int, int], float]:
-    """The pruning pass of :func:`prune_and_acyclify`, on successor lists.
+def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float) -> dict[tuple[int, int], float]:
+    """The pruning pass of :func:`prune_and_acyclify` on a weight matrix.
 
-    `live[u]` lists u's successors over strong edges, ascending; it is
-    pruned in place.  `weak()` returns ``(pending, ranks)``: `pending[u]`
-    lists u's successors over weak edges, `ranks[u]` their ranks in
-    ascending ``(weight, src, dst)`` order.  It is called at most once, and
-    only when strong edges alone do not reach the end.  `weight(s, d)`
-    reads an edge's weight.  Returns the kept edges with their weights, by
-    source and then target.
+    `weights[s, d]` is the float64 weight of s -> d, an edge exactly where
+    the bool mask `valid` holds.  Strong edges, those not below `epsilon`,
+    become successor lists in ascending order.  Weak edges are listed and
+    ranked in ascending ``(weight, src, dst)`` order only when strong
+    edges alone do not reach the end.  Returns the kept edges with their
+    weights, by source and then target.
     """
-    weak = functools.cache(weak)
+    n = len(weights)
+    below = weights < epsilon
+    live = _rows(n, *np.nonzero(valid & ~below))  # row-major
+
+    @functools.cache
+    def weak():
+        src, dst = np.nonzero(valid & below)  # row-major
+        # A stable sort by weight leaves ties in (src, dst) order.
+        order = np.argsort(weights[src, dst], kind="stable")
+        ranks = np.empty_like(order)
+        ranks[order] = np.arange(len(order))
+        return _rows(n, src, dst), _rows(n, src, ranks)
+
     witness = _witness_path(live, weak, -1)
     if witness is None:
         raise NoPath("virtual end unreachable before pruning")
@@ -330,22 +341,19 @@ def _prune(live: list[list[int]], weak, weight) -> dict[tuple[int, int], float]:
         else:
             witness = found
 
-    def decided():  # no weak edge is pending any more
-        return [()] * len(live), [()] * len(live)
-
     while (cycle := _find_cycle(live)) is not None:
-        for _, (s, d) in sorted((weight(*e), e) for e in cycle):
+        for _, (s, d) in sorted((weights.item(e), e) for e in cycle):
             live[s].remove(d)
             if (s, d) not in witness:
                 break
-            found = _witness_path(live, decided, cut)
+            found = _witness_path(live, None, cut)  # no weak edge is pending
             if found is not None:
                 witness = found
                 break
             insort(live[s], d)
         else:
             raise CycleDetected(f"cycle through {sorted({s for s, _ in cycle})} is unbreakable")
-    return {(s, d): weight(s, d) for s, out in enumerate(live) for d in out}
+    return {(s, d): weights.item(s, d) for s, out in enumerate(live) for d in out}
 
 
 def _witness_path(live, weak, cut) -> dict[tuple[int, int], int] | None:
@@ -354,9 +362,10 @@ def _witness_path(live, weak, cut) -> dict[tuple[int, int], int] | None:
     Kept edges (`live`) cost nothing; a weak edge from `weak()` costs one
     and exists while its rank is above `cut`.  The search goes level by
     level: all that kept edges reach, then one weak edge further, so
-    `weak()` is called only when kept edges alone miss the end.  Returns
-    the path's edges, each mapped to its rank (-1 for a kept edge), or None
-    when the end (the last vertex) is unreachable.
+    `weak()` is called only when kept edges alone miss the end; `weak` is
+    None when no weak edge is pending.  Returns the path's edges, each
+    mapped to its rank (-1 for a kept edge), or None when the end (the last
+    vertex) is unreachable.
     """
     end = len(live) - 1
     pred = [-1] * len(live)  # -1: not reached yet
@@ -376,6 +385,8 @@ def _witness_path(live, weak, cut) -> dict[tuple[int, int], int] | None:
                 path[(pred[v], v)] = rank[v]
                 v = pred[v]
             return path
+        if weak is None:
+            return None
         if pending is None:
             pending, ranks = weak()
         frontier = []
@@ -428,9 +439,12 @@ def longest_path(graph: ExprGraph, vocab: TokenVocab) -> PathResult:
     ENDs and closing groups left open at the end.
 
     Raises:
+        NodeCountMismatch: an edge end is neither the start, the end, nor
+            a node's position within 1..n_slots.
         CycleDetected: the graph is not acyclic.
         NoPath: no start-to-end path exists.
     """
+    _check_edge_ends(graph)
     n = graph.n_slots + 2
     succ: list[list[int]] = [[] for _ in range(n)]
     weights: list[list[float]] = [[] for _ in range(n)]
@@ -485,8 +499,9 @@ def decode_with_graph(
     """Full grid-to-LaTeX decode, also returning the pruned graph.
 
     The graph is the one :func:`prune_and_acyclify` makes from
-    :func:`build_graph`'s edges, but pruned straight from the weight
-    matrix, so only the kept edges become Python objects.
+    :func:`build_graph`'s edges, but the weight matrix and edge mask go
+    straight into the pruning core, so only the kept edges become Python
+    objects.
 
     Raises:
         ShapeMismatch: an input has the wrong rank, or the wrong grid
@@ -502,17 +517,5 @@ def decode_with_graph(
     check_shape(left, (len(nodes) + 2,) * 2, "left neighbor scores", NodeCountMismatch)
     kept = apply_corrections(nodes, self_probs, vocab)
     index_map, weights, valid = _edge_weights(kept, left, right, alpha_l2r, alpha_r2l)
-    n = len(weights)
-    below = weights < epsilon
-    live = _rows(n, *np.nonzero(valid & ~below))  # row-major
-
-    def weak_lists():
-        src, dst = np.nonzero(valid & below)  # row-major, as build_graph inserts
-        # A stable sort by weight leaves ties in (src, dst) order.
-        order = np.argsort(weights[src, dst], kind="stable")
-        ranks = np.empty_like(order)
-        ranks[order] = np.arange(len(order))
-        return _rows(n, src, dst), _rows(n, src, ranks)
-
-    pruned = ExprGraph(index_map, _prune(live, weak_lists, weights.item), n - 2)
+    pruned = ExprGraph(index_map, _prune(weights, valid, epsilon), len(weights) - 2)
     return longest_path(pruned, vocab), pruned

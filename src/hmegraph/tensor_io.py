@@ -1,4 +1,4 @@
-"""Fixed-layout tensor container and graph serialization.
+"""Fixed-layout tensor container and graph export.
 
 The on-disk tensor format is deliberately tiny so that recognizer stages can
 exchange grids and score matrices across machines with no framework
@@ -11,13 +11,11 @@ dependency.  Layout, all little-endian regardless of host byte order::
     dtype   u32      1 = float32
     payload float32 * prod(dims), row-major
 
-Graphs travel as JSON ``{"nodes": [...], "edges": [...]}`` or as Graphviz
-DOT for visual inspection.
+Graphs export as Graphviz DOT for visual inspection.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 
 import numpy as np
@@ -107,33 +105,7 @@ def read_tensor(path) -> np.ndarray:
     return flat.reshape(dims).astype(np.float32)
 
 
-# --- graph serialization ----------------------------------------------------
-
-def graph_to_json(graph, vocab) -> dict:
-    """Plain-dict form of an expression graph, ready for ``json.dump``.
-
-    Virtual start/end nodes are included with row and col -1 so edge
-    endpoints always resolve.
-    """
-    nodes = [
-        {"id": 0, "label": vocab.symbol_of(vocab.sos_id), "row": -1, "col": -1},
-    ]
-    for i in sorted(graph.nodes):
-        n = graph.nodes[i]
-        nodes.append({"id": i, "label": vocab.symbol_of(n.class_id), "row": n.row, "col": n.col})
-    nodes.append({"id": graph.eos, "label": vocab.symbol_of(vocab.eos_id), "row": -1, "col": -1})
-    edges = [
-        {"src": s, "dst": d, "w": float(w)}
-        for (s, d), w in sorted(graph.edges.items())
-    ]
-    return {"nodes": nodes, "edges": edges}
-
-
-def write_graph_json(graph, vocab, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(graph, vocab), fh, indent=2)
-        fh.write("\n")
-
+# --- graph export -----------------------------------------------------------
 
 def export_dot(graph, vocab, highlight: tuple | list = ()) -> str:
     """Render an expression graph as Graphviz DOT source.

@@ -302,6 +302,7 @@ def parse_latex(s: str, vocab: TokenVocab) -> list[int]:
     Accepts spaced or unspaced input.  Un-braced structural arguments are
     normalized as if braced: ``x ^ 2`` parses like ``x ^ { 2 }``.  A \\sqrt
     written with a bracket index contributes two groups, index first.
+    Nesting depth is bounded only by memory, not by the interpreter stack.
 
     Raises:
         UnbalancedBraces: stray or unclosed braces.
@@ -310,54 +311,49 @@ def parse_latex(s: str, vocab: TokenVocab) -> list[int]:
         UnknownControlSequence: malformed backslash token.
     """
     toks = _tokenize(s, vocab)
+    groups, end, sqrt = vocab.group_table, vocab.end_id, vocab.sqrt_id
+    toks.append(None)  # the input end
     out: list[int] = []
-    i = _parse_run(toks, 0, out, vocab, closer=None, source=s)
-    if i != len(toks):
-        raise UnbalancedBraces(s, i)
-    return out
-
-
-def _parse_run(toks, i, out, vocab, closer, source) -> int:
-    """Parse units until `closer` (or input end when closer is None)."""
-    while i < len(toks):
-        t = toks[i]
-        if closer is not None and t == closer:
-            return i
-        if t == "}":
-            raise UnbalancedBraces(source, i)
-        i = _parse_unit(toks, i, out, vocab, source)
-    if closer is not None:
-        raise UnbalancedBraces(source, len(toks))
-    return i
-
-
-def _parse_unit(toks, i, out, vocab, source) -> int:
-    """Parse one unit: a symbol, or a structural symbol with its groups."""
-    t = toks[i]
-    if t == "{":
-        raise UnbalancedBraces(source, i)
-    cid = vocab.id_of(t)
-    out.append(cid)
-    groups_left = vocab.group_table[cid]
-    if not groups_left:
-        return i + 1
-    i += 1
-    if cid == vocab.sqrt_id and i < len(toks) and toks[i] == "[":
-        i = _parse_run(toks, i + 1, out, vocab, closer="]", source=source)
-        out.append(vocab.end_id)
+    # Stack frames: a run of units waits for its closer (None: the input
+    # end); a structural symbol waits as [symbol, groups left].
+    stack: list = [None]
+    i = 0
+    while stack:
+        top, t = stack[-1], toks[i]
+        if type(top) is list:
+            if not top[1]:  # the symbol is done; as an unbraced argument, so is its group
+                stack.pop()
+                if type(stack[-1]) is list:
+                    out.append(end)
+                continue
+            if t is None or t in ("}", "]"):
+                raise DanglingGroup(f"{top[0]!r} is missing an argument group")
+            top[1] -= 1
+            if t == "{":
+                stack.append("}")
+                i += 1
+                continue
+        elif t == top:
+            stack.pop()
+            if stack:  # a group, not the whole input
+                out.append(end)
+                i += 1
+            continue
+        elif t is None or t in ("{", "}"):
+            raise UnbalancedBraces(s, i)
+        # One unit: a symbol, or a structural symbol that opens its groups.
+        cid = vocab.id_of(t)
+        out.append(cid)
         i += 1
-        groups_left = 1
-    for _ in range(groups_left):
-        if i >= len(toks) or toks[i] in ("}", "]"):
-            raise DanglingGroup(f"{t!r} is missing an argument group")
-        if toks[i] == "{":
-            i = _parse_run(toks, i + 1, out, vocab, closer="}", source=source)
-            out.append(vocab.end_id)
-            i += 1
-        else:
-            i = _parse_unit(toks, i, out, vocab, source)
-            out.append(vocab.end_id)
-    return i
+        if g := groups[cid]:
+            if cid == sqrt and toks[i] == "[":
+                stack += [[t, 1], "]"]
+                i += 1
+            else:
+                stack.append([t, g])
+        elif type(top) is list:  # an unbraced argument
+            out.append(end)
+    return out
 
 
 def instance_group_counts(seq: list[int], vocab: TokenVocab) -> dict[int, int]:

@@ -1,6 +1,7 @@
 """Graph decoding: extraction, expansion, corrections, pruning, best path."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -351,6 +352,24 @@ class TestPrune:
         assert g.edges == edges
 
 
+@pytest.mark.parametrize("stage", [prune_and_acyclify, longest_path])
+@pytest.mark.parametrize("n_slots, bad, w", [
+    (1, (1, 5), 0.9),
+    (1, (-1, 1), 0.9),  # -1 would index the end vertex
+    (1, (1, -3), 0.9),
+    (1, (7, 1), 0.2),  # weak, and off every path from the start
+    (2, (1, 2), 0.9),  # slot 2 holds no node
+], ids=["past_end", "negative_src", "negative_dst", "weak_stray", "empty_slot"])
+def test_bad_edge_end_named(vocab, stage, n_slots, bad, w):
+    """An edge end that is neither the start, the end, nor a node's
+    position raises NodeCountMismatch naming the edge."""
+    edges = {(0, 1): 0.9, (1, n_slots + 1): 0.9, bad: w}
+    graph = ExprGraph({1: Node(0, 0, 0, index=1)}, edges, n_slots)
+    args = (graph, vocab) if stage is longest_path else (graph,)
+    with pytest.raises(NodeCountMismatch, match=re.escape(f"edge {bad}")):
+        stage(*args)
+
+
 def dyadic_stochastic(rng, n):
     """Rows of eighths: exact sums, and many ties between weights."""
     m = np.zeros((n, n))
@@ -392,15 +411,21 @@ class TestPruneMatchesOracle:
         seen = {"nopath": 0, "weak_kept": 0, "cycle_broken": 0}
         for trial in range(1200):
             g = random_prune_case(rng)
+            items = list(g.edges.items())
+            rng.shuffle(items)
+            shuffled = ExprGraph(g.nodes, dict(items), g.n_slots)
             eps = rng.choice([0.25, 0.5, 0.75])
             try:
                 want = oracle_prune(g, eps)
             except NoPath:
-                with pytest.raises(NoPath):
-                    prune_and_acyclify(g, eps)
+                for graph in (g, shuffled):
+                    with pytest.raises(NoPath):
+                        prune_and_acyclify(graph, eps)
                 seen["nopath"] += 1
                 continue
             got = prune_and_acyclify(g, eps).edges
+            # Insertion order changes neither the decisions nor the kept order.
+            assert list(prune_and_acyclify(shuffled, eps).edges.items()) == list(got.items())
             assert set(got) == set(want), f"trial {trial}"
             assert all(got[e] == g.edges[e] for e in got)
             seen["weak_kept"] += any(w < eps for w in got.values())

@@ -79,6 +79,12 @@ class TestEvaluate:
         assert report.per_sample == [UNPARSEABLE]
         assert report.exprate == 0.0
 
+    def test_deeply_nested_prediction(self, vocab):
+        deep = "\\sqrt { " * 5000 + "x" + " }" * 5000
+        assert evaluate([deep, deep[:-2]], ["x", "x"], vocab).per_sample == [
+            10000, UNPARSEABLE,
+        ]
+
     def test_reference_errors_propagate(self, vocab):
         with pytest.raises(UnbalancedBraces):
             evaluate(["x"], ["{ x"], vocab)

@@ -1,6 +1,5 @@
-"""Binary tensor container and graph serialization."""
+"""Binary tensor container and graph export."""
 
-import json
 import struct
 
 import numpy as np
@@ -12,9 +11,7 @@ from hmegraph import (
     NonFinite,
     TruncatedPayload,
     export_dot,
-    graph_to_json,
     read_tensor,
-    write_graph_json,
     write_tensor,
 )
 from hmegraph.decode import ExprGraph, Node
@@ -200,26 +197,6 @@ def tiny_graph(vocab):
 
 
 class TestGraphSerialization:
-    def test_json_shape(self, vocab):
-        doc = graph_to_json(tiny_graph(vocab), vocab)
-        assert [n["id"] for n in doc["nodes"]] == [0, 1, 2, 3]
-        assert doc["nodes"][0]["label"] == "<sos>"
-        assert doc["nodes"][0]["row"] == -1
-        assert doc["nodes"][1]["label"] == "\\frac"
-        assert doc["nodes"][1]["row"] == 0
-        assert doc["nodes"][-1]["label"] == "<eos>"
-        assert doc["edges"] == [
-            {"src": 0, "dst": 1, "w": 1.5},
-            {"src": 1, "dst": 2, "w": 2.0},
-            {"src": 2, "dst": 3, "w": 1.0},
-        ]
-
-    def test_write_graph_json(self, vocab, tmp_path):
-        path = tmp_path / "g.json"
-        write_graph_json(tiny_graph(vocab), vocab, path)
-        doc = json.loads(path.read_text())
-        assert len(doc["nodes"]) == 4
-
     def test_dot_output(self, vocab):
         dot = export_dot(tiny_graph(vocab), vocab, highlight=(0, 1, 2, 3))
         assert dot.startswith("digraph expression {")

@@ -208,6 +208,31 @@ class TestParse:
         with pytest.raises(VocabMiss):
             parse_latex("\\nosuchthing", vocab)
 
+    @pytest.mark.parametrize("head, tail", [
+        ("\\frac { ", " } { y }"),
+        ("\\sqrt { ", " }"),
+        ("\\sqrt ", ""),
+        ("\\sqrt [ ", " ] { y }"),
+    ], ids=["frac", "sqrt", "bare_sqrt", "sqrt_index"])
+    def test_deep_nesting(self, vocab, head, tail):
+        """Nesting far past the interpreter's recursion limit parses, and
+        every level closes its groups as a single one does."""
+        one = parse_latex(head + "x" + tail, vocab)
+        assert parse_latex(head * 5000 + "x" + tail * 5000, vocab) == (
+            one[:1] * 5000 + one[1:2] + one[2:] * 5000
+        )
+
+    def test_deep_nesting_errors(self, vocab):
+        with pytest.raises(UnbalancedBraces) as err:
+            parse_latex("\\frac { " * 5000 + "x", vocab)
+        assert err.value.position == 10001
+        with pytest.raises(DanglingGroup, match="sqrt"):
+            parse_latex("\\sqrt " * 5000, vocab)
+
+    def test_deep_frac_round_trip(self, vocab):
+        seq = parse_latex("\\frac { " * 5000 + "x" + " } { y }" * 5000, vocab)
+        assert parse_latex(emit_latex(seq, vocab), vocab) == seq
+
     def test_multichar_visible_greedy(self):
         v = TokenVocab(
             ["1", "12", "2", NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
