@@ -24,6 +24,11 @@ can be inspected:
 5. :func:`longest_path` picks the maximum-weight start-to-end path and
    renders it back to LaTeX.
 
+Each of steps 1-3 is a thin wrapper that builds :class:`Node` objects
+from a private core on flat lists of class ids, rows, columns and
+parents.  :func:`decode_with_graph` runs those cores directly, so it
+builds a Node only for a node that survives corrections.
+
 Node indices are stable throughout: after expansion, node i sits at graph
 position i+1, the virtual start at 0, the virtual end at N+1.  Score
 matrices are indexed the same way, so deleting a node never reindexes the
@@ -103,21 +108,27 @@ def vat_extract(P: np.ndarray, vocab: TokenVocab) -> list[Node]:
     resolves to the lowest class id.  The none class is the last channel,
     so a symbol that ties it wins the cell: a cell is blank only when its
     none value is strictly above every symbol value.  Only the argmax
-    decides, so probabilities and logits extract the same nodes.
+    decides, so probabilities and logits extract the same nodes.  The
+    nodes are built from the flat lists :func:`decode_with_graph` reads.
 
     Raises:
         ShapeMismatch: P is not (channels, H, W) with the vocabulary's
             channel count.
         NonFinite: P holds NaN or infinity.
     """
+    return list(map(Node, *_extract(P, vocab)))
+
+
+def _extract(P: np.ndarray, vocab: TokenVocab) -> tuple[list[int], list[int], list[int]]:
+    """:func:`vat_extract` as flat lists: class ids, rows, columns."""
     check_shape(P, (vocab.grid_classes, None, None), "grid")
     check_finite(P, "grid")
     none = vocab.none_id
     if none == 0:  # no symbol channel: every cell is blank
-        return []
+        return [], [], []
     rows, cols = np.nonzero(P[:none].max(axis=0) >= P[none])  # raster order
     cids = P[:none, rows, cols].argmax(axis=0)
-    return list(map(Node, cids.tolist(), rows.tolist(), cols.tolist()))
+    return cids.tolist(), rows.tolist(), cols.tolist()
 
 
 def expand_imaginary(nodes: list[Node], vocab: TokenVocab) -> list[Node]:
@@ -125,20 +136,34 @@ def expand_imaginary(nodes: list[Node], vocab: TokenVocab) -> list[Node]:
 
     Each structural node gains its group count of END nodes immediately
     after it, at the same cell, carrying the structural node's position as
-    parent.  Positions are 1-based; 0 and N+1 stay virtual.
+    parent.  Positions are 1-based; 0 and N+1 stay virtual.  The nodes are
+    built from the flat lists :func:`decode_with_graph` reads.
 
     Raises:
         VocabMiss: a node's class id is outside the vocabulary.
     """
-    vocab.check_ids([node.class_id for node in nodes])
+    cids, rows, cols, parents = _expand(*_fields(nodes, "class_id", "row", "col", "parent"), vocab)
+    return list(map(Node, cids, rows, cols, range(1, len(cids) + 1), parents))
+
+
+def _expand(cids, rows, cols, parents, vocab: TokenVocab):
+    """:func:`expand_imaginary` on flat lists: returns the class ids, rows,
+    columns and parents of the expanded nodes, entry i at position i+1."""
+    vocab.check_ids(cids)
     groups, end = vocab.group_table, vocab.end_id
-    out: list[Node] = []
-    for node in nodes:
-        idx = len(out) + 1
-        out.append(Node(node.class_id, node.row, node.col, idx, node.parent))
-        for _ in range(groups[node.class_id]):
-            out.append(Node(end, node.row, node.col, len(out) + 1, idx))
-    return out
+    out_c, out_r, out_k, out_p = [], [], [], []
+    for cid, row, col, parent in zip(cids, rows, cols, parents):
+        out_c.append(cid)
+        out_r.append(row)
+        out_k.append(col)
+        out_p.append(parent)
+        if g := groups[cid]:
+            idx = len(out_c)
+            out_c += [end] * g
+            out_r += [row] * g
+            out_k += [col] * g
+            out_p += [idx] * g
+    return out_c, out_r, out_k, out_p
 
 
 def apply_corrections(
@@ -148,7 +173,8 @@ def apply_corrections(
 
     Row i belongs to the node at graph position i+1.  A row whose argmax is
     the none class deletes the node; deleting a structural node also deletes
-    the END nodes it implied.  Surviving nodes keep their positions.
+    the END nodes it implied.  Surviving nodes keep their positions.  The
+    survivors are the ones :func:`decode_with_graph` keeps from flat lists.
 
     Raises:
         ShapeMismatch: rows are not 2-d, or their width differs from the
@@ -156,53 +182,71 @@ def apply_corrections(
         NodeCountMismatch: row count differs from the node count.
         NonFinite: a row holds NaN or infinity.
     """
+    kept = _correct(*_fields(nodes, "row", "col", "parent", "index"), self_probs, vocab)
+    return list(kept.values())
+
+
+def _fields(nodes: list[Node], *names: str) -> list[list]:
+    """One list per field name, holding that field of every node."""
+    return [[getattr(node, name) for node in nodes] for name in names]
+
+
+def _correct(rows, cols, parents, positions, self_probs: np.ndarray, vocab: TokenVocab):
+    """:func:`apply_corrections` on flat lists: returns i+1 -> Node for
+    each surviving node i, the only nodes it builds.  Node i keeps
+    ``positions[i]``, which is i+1 after :func:`expand_imaginary`."""
     check_shape(self_probs, (None, vocab.correction_classes), "correction rows")
-    check_shape(self_probs, (len(nodes), None), "correction rows", NodeCountMismatch)
+    check_shape(self_probs, (len(rows), None), "correction rows", NodeCountMismatch)
     check_finite(self_probs, "correction rows")
-    votes = np.argmax(self_probs, axis=1)
+    none = vocab.none_id
     deleted: set[int] = set()
-    out: list[Node] = []
-    for node, vote in zip(nodes, votes.tolist()):
-        if vote == vocab.none_id:
-            deleted.add(node.index)
-            continue
-        if node.parent is not None and node.parent in deleted:
-            continue
-        if vote != node.class_id:
-            node = Node(vote, node.row, node.col, node.index, node.parent)
-        out.append(node)
-    return out
+    kept: dict[int, Node] = {}
+    votes = np.argmax(self_probs, axis=1).tolist()
+    for slot, pos, vote, row, col, parent in zip(
+        itertools.count(1), positions, votes, rows, cols, parents
+    ):
+        if vote == none:
+            deleted.add(pos)
+        elif parent not in deleted:
+            kept[slot] = Node(vote, row, col, pos, parent)
+    return kept
 
 
 def _edge_weights(
-    nodes: list[Node],
+    index_map: dict[int, Node],
     left: np.ndarray,
     right: np.ndarray,
     alpha_l2r: float,
     alpha_r2l: float,
-) -> tuple[dict[int, Node], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Checked inputs of :func:`build_graph` as arrays over graph positions.
 
-    Returns the node map, the float64 weight of every i -> j, and the mask
-    of admissible edges.  Raises as :func:`build_graph` documents.
+    Returns the float64 weight of every i -> j and the mask of admissible
+    edges, those between the positions of `index_map` and the virtual
+    ends.  Raises as :func:`build_graph` documents.
+
+    Each neighbor matrix is checked from one row-sum pass.  NaN or an
+    infinity makes its row sum non-finite, so only a non-finite sum
+    searches for the bad entry; only a sum off 1 or a negative entry
+    searches for the bad row.  A NaN sum from finite entries needs entries
+    of both signs, so the negative entry sends it to the row search.
     """
     check_shape(left, (None, None), "left neighbor scores")
     n = max(len(left) - 2, 0)
-    for name, m in (("left", left), ("right", right)):
-        check_shape(m, (n + 2, n + 2), f"{name} neighbor scores", NodeCountMismatch)
-        check_finite(m, f"{name} neighbor scores")
-        sums = m.sum(axis=1)
-        off = (np.abs(sums - 1.0) > ROW_SUM_TOL) | np.any(m < -ROW_SUM_TOL, axis=1)
-        if np.any(off):
-            bad = int(np.argmax(off))  # the first True
-            raise NonStochasticRow(bad, float(sums[bad]))
-    index_map: dict[int, Node] = {}
-    for node in nodes:
-        if not 1 <= node.index <= n:
-            raise NodeCountMismatch(
-                f"node position {node.index} outside 1..{n}"
-            )
-        index_map[node.index] = node
+    with np.errstate(invalid="ignore"):  # inf - inf in a sum: check_finite names it
+        for name, m in (("left", left), ("right", right)):
+            check_shape(m, (n + 2, n + 2), f"{name} neighbor scores", NodeCountMismatch)
+            sums = m.sum(axis=1)
+            if not np.isfinite(sums).all():
+                check_finite(m, f"{name} neighbor scores")
+            if np.abs(sums - 1.0).max() > ROW_SUM_TOL or m.min() < -ROW_SUM_TOL:
+                off = (np.abs(sums - 1.0) > ROW_SUM_TOL) | np.any(m < -ROW_SUM_TOL, axis=1)
+                if np.any(off):
+                    bad = int(np.argmax(off))  # the first True
+                    raise NonStochasticRow(bad, float(sums[bad]))
+    for i in index_map:
+        if not 1 <= i <= n:
+            raise NodeCountMismatch(f"node position {i} outside 1..{n}")
     # float64 before scaling, so each weight rounds as the scalar formula would.
     weights = alpha_l2r * right.astype(np.float64)
     weights += alpha_r2l * left.T.astype(np.float64)
@@ -213,7 +257,7 @@ def _edge_weights(
     valid = src[:, None] & dst
     np.fill_diagonal(valid, False)
     valid[0, n + 1] = False  # the bare start -> end edge
-    return index_map, weights, valid
+    return weights, valid
 
 
 def build_graph(
@@ -240,7 +284,8 @@ def build_graph(
         NonFinite: a score holds NaN or infinity.
         NonStochasticRow: a score row is not a probability distribution.
     """
-    index_map, weights, valid = _edge_weights(nodes, left, right, alpha_l2r, alpha_r2l)
+    index_map = {node.index: node for node in nodes}
+    weights, valid = _edge_weights(index_map, left, right, alpha_l2r, alpha_r2l)
     r, c = np.nonzero(valid)  # row-major
     edges = dict(zip(zip(r.tolist(), c.tolist()), weights[r, c].tolist()))
     return ExprGraph(index_map, edges, n_slots=len(weights) - 2)
@@ -499,9 +544,11 @@ def decode_with_graph(
     """Full grid-to-LaTeX decode, also returning the pruned graph.
 
     The graph is the one :func:`prune_and_acyclify` makes from
-    :func:`build_graph`'s edges, but the weight matrix and edge mask go
-    straight into the pruning core, so only the kept edges become Python
-    objects.
+    :func:`build_graph`'s edges, and the nodes are the ones the public
+    steps 1-3 give.  But extraction, expansion and corrections run on flat
+    lists, and the weight matrix and edge mask go straight into the
+    pruning core, so only the surviving nodes and the kept edges become
+    Python objects.
 
     Raises:
         ShapeMismatch: an input has the wrong rank, or the wrong grid
@@ -512,10 +559,11 @@ def decode_with_graph(
         NonStochasticRow: a neighbor score row is not a distribution.
         NoPath: nothing decodable, including an all-blank grid.
     """
-    nodes = expand_imaginary(vat_extract(P, vocab), vocab)
+    cids, rows, cols, parents = _expand(*_extract(P, vocab), itertools.repeat(None), vocab)
+    n = len(cids)
     # _edge_weights holds `right` to the shape of `left`.
-    check_shape(left, (len(nodes) + 2,) * 2, "left neighbor scores", NodeCountMismatch)
-    kept = apply_corrections(nodes, self_probs, vocab)
-    index_map, weights, valid = _edge_weights(kept, left, right, alpha_l2r, alpha_r2l)
-    pruned = ExprGraph(index_map, _prune(weights, valid, epsilon), len(weights) - 2)
+    check_shape(left, (n + 2, n + 2), "left neighbor scores", NodeCountMismatch)
+    kept = _correct(rows, cols, parents, range(1, n + 1), self_probs, vocab)
+    weights, valid = _edge_weights(kept, left, right, alpha_l2r, alpha_r2l)
+    pruned = ExprGraph(kept, _prune(weights, valid, epsilon), n)
     return longest_path(pruned, vocab), pruned

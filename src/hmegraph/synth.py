@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import CycleDetected, GridTooSmall, IllNested, Infeasible, NoPath, TooLarge
 from .tokens import (
-    ROLE_END,
     ROLE_VISIBLE,
     TokenVocab,
     build_vocab,
@@ -117,59 +116,44 @@ def gen_expression(seed: int, max_depth: int = 2, vocab: TokenVocab | None = Non
 
 # --- spatial layout ---------------------------------------------------------
 
-def _forest(seq: list[int], vocab: TokenVocab):
-    """Group a canonical sequence into (pos, cid, groups) items."""
-    counts = instance_group_counts(seq, vocab)
-
-    def walk(i: int):
-        items = []
-        while i < len(seq) and vocab.role_of(seq[i]) != ROLE_END:
-            pos, cid = i, seq[i]
-            if pos in counts:
-                i += 1
-                groups = []
-                for _ in range(counts[pos]):
-                    sub, i = walk(i)
-                    i += 1  # the END closing this group
-                    groups.append(sub)
-                items.append((pos, cid, groups))
-            else:
-                items.append((pos, cid, None))
-                i += 1
-        return items, i
-
-    items, i = walk(0)
-    return items
+# Row offset of a script symbol and of its argument.
+_SCRIPT_ROWS = {"^": -1, "\\limits": -1, "_": 1}
 
 
-def _place(items, row: int, col: int, cells: dict, vocab: TokenVocab) -> int:
-    """Assign a cell to every predictable token; returns the next free column.
+def _place(seq: list[int], counts: dict[int, int], vocab: TokenVocab) -> dict[int, tuple[int, int]]:
+    """Assign a cell to every predictable token of a well-nested sequence.
 
     Scripts shift one row up or down, fraction arms straddle the bar's row,
-    everything else runs left to right.
+    everything else runs left to right.  `counts` is the sequence's
+    :func:`instance_group_counts`.  One pass with a stack of the open
+    structural tokens, so nesting depth is bounded only by memory.
     """
-    for pos, cid, groups in items:
-        sym = vocab.symbol_of(cid)
-        if groups is None:
+    cells: dict[int, tuple[int, int]] = {}
+    row = col = 0
+    # Frames: [symbol, groups left, its row, its first group's column, top arm's end].
+    stack: list[list] = []
+    for pos, cid in enumerate(seq):
+        if cid == vocab.end_id:
+            frame = stack[-1]
+            frame[1] -= 1
+            if frame[0] == "\\frac" and frame[1]:  # the top arm ends; the bottom one starts
+                frame[4], row, col = col, frame[2] + 1, frame[3]
+            elif not frame[1]:
+                stack.pop()
+                row = frame[2]
+                if frame[0] == "\\frac":
+                    col = max(frame[4], col)
+            continue
+        if pos not in counts:
             cells[pos] = (row, col)
-            col += 1
-        elif sym in ("^", "\\limits"):
-            cells[pos] = (row - 1, col)
-            col = _place(groups[0], row - 1, col + 1, cells, vocab)
-        elif sym == "_":
-            cells[pos] = (row + 1, col)
-            col = _place(groups[0], row + 1, col + 1, cells, vocab)
-        elif sym == "\\frac":
-            cells[pos] = (row, col)
-            top = _place(groups[0], row - 1, col + 1, cells, vocab)
-            bottom = _place(groups[1], row + 1, col + 1, cells, vocab)
-            col = max(top, bottom)
         else:
-            cells[pos] = (row, col)
-            col += 1
-            for sub in groups:
-                col = _place(sub, row, col, cells, vocab)
-    return col
+            sym = vocab.symbol_of(cid)
+            stack.append([sym, counts[pos], row, col + 1, 0])
+            shift = _SCRIPT_ROWS.get(sym, 0)
+            cells[pos] = (row + shift, col)
+            row += -1 if sym == "\\frac" else shift  # the top arm, or the script row
+        col += 1
+    return cells
 
 
 def layout_and_render(
@@ -202,8 +186,7 @@ def layout_and_render(
             )
     rng = random.Random(seed)
 
-    raw: dict[int, tuple[int, int]] = {}
-    _place(_forest(seq, vocab), 0, 0, raw, vocab)
+    raw = _place(seq, counts, vocab)
     if raw:
         min_row = min(r for r, _ in raw.values())
         raw = {p: (r - min_row, c) for p, (r, c) in raw.items()}

@@ -22,6 +22,7 @@ sequence targets and graph decoding.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -86,8 +87,10 @@ class TokenVocab:
 
     The tables are built once: ``group_table[i]`` is the group count of
     class ``i`` when it is structural, else 0 (a structural role on a
-    symbol with no known count raises VocabMiss), and ``sqrt_id`` is the
-    id of \\sqrt, or -1 when the vocabulary has none.
+    symbol with no known count raises VocabMiss), ``sqrt_id`` is the
+    id of \\sqrt, or -1 when the vocabulary has none, and ``multi_symbols``
+    lists the multi-character symbols that are not control sequences,
+    longest first, as the tokenizer tries them.
     """
 
     symbols: list[str]
@@ -102,6 +105,7 @@ class TokenVocab:
     correction_classes: int = field(init=False, repr=False)
     group_table: tuple[int, ...] = field(init=False, repr=False)
     sqrt_id: int = field(init=False, repr=False)
+    multi_symbols: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._index = {s: i for i, s in enumerate(self.symbols)}
@@ -112,6 +116,10 @@ class TokenVocab:
         self.group_table = tuple(self.group_count(i) if self.is_structural(i) else 0
                                  for i in range(len(self.symbols)))
         self.sqrt_id = self._index.get("\\sqrt", -1)
+        self.multi_symbols = tuple(sorted(
+            (sym for sym in self.symbols if len(sym) > 1 and not sym.startswith("\\")),
+            key=len, reverse=True,
+        ))
 
     def _validate(self) -> None:
         if len(self.symbols) != len(self.roles):
@@ -259,10 +267,7 @@ def _tokenize(s: str, vocab: TokenVocab | None) -> list[str]:
     letter run, known multi-character symbols take the longest vocabulary
     match, and remaining characters split one by one.
     """
-    multi = []
-    if vocab is not None:
-        multi = sorted((sym for sym in vocab.symbols if len(sym) > 1 and not sym.startswith("\\")),
-                       key=len, reverse=True)
+    multi = () if vocab is None else vocab.multi_symbols
     out: list[str] = []
     for chunk in s.split():
         if chunk in ("{", "}", "[", "]"):
@@ -362,7 +367,8 @@ def instance_group_counts(seq: list[int], vocab: TokenVocab) -> dict[int, int]:
     Returns a map from sequence position to group count.  Most symbols have
     a fixed count; a \\sqrt instance is read as index-less (one group) unless
     that reading would leave the rest of the sequence ill-nested, in which
-    case it takes two groups, index first.
+    case it takes two groups, index first.  Runs in linear time: the first
+    \\sqrt builds :func:`_suffix_closers` once, and every \\sqrt reads it.
 
     Raises:
         IllNested: the sequence closes groups it never opened, leaves groups
@@ -373,20 +379,25 @@ def instance_group_counts(seq: list[int], vocab: TokenVocab) -> dict[int, int]:
     groups, end, none, sqrt = vocab.group_table, vocab.end_id, vocab.none_id, vocab.sqrt_id
     counts: dict[int, int] = {}
     stack: list[int] = []
+    pending = 0  # the sum of `stack`: group ENDs still owed
+    closers = None
     for pos, cid in enumerate(seq):
         if cid == end:
             if not stack:
                 raise IllNested(f"group end at position {pos} closes nothing")
+            pending -= 1
             stack[-1] -= 1
             if stack[-1] == 0:
                 stack.pop()
         elif g := groups[cid]:
             if cid == sqrt:
-                pending = sum(stack)
-                if not _closable(seq, pos + 1, pending + 1, vocab):
+                if closers is None:
+                    closers = _suffix_closers(seq, vocab)
+                if not closers(pos + 1, pending + 1):
                     g = 2
             counts[pos] = g
             stack.append(g)
+            pending += g
         elif cid >= none:  # none, <sos> or <eos>
             raise IllNested(f"{vocab.symbols[cid]!r} cannot appear in canonical form")
     if stack:
@@ -469,14 +480,30 @@ def _pending_step(lo: int, hi: int, cid: int, vocab: TokenVocab) -> tuple[int, i
     return lo + g, hi + g
 
 
-def _closable(seq, start, pending, vocab) -> bool:
-    """Whether seq[start:] can close exactly `pending` open groups."""
-    span = (pending, pending)
-    for cid in seq[start:]:
-        span = _pending_step(*span, cid, vocab)
-        if span is None:
-            return False
-    return span[0] == 0
+def _suffix_closers(seq: list[int], vocab: TokenVocab):
+    """Whether ``seq[k:]`` can close exactly `p` open groups, for any k, p.
+
+    Each token maps the interval [lo, hi] of :func:`_pending_step` on its
+    own: ``hi`` moves by a fixed step, and ``lo`` by ``max(lo + a, b)``
+    (``a = -1, b = 0`` for an END, ``a = g, b = -inf`` otherwise), a map
+    that composes into one of the same form.  So one backward pass stores,
+    per suffix, the composed ``A`` and ``B`` of ``lo`` and the lowest ``hi``
+    offset ``M`` before any END.  From [p, p], the suffix fails an END
+    exactly when ``p + M <= 0`` and ends at ``lo = max(p + A, B)``.  `seq`
+    must be range-checked.  Returns ``closes(k, p)``.
+    """
+    end, sqrt, groups = vocab.end_id, vocab.sqrt_id, vocab.group_table
+    n = len(seq)
+    A, B, M = [0] * (n + 1), [-math.inf] * (n + 1), [math.inf] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        cid = seq[k]
+        if cid == end:
+            A[k], B[k], M[k] = A[k + 1] - 1, max(A[k + 1], B[k + 1]), min(0, M[k + 1] - 1)
+        else:
+            g = groups[cid]
+            A[k], B[k] = A[k + 1] + g, B[k + 1]
+            M[k] = M[k + 1] + (2 if g and cid == sqrt else g)
+    return lambda k, p: p + M[k] > 0 and max(p + A[k], B[k]) == 0
 
 
 def repair_groups(seq: list[int], vocab: TokenVocab) -> list[int]:

@@ -316,6 +316,39 @@ class TestBuildGraph:
         with pytest.raises(NonStochasticRow):
             build_graph(nodes, negative, good)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_row_is_not_stochastic(self, vocab):
+        """Finite float32 entries whose row sum overflows are not NonFinite."""
+        nodes = expand_imaginary(plain_nodes(vocab, [vocab.id_of("x")]), vocab)
+        good = np.full((3, 3), 1.0 / 3, dtype=np.float32)
+        big = good.copy()
+        big[1] = [3e38, 3e38, 0.0]
+        with pytest.raises(NonStochasticRow) as exc:
+            build_graph(nodes, big, good)
+        assert type(exc.value) is NonStochasticRow
+        assert (exc.value.row, exc.value.total) == (1, np.inf)
+
+    def test_row_of_both_infinities_is_non_finite(self, vocab):
+        nodes = expand_imaginary(plain_nodes(vocab, [vocab.id_of("x")]), vocab)
+        good = np.full((3, 3), 1.0 / 3)
+        bad = good.copy()
+        bad[2] = [np.inf, 0.5, -np.inf]
+        with pytest.raises(NonFinite) as exc:
+            build_graph(nodes, good, bad)
+        assert exc.value.index == 6
+        assert "right neighbor scores" in str(exc.value)
+
+    def test_left_fault_before_right(self, vocab):
+        """An off-stochastic left matrix is named before a NaN in right."""
+        nodes = expand_imaginary(plain_nodes(vocab, [vocab.id_of("x")]), vocab)
+        good = np.full((3, 3), 1.0 / 3)
+        off, nan = good.copy(), good.copy()
+        off[1] = [0.5, 0.5, 0.5]
+        nan[0, 1] = np.nan
+        with pytest.raises(NonStochasticRow) as exc:
+            build_graph(nodes, off, nan)
+        assert exc.value.row == 1
+
     def test_shape_errors(self, vocab):
         nodes = expand_imaginary(plain_nodes(vocab, [vocab.id_of("x")]), vocab)
         with pytest.raises(NodeCountMismatch):
@@ -517,16 +550,24 @@ class TestDecodePruneMatchesAdapter:
             graph = build_graph(kept, left, right, alpha_l2r=alpha[0], alpha_r2l=alpha[1])
             args = (P, self_probs, left, right, vocab, eps, *alpha)
             try:
-                want = prune_and_acyclify(graph, eps).edges
+                want_graph = prune_and_acyclify(graph, eps)
             except NoPath:
                 with pytest.raises(NoPath):
                     decode_with_graph(*args)
                 seen["nopath"] += 1
                 continue
-            got = decode_with_graph(*args)[1].edges
+            want = want_graph.edges
+            result, pruned = decode_with_graph(*args)
+            got = pruned.edges
             assert [(e, repr(w)) for e, w in got.items()] == [
                 (e, repr(w)) for e, w in want.items()
             ], f"trial {trial}"
+            assert list(pruned.nodes.items()) == list(want_graph.nodes.items()), f"trial {trial}"
+            assert pruned.n_slots == want_graph.n_slots
+            want_result = longest_path(want_graph, vocab)
+            assert (result.path, repr(result.weight), result.latex) == (
+                want_result.path, repr(want_result.weight), want_result.latex
+            ), f"trial {trial}"
             seen["weak_kept"] += any(w < eps for w in got.values())
             seen["cycle_broken"] += any(
                 w >= eps and e not in got for e, w in graph.edges.items()
@@ -549,6 +590,36 @@ class TestDecodePruneMatchesAdapter:
                                           sample.left, sample.right, vocab)
             if k % 5 == 0:  # quiet
                 assert result.latex == emit_latex(sample.seq, vocab)
+
+    def test_decode_builds_each_node_once(self, vocab, monkeypatch):
+        """Decoding the benchmark's default profiles builds a Node only for
+        a node that survives corrections, and never through the public
+        stage functions."""
+        built = 0
+
+        class CountedNode(Node):
+            def __init__(self, *args, **kwargs):
+                nonlocal built
+                built += 1
+                super().__init__(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("public stage function on the decode path")
+
+        monkeypatch.setattr(decode, "Node", CountedNode)
+        for name in ("vat_extract", "expand_imaginary", "apply_corrections"):
+            monkeypatch.setattr(decode, name, refuse)
+        profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
+                    NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
+        samples = list(bench_samples(vocab, profiles, 100, 85000))
+        deleted = 0
+        for sample in samples:
+            built = 0
+            _, pruned = decode_with_graph(sample.probs, sample.self_probs,
+                                          sample.left, sample.right, vocab)
+            assert built == len(pruned.nodes)
+            deleted += pruned.n_slots - len(pruned.nodes)
+        assert deleted > 0  # some profile deletes nodes, so the count is not the slot count
 
     def test_decode_uses_vocab_tables(self, vocab, monkeypatch):
         """Decoding reads class roles and group counts from the vocabulary's

@@ -104,6 +104,14 @@ class TestLayout:
         with pytest.raises(GridTooSmall):
             make_sample("\\frac { \\frac { a } { b } } { c }", vocab, (3, 3))
 
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    @pytest.mark.parametrize("head,tail", [("\\frac { ", " } { y }"), ("x ^ { ", " }"),
+                                           ("\\sqrt { ", " }")])
+    def test_deep_label_too_large(self, vocab, depth, head, tail):
+        """Layout depth is bounded by memory, not by the interpreter stack."""
+        with pytest.raises(GridTooSmall):
+            make_sample(head * depth + "x" + tail * depth, vocab, (14, 56))
+
     def test_indexed_sqrt_rejected(self, vocab):
         seq = parse_latex("\\sqrt [ 3 ] { x }", vocab)
         with pytest.raises(IllNested):

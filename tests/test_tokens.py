@@ -1,5 +1,7 @@
 """Token grammar: vocabulary build, parse, emit, canonical-form helpers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from hmegraph import (
     VocabMiss,
     build_vocab,
     coverage_corpus,
+    default_vocab,
     emit_latex,
     end_parents,
     expand_imaginary,
@@ -23,6 +26,7 @@ from hmegraph import (
     instance_group_counts,
     parse_latex,
 )
+from hmegraph import tokens
 from hmegraph.tokens import (
     END_SYMBOL,
     EOS_SYMBOL,
@@ -37,6 +41,7 @@ from hmegraph.tokens import (
     ROLE_SOS,
     ROLE_VISIBLE,
     SOS_SYMBOL,
+    _pending_step,
     repair_groups,
 )
 
@@ -240,6 +245,27 @@ class TestParse:
         )
         assert syms(v, parse_latex("121", v)) == ["12", "1"]
 
+    def test_overlapping_multichar_longest_match(self):
+        v = TokenVocab(
+            ["a", "ab", "abc", "b", "c", NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
+            [ROLE_VISIBLE] * 5 + [ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS],
+        )
+        assert syms(v, parse_latex("abcab", v)) == ["abc", "ab"]
+        assert syms(v, parse_latex("aabca", v)) == ["a", "abc", "a"]
+        assert syms(v, parse_latex("abb c", v)) == ["ab", "b", "c"]
+
+    def test_parse_never_sorts(self, vocab, monkeypatch):
+        """The vocabulary orders its multi-character symbols once; a parse
+        only reads that order."""
+        corpus = coverage_corpus()
+        want = [parse_latex(s, vocab) for s in corpus]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sorted on the parse path")
+
+        monkeypatch.setattr(tokens, "sorted", refuse, raising=False)
+        assert [parse_latex(s, vocab) for s in corpus] == want
+
 
 class TestCanonicalHelpers:
     def test_instance_counts_plain(self, vocab):
@@ -276,6 +302,91 @@ class TestCanonicalHelpers:
     def test_gt_targets_empty(self):
         with pytest.raises(ValueError):
             gt_targets([])
+
+
+def scan_group_counts(seq, vocab):
+    """instance_group_counts by a forward scan of the rest of the sequence
+    for every \\sqrt: the quadratic reference."""
+    vocab.check_ids(seq)
+
+    def closable(start, pending):
+        span = (pending, pending)
+        for cid in seq[start:]:
+            span = _pending_step(*span, cid, vocab)
+            if span is None:
+                return False
+        return span[0] == 0
+
+    counts, stack = {}, []
+    for pos, cid in enumerate(seq):
+        if cid == vocab.end_id:
+            if not stack:
+                raise IllNested(f"group end at position {pos} closes nothing")
+            stack[-1] -= 1
+            if stack[-1] == 0:
+                stack.pop()
+        elif g := vocab.group_table[cid]:
+            if cid == vocab.sqrt_id and not closable(pos + 1, sum(stack) + 1):
+                g = 2
+            counts[pos] = g
+            stack.append(g)
+        elif cid >= vocab.none_id:
+            raise IllNested(f"{vocab.symbols[cid]!r} cannot appear in canonical form")
+    if stack:
+        raise IllNested("group left open at sequence end")
+    return counts
+
+
+class TestGroupCountsLinear:
+    def outcome(self, fn, seq, vocab):
+        try:
+            return fn(seq, vocab)
+        except IllNested as err:
+            return type(err), str(err)
+
+    def test_matches_forward_scan(self, vocab):
+        rng = random.Random(20261018)
+        sqrt, end = vocab.id_of("\\sqrt"), vocab.end_id
+        seen = {"indexed": 0, "plain_sqrt": 0, "error": 0}
+        for trial in range(3000):
+            if trial % 2:
+                seq = [rng.choice([sqrt, sqrt, end, end, end, rng.randrange(len(vocab))])
+                       for _ in range(rng.randint(0, 14))]
+            else:
+                seq = parse_latex(gen_expression(rng.getrandbits(32), max_depth=3), vocab)
+                for _ in range(rng.randint(0, 3)):
+                    seq.insert(rng.randrange(len(seq) + 1), rng.choice([sqrt, end]))
+            got = self.outcome(instance_group_counts, seq, vocab)
+            assert got == self.outcome(scan_group_counts, seq, vocab), seq
+            if isinstance(got, dict):
+                sqrt_counts = [g for pos, g in got.items() if seq[pos] == sqrt]
+                seen["indexed"] += 2 in sqrt_counts
+                seen["plain_sqrt"] += 1 in sqrt_counts
+            else:
+                seen["error"] += 1
+        assert min(seen.values()) >= 100, seen
+
+    def test_deep_sqrt_steps_linear(self, monkeypatch):
+        """Resolving a 5,000-deep \\sqrt nesting reads each token's group
+        count a bounded number of times, not once per enclosing \\sqrt."""
+        vocab = TokenVocab(default_vocab().symbols, default_vocab().roles)
+        seq = parse_latex("\\sqrt { " * 5000 + "x" + " }" * 5000, vocab)
+        assert parse_latex(emit_latex(seq, vocab), vocab) == seq
+
+        class StepBudget(tuple):
+            """A group table that refuses reads past `budget`."""
+
+            def __getitem__(self, i):
+                self.budget -= 1
+                if self.budget < 0:
+                    raise AssertionError("group count read too often")
+                return tuple.__getitem__(self, i)
+
+        for entry in (emit_latex, end_parents):
+            table = StepBudget(vocab.group_table)
+            table.budget = 4 * len(seq)
+            monkeypatch.setattr(vocab, "group_table", table)
+            entry(seq, vocab)
 
 
 class TestEmit:
