@@ -33,7 +33,7 @@ from .errors import (
     check_finite,
     check_shape,
 )
-from .tokens import TokenVocab, end_parents, gt_targets
+from .tokens import TokenVocab, group_structure, gt_targets
 
 BLOCK_COST = 1e6
 
@@ -211,6 +211,12 @@ def make_targets(
     `assignment` pairs the l-th predictable token with a flat cell index
     (from :func:`hungarian` over a :func:`build_cost` matrix); flat indices
     unravel row-major to (flat // width, flat % width).
+
+    Raises:
+        ShapeMismatch: the assignment does not cover the label's
+            predictable tokens, or a cell index lies outside the grid.
+        IllNested: the label's groups do not nest.
+        EmptyInput: an empty label.
     """
     pred = [cid for cid in label if vocab.is_predictable(cid)]
     if len(assignment) != len(pred):
@@ -225,7 +231,7 @@ def make_targets(
         r, c = divmod(flat, width)
         grid[r, c] = cid
         pred_cells.append((r, c))
-    parents = end_parents(label, vocab)
+    _, parents = group_structure(label, vocab)
     cells: list[tuple[int, int]] = []
     by_pos: dict[int, tuple[int, int]] = {}
     k = 0

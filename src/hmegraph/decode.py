@@ -488,6 +488,8 @@ def longest_path(graph: ExprGraph, vocab: TokenVocab) -> PathResult:
             a node's position within 1..n_slots.
         CycleDetected: the graph is not acyclic.
         NoPath: no start-to-end path exists.
+        IllNested: the repaired path holds a ``]`` at the top level of a
+            \\sqrt index, which has no LaTeX spelling.
     """
     _check_edge_ends(graph)
     n = graph.n_slots + 2
@@ -558,6 +560,8 @@ def decode_with_graph(
         NonFinite: an input holds NaN or infinity.
         NonStochasticRow: a neighbor score row is not a distribution.
         NoPath: nothing decodable, including an all-blank grid.
+        IllNested: the path holds a ``]`` at the top level of a \\sqrt
+            index (see :func:`longest_path`).
     """
     cids, rows, cols, parents = _expand(*_extract(P, vocab), itertools.repeat(None), vocab)
     n = len(cids)

@@ -104,7 +104,8 @@ class LengthMismatch(HmeGraphError):
 
 
 class EmptyInput(HmeGraphError):
-    """An aggregate was requested over zero samples."""
+    """An aggregate was requested over zero samples, or training targets
+    over an empty label."""
 
 
 class GridTooSmall(HmeGraphError):

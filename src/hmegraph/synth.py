@@ -26,9 +26,8 @@ from .tokens import (
     ROLE_VISIBLE,
     TokenVocab,
     build_vocab,
-    end_parents,
+    group_structure,
     gt_targets,
-    instance_group_counts,
     parse_latex,
 )
 
@@ -125,7 +124,7 @@ def _place(seq: list[int], counts: dict[int, int], vocab: TokenVocab) -> dict[in
 
     Scripts shift one row up or down, fraction arms straddle the bar's row,
     everything else runs left to right.  `counts` is the sequence's
-    :func:`instance_group_counts`.  One pass with a stack of the open
+    :func:`group_structure` counts.  One pass with a stack of the open
     structural tokens, so nesting depth is bounded only by memory.
     """
     cells: dict[int, tuple[int, int]] = {}
@@ -176,7 +175,7 @@ def layout_and_render(
             re-expanded from grid output (an indexed root).
     """
     h, w = grid_dims
-    counts = instance_group_counts(seq, vocab)
+    counts, parents = group_structure(seq, vocab)
     for pos, g in counts.items():
         if g != vocab.group_count(seq[pos]):
             raise IllNested(
@@ -202,7 +201,6 @@ def layout_and_render(
         # them at any grid size, so the expression is rejected.
         raise GridTooSmall("script rows collide; expression too dense to lay out")
 
-    parents = end_parents(seq, vocab)
     cells = [
         raw[pos] if parents[pos] is None else raw[parents[pos]]
         for pos in range(len(seq))

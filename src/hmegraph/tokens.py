@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from .errors import (
     DanglingGroup,
     EmptyCorpus,
+    EmptyInput,
     IllNested,
     UnbalancedBraces,
     UnknownControlSequence,
@@ -90,7 +91,11 @@ class TokenVocab:
     symbol with no known count raises VocabMiss), ``sqrt_id`` is the
     id of \\sqrt, or -1 when the vocabulary has none, and ``multi_symbols``
     lists the multi-character symbols that are not control sequences,
-    longest first, as the tokenizer tries them.
+    longest first, as the tokenizer tries them.  ``step_table[i]`` is the
+    ``(a, h)`` by which class ``i`` moves the interval [lo, hi] of group
+    ENDs still owed (an interval, as a \\sqrt owns one group or two):
+    ``lo = max(lo + a, 0)``, ``hi += h``.  END has ``a = h = -1``, \\sqrt
+    ``a = 1, h = 2``, any other class its group count for both.
     """
 
     symbols: list[str]
@@ -105,6 +110,7 @@ class TokenVocab:
     correction_classes: int = field(init=False, repr=False)
     group_table: tuple[int, ...] = field(init=False, repr=False)
     sqrt_id: int = field(init=False, repr=False)
+    step_table: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     multi_symbols: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -116,6 +122,8 @@ class TokenVocab:
         self.group_table = tuple(self.group_count(i) if self.is_structural(i) else 0
                                  for i in range(len(self.symbols)))
         self.sqrt_id = self._index.get("\\sqrt", -1)
+        self.step_table = tuple((-1, -1) if i == self.end_id else (g, 2 if i == self.sqrt_id else g)
+                                for i, g in enumerate(self.group_table))
         self.multi_symbols = tuple(sorted(
             (sym for sym in self.symbols if len(sym) > 1 and not sym.startswith("\\")),
             key=len, reverse=True,
@@ -361,69 +369,63 @@ def parse_latex(s: str, vocab: TokenVocab) -> list[int]:
     return out
 
 
-def instance_group_counts(seq: list[int], vocab: TokenVocab) -> dict[int, int]:
-    """Resolve the argument-group count of each structural token instance.
+def group_structure(seq: list[int], vocab: TokenVocab) -> tuple[dict[int, int], list[int | None]]:
+    """Resolve how the argument groups of a canonical sequence nest.
 
-    Returns a map from sequence position to group count.  Most symbols have
-    a fixed count; a \\sqrt instance is read as index-less (one group) unless
+    Returns ``(counts, parents)``.  ``counts`` maps the position of each
+    structural token to the number of groups it owns.  Most symbols have a
+    fixed count; a \\sqrt instance is read as index-less (one group) unless
     that reading would leave the rest of the sequence ill-nested, in which
-    case it takes two groups, index first.  Runs in linear time: the first
-    \\sqrt builds :func:`_suffix_closers` once, and every \\sqrt reads it.
+    case it owns two groups, index first.  ``parents[pos]`` is the position
+    of the token owning the group the END at ``pos`` closes, None at any
+    other position.  One forward walk: the first \\sqrt builds
+    :func:`_suffix_closers` once and every \\sqrt reads it, so the work is
+    linear in the sequence length.
 
     Raises:
         IllNested: the sequence closes groups it never opened, leaves groups
-            open, or contains tokens that cannot appear in canonical form.
+            open, contains tokens that cannot appear in canonical form, or
+            holds a ``]`` at the top level of a \\sqrt index, which LaTeX
+            would read as the end of the index.
         VocabMiss: an id outside the vocabulary.
     """
     vocab.check_ids(seq)
     groups, end, none, sqrt = vocab.group_table, vocab.end_id, vocab.none_id, vocab.sqrt_id
+    bracket = vocab._index.get("]", -1)
     counts: dict[int, int] = {}
-    stack: list[int] = []
-    pending = 0  # the sum of `stack`: group ENDs still owed
-    closers = None
+    parents: list[int | None] = [None] * len(seq)
+    stack: list[list[int]] = []  # [owner position, groups left]
+    pending = 0  # the groups left summed over `stack`: ENDs still owed
+    closes = None
     for pos, cid in enumerate(seq):
         if cid == end:
             if not stack:
                 raise IllNested(f"group end at position {pos} closes nothing")
+            frame = stack[-1]
+            parents[pos] = frame[0]
             pending -= 1
-            stack[-1] -= 1
-            if stack[-1] == 0:
+            frame[1] -= 1
+            if not frame[1]:
                 stack.pop()
         elif g := groups[cid]:
             if cid == sqrt:
-                if closers is None:
-                    closers = _suffix_closers(seq, vocab)
-                if not closers(pos + 1, pending + 1):
+                if closes is None:
+                    closes = _suffix_closers(seq, vocab)
+                if not closes(pos + 1, pending + 1):
                     g = 2
             counts[pos] = g
-            stack.append(g)
+            stack.append([pos, g])
             pending += g
         elif cid >= none:  # none, <sos> or <eos>
             raise IllNested(f"{vocab.symbols[cid]!r} cannot appear in canonical form")
+        elif cid == bracket and stack and stack[-1][1] == 2 and seq[stack[-1][0]] == sqrt:
+            raise IllNested(
+                f"']' at position {pos} would end the index of the \\sqrt at "
+                f"position {stack[-1][0]}"
+            )
     if stack:
         raise IllNested("group left open at sequence end")
-    return counts
-
-
-def end_parents(seq: list[int], vocab: TokenVocab) -> list[int | None]:
-    """Position of the owning structural token for each END in a sequence.
-
-    Non-END positions map to None.  Both ENDs of a two-group symbol point
-    back at the same owner.
-    """
-    counts = instance_group_counts(seq, vocab)
-    parents: list[int | None] = [None] * len(seq)
-    stack: list[list[int]] = []  # [owner position, groups remaining]
-    for pos, cid in enumerate(seq):
-        if cid == vocab.end_id:
-            frame = stack[-1]
-            parents[pos] = frame[0]
-            frame[1] -= 1
-            if frame[1] == 0:
-                stack.pop()
-        elif pos in counts:
-            stack.append([pos, counts[pos]])
-    return parents
+    return counts, parents
 
 
 def emit_latex(seq: list[int], vocab: TokenVocab) -> str:
@@ -431,99 +433,77 @@ def emit_latex(seq: list[int], vocab: TokenVocab) -> str:
 
     Structural arguments are always emitted braced.  A \\sqrt instance is
     emitted index-less unless treating it so would leave the rest of the
-    sequence ill-nested, in which case its first group becomes a [...] index.
+    sequence ill-nested, in which case its first group becomes a [...] index
+    (see :func:`group_structure`).
 
     Raises:
-        IllNested: an END with no open group, or groups left open at the end.
+        IllNested: an END with no open group, groups left open at the end,
+            a token that cannot appear in canonical form, or a ``]`` at the
+            top level of a \\sqrt index, which would parse back as the end
+            of the index.
         VocabMiss: an id outside the vocabulary.
     """
-    counts = instance_group_counts(seq, vocab)
-    symbols, end, sqrt = vocab.symbols, vocab.end_id, vocab.sqrt_id
+    counts, parents = group_structure(seq, vocab)
+    symbols, sqrt = vocab.symbols, vocab.sqrt_id
     parts: list[str] = []
-    # Stack frames: [groups_remaining, closer_for_current_group].
-    stack: list[list] = []
     for pos, cid in enumerate(seq):
-        if cid == end:
-            frame = stack[-1]
-            parts.append(frame[1])
-            frame[0] -= 1
-            if frame[0] == 0:
-                stack.pop()
+        owner = parents[pos]
+        if owner is not None:  # an END; `counts` now counts down the groups left
+            counts[owner] -= 1
+            if counts[owner]:
+                parts.append("] {" if seq[owner] == sqrt else "} {")
             else:
-                frame[1] = "}"
-                parts.append("{")
-            continue
-        parts.append(symbols[cid])
-        if pos in counts:
-            groups = counts[pos]
-            if cid == sqrt and groups == 2:
-                stack.append([2, "]"])
-                parts.append("[")
-            else:
-                stack.append([groups, "}"])
-                parts.append("{")
+                parts.append("}")
+        elif pos in counts:
+            parts += symbols[cid], "[" if cid == sqrt and counts[pos] == 2 else "{"
+        else:
+            parts.append(symbols[cid])
     return " ".join(parts)
-
-
-def _pending_step(lo: int, hi: int, cid: int, vocab: TokenVocab) -> tuple[int, int] | None:
-    """Interval of pending group ENDs after one more token.
-
-    A \\sqrt may open one or two groups, so the count of ENDs still owed is
-    tracked as the interval [lo, hi].  Returns None for an END that no
-    reading can match to an open group.  `cid` must be range-checked.
-    """
-    if cid == vocab.end_id:
-        return None if hi == 0 else (max(lo, 1) - 1, hi - 1)
-    g = vocab.group_table[cid]
-    if g and cid == vocab.sqrt_id:
-        return lo + 1, hi + 2
-    return lo + g, hi + g
 
 
 def _suffix_closers(seq: list[int], vocab: TokenVocab):
     """Whether ``seq[k:]`` can close exactly `p` open groups, for any k, p.
 
-    Each token maps the interval [lo, hi] of :func:`_pending_step` on its
-    own: ``hi`` moves by a fixed step, and ``lo`` by ``max(lo + a, b)``
-    (``a = -1, b = 0`` for an END, ``a = g, b = -inf`` otherwise), a map
-    that composes into one of the same form.  So one backward pass stores,
-    per suffix, the composed ``A`` and ``B`` of ``lo`` and the lowest ``hi``
-    offset ``M`` before any END.  From [p, p], the suffix fails an END
-    exactly when ``p + M <= 0`` and ends at ``lo = max(p + A, B)``.  `seq`
-    must be range-checked.  Returns ``closes(k, p)``.
+    Each token steps the interval [lo, hi] of ENDs still owed by its
+    ``vocab.step_table`` entry ``(a, h)``: ``lo`` to ``max(lo + a, 0)``
+    and ``hi`` to ``hi + h``.  Maps of the form ``x -> max(x + A, B)``
+    compose into one of the same form, so one backward pass stores, per
+    suffix, the composed ``A`` and ``B`` of ``lo`` and the lowest running
+    sum ``S`` of ``h``.  From [p, p] with p >= 0, the suffix takes ``hi``
+    below 0, at an END no reading can match, exactly when ``p + S < 0``,
+    and it ends at ``lo = max(p + A, B)``.  `seq` must be range-checked.
+    Returns ``closes(k, p)``.
     """
-    end, sqrt, groups = vocab.end_id, vocab.sqrt_id, vocab.group_table
+    step = vocab.step_table
     n = len(seq)
-    A, B, M = [0] * (n + 1), [-math.inf] * (n + 1), [math.inf] * (n + 1)
+    A, B, S = [0] * (n + 1), [-math.inf] * (n + 1), [math.inf] * (n + 1)
     for k in range(n - 1, -1, -1):
-        cid = seq[k]
-        if cid == end:
-            A[k], B[k], M[k] = A[k + 1] - 1, max(A[k + 1], B[k + 1]), min(0, M[k + 1] - 1)
-        else:
-            g = groups[cid]
-            A[k], B[k] = A[k + 1] + g, B[k + 1]
-            M[k] = M[k + 1] + (2 if g and cid == sqrt else g)
-    return lambda k, p: p + M[k] > 0 and max(p + A[k], B[k]) == 0
+        a, h = step[seq[k]]
+        A[k], B[k], S[k] = A[k + 1] + a, max(A[k + 1], B[k + 1]), h + min(S[k + 1], 0)
+    return lambda k, p: p + S[k] >= 0 and max(p + A[k], B[k]) == 0
 
 
 def repair_groups(seq: list[int], vocab: TokenVocab) -> list[int]:
     """Make a class sequence well-nested with minimal edits.
 
-    ENDs that no reading can match to an open group are dropped; groups
-    still open at the end are closed by appended ENDs.
+    One forward walk steps the interval [lo, hi] of ENDs still owed by
+    ``vocab.step_table``.  An END that would take ``hi`` below 0 matches an
+    open group under no reading and is dropped; the ``lo`` groups that
+    every reading leaves open at the end are closed by appended ENDs.
 
     Raises:
         VocabMiss: an id outside the vocabulary.
     """
     vocab.check_ids(seq)
-    span = (0, 0)
+    step = vocab.step_table
+    lo = hi = 0
     out: list[int] = []
     for cid in seq:
-        step = _pending_step(*span, cid, vocab)
-        if step is not None:
-            span = step
+        a, h = step[cid]
+        if hi + h >= 0:
+            lo, hi = max(lo + a, 0), hi + h
             out.append(cid)
-    out.extend([vocab.end_id] * span[0])
+    out.extend([vocab.end_id] * lo)
     return out
 
 
@@ -536,9 +516,12 @@ def gt_targets(seq: list[int]) -> tuple[list[int], list[int], list[int]]:
 
     Returns:
         (self_targets, left_targets, right_targets), each of length L.
+
+    Raises:
+        EmptyInput: an empty sequence, which has no nodes to supervise.
     """
     if not seq:
-        raise ValueError("empty token sequence has no targets")
+        raise EmptyInput("empty token sequence has no targets")
     n = len(seq)
     self_targets = list(seq)
     left_targets = list(range(0, n))

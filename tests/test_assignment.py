@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from hmegraph import (
+    EmptyInput,
     EvenKernel,
     GridTooSmall,
     HmeGraphError,
@@ -314,6 +315,12 @@ class TestMakeTargets:
         seq = parse_latex("x", vocab)
         with pytest.raises(ShapeMismatch):
             make_targets([(0, 99)], seq, vocab, 2, 2)
+
+    def test_empty_label(self, vocab):
+        label = parse_latex("", vocab)
+        assert label == []
+        with pytest.raises(EmptyInput):
+            make_targets([], label, vocab, 2, 2)
 
 
 class TestLosses:

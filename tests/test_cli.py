@@ -106,6 +106,14 @@ class TestParseEmit:
         assert code == 0
         assert out.strip() == "\\frac { x } { y }"
 
+    def test_emit_unspellable_exit(self, capsys):
+        vocab = default_vocab()
+        ids = [vocab.id_of("\\sqrt"), vocab.id_of("]"), vocab.end_id, vocab.id_of("x"), vocab.end_id]
+        code, out, err = run_cli(capsys, "emit", "--ids", ",".join(map(str, ids)))
+        assert code == 1
+        assert out == ""
+        assert "position 1" in err
+
 
 @pytest.fixture(scope="module")
 def gen_dir(tmp_path_factory):

@@ -12,6 +12,7 @@ from hmegraph import (
     CycleDetected,
     GridTooSmall,
     HmeGraphError,
+    IllNested,
     NodeCountMismatch,
     NoiseSpec,
     NonFinite,
@@ -685,6 +686,15 @@ class TestLongestPath:
         edges = {e: 1.0 for e in zip(chain, chain[1:])}
         got = longest_path(ExprGraph(graph_nodes, edges, n_slots=len(nodes)), vocab)
         assert got.latex == "\\frac { x } { y }"
+
+    def test_bracket_ending_sqrt_index_refused(self, vocab):
+        # sqrt ] END x END: the only nesting makes `]` the whole index.
+        cids = [vocab.id_of("\\sqrt"), vocab.id_of("]"), vocab.end_id, vocab.id_of("x"), vocab.end_id]
+        nodes = {i: Node(cid, 0, i, index=i) for i, cid in enumerate(cids, 1)}
+        chain = range(len(cids) + 2)
+        edges = {e: 1.0 for e in zip(chain, chain[1:])}
+        with pytest.raises(IllNested, match="position 1"):
+            longest_path(ExprGraph(nodes, edges, n_slots=len(cids)), vocab)
 
 
 class TestRepair:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hmegraph import (
     DanglingGroup,
     EmptyCorpus,
+    EmptyInput,
+    GridTooSmall,
     IllNested,
     Node,
     TokenVocab,
@@ -19,11 +21,11 @@ from hmegraph import (
     coverage_corpus,
     default_vocab,
     emit_latex,
-    end_parents,
     expand_imaginary,
     gen_expression,
+    group_structure,
     gt_targets,
-    instance_group_counts,
+    layout_and_render,
     parse_latex,
 )
 from hmegraph import tokens
@@ -41,7 +43,6 @@ from hmegraph.tokens import (
     ROLE_SOS,
     ROLE_VISIBLE,
     SOS_SYMBOL,
-    _pending_step,
     repair_groups,
 )
 
@@ -270,27 +271,27 @@ class TestParse:
 class TestCanonicalHelpers:
     def test_instance_counts_plain(self, vocab):
         seq = parse_latex("\\frac { x } { y }", vocab)
-        assert instance_group_counts(seq, vocab) == {0: 2}
+        assert group_structure(seq, vocab)[0] == {0: 2}
 
     def test_instance_counts_sqrt(self, vocab):
-        assert instance_group_counts(parse_latex("\\sqrt { x }", vocab), vocab) == {0: 1}
-        assert instance_group_counts(
+        assert group_structure(parse_latex("\\sqrt { x }", vocab), vocab)[0] == {0: 1}
+        assert group_structure(
             parse_latex("\\sqrt [ 3 ] { x }", vocab), vocab
-        ) == {0: 2}
+        )[0] == {0: 2}
 
     def test_ill_nested(self, vocab):
         with pytest.raises(IllNested):
-            instance_group_counts([vocab.end_id], vocab)
+            group_structure([vocab.end_id], vocab)
         with pytest.raises(IllNested):
-            instance_group_counts([vocab.id_of("^")], vocab)
+            group_structure([vocab.id_of("^")], vocab)
         with pytest.raises(IllNested):
-            instance_group_counts([vocab.sos_id], vocab)
+            group_structure([vocab.sos_id], vocab)
 
     def test_end_parents(self, vocab):
         seq = parse_latex("\\frac { x } { y }", vocab)
-        assert end_parents(seq, vocab) == [None, None, 0, None, 0]
+        assert group_structure(seq, vocab)[1] == [None, None, 0, None, 0]
         seq = parse_latex("x ^ { y z } + 1", vocab)
-        assert end_parents(seq, vocab) == [None, None, None, None, 1, None, None]
+        assert group_structure(seq, vocab)[1] == [None, None, None, None, 1, None, None]
 
     def test_gt_targets(self, vocab):
         seq = parse_latex("x + y", vocab)
@@ -300,41 +301,58 @@ class TestCanonicalHelpers:
         assert right_t == [2, 3, 4]
 
     def test_gt_targets_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyInput):
             gt_targets([])
 
 
-def scan_group_counts(seq, vocab):
-    """instance_group_counts by a forward scan of the rest of the sequence
-    for every \\sqrt: the quadratic reference."""
+def pending_step(lo, hi, cid, vocab):
+    """The interval [lo, hi] of group ENDs still owed after one more token
+    (a \\sqrt owes one or two), or None for an END that closes nothing."""
+    if cid == vocab.end_id:
+        return None if hi == 0 else (max(lo - 1, 0), hi - 1)
+    g = vocab.group_count(cid) if vocab.is_structural(cid) else 0
+    return lo + g, hi + (2 if vocab.symbol_of(cid) == "\\sqrt" else g)
+
+
+def scan_group_structure(seq, vocab):
+    """group_structure by a forward scan of the rest of the sequence for
+    every \\sqrt: the quadratic reference."""
     vocab.check_ids(seq)
 
     def closable(start, pending):
         span = (pending, pending)
         for cid in seq[start:]:
-            span = _pending_step(*span, cid, vocab)
+            span = pending_step(*span, cid, vocab)
             if span is None:
                 return False
         return span[0] == 0
 
-    counts, stack = {}, []
+    counts, parents, stack = {}, [None] * len(seq), []
     for pos, cid in enumerate(seq):
+        sym = vocab.symbol_of(cid)
         if cid == vocab.end_id:
             if not stack:
                 raise IllNested(f"group end at position {pos} closes nothing")
-            stack[-1] -= 1
-            if stack[-1] == 0:
+            parents[pos] = stack[-1][0]
+            stack[-1][1] -= 1
+            if stack[-1][1] == 0:
                 stack.pop()
-        elif g := vocab.group_table[cid]:
-            if cid == vocab.sqrt_id and not closable(pos + 1, sum(stack) + 1):
+        elif vocab.is_structural(cid):
+            g = vocab.group_count(cid)
+            if sym == "\\sqrt" and not closable(pos + 1, sum(f[1] for f in stack) + 1):
                 g = 2
             counts[pos] = g
-            stack.append(g)
-        elif cid >= vocab.none_id:
-            raise IllNested(f"{vocab.symbols[cid]!r} cannot appear in canonical form")
+            stack.append([pos, g])
+        elif not vocab.is_predictable(cid):
+            raise IllNested(f"{sym!r} cannot appear in canonical form")
+        elif sym == "]" and stack and stack[-1][1] == 2 and seq[stack[-1][0]] == vocab.id_of("\\sqrt"):
+            raise IllNested(
+                f"']' at position {pos} would end the index of the \\sqrt at "
+                f"position {stack[-1][0]}"
+            )
     if stack:
         raise IllNested("group left open at sequence end")
-    return counts
+    return counts, parents
 
 
 class TestGroupCountsLinear:
@@ -356,10 +374,10 @@ class TestGroupCountsLinear:
                 seq = parse_latex(gen_expression(rng.getrandbits(32), max_depth=3), vocab)
                 for _ in range(rng.randint(0, 3)):
                     seq.insert(rng.randrange(len(seq) + 1), rng.choice([sqrt, end]))
-            got = self.outcome(instance_group_counts, seq, vocab)
-            assert got == self.outcome(scan_group_counts, seq, vocab), seq
-            if isinstance(got, dict):
-                sqrt_counts = [g for pos, g in got.items() if seq[pos] == sqrt]
+            got = self.outcome(group_structure, seq, vocab)
+            assert got == self.outcome(scan_group_structure, seq, vocab), seq
+            if isinstance(got[0], dict):
+                sqrt_counts = [g for pos, g in got[0].items() if seq[pos] == sqrt]
                 seen["indexed"] += 2 in sqrt_counts
                 seen["plain_sqrt"] += 1 in sqrt_counts
             else:
@@ -367,25 +385,31 @@ class TestGroupCountsLinear:
         assert min(seen.values()) >= 100, seen
 
     def test_deep_sqrt_steps_linear(self, monkeypatch):
-        """Resolving a 5,000-deep \\sqrt nesting reads each token's group
-        count a bounded number of times, not once per enclosing \\sqrt."""
+        """Repairing, resolving, emitting and laying out a 5,000-deep \\sqrt
+        nesting reads each token's group count and interval step a bounded
+        number of times, not once per enclosing \\sqrt."""
         vocab = TokenVocab(default_vocab().symbols, default_vocab().roles)
         seq = parse_latex("\\sqrt { " * 5000 + "x" + " }" * 5000, vocab)
         assert parse_latex(emit_latex(seq, vocab), vocab) == seq
 
         class StepBudget(tuple):
-            """A group table that refuses reads past `budget`."""
+            """A vocabulary table that refuses reads past `budget`."""
 
             def __getitem__(self, i):
                 self.budget -= 1
                 if self.budget < 0:
-                    raise AssertionError("group count read too often")
+                    raise AssertionError("table read too often")
                 return tuple.__getitem__(self, i)
 
-        for entry in (emit_latex, end_parents):
-            table = StepBudget(vocab.group_table)
-            table.budget = 4 * len(seq)
-            monkeypatch.setattr(vocab, "group_table", table)
+        def layout(seq, vocab):
+            with pytest.raises(GridTooSmall):
+                layout_and_render(seq, (14, 56), vocab)
+
+        for entry in (repair_groups, group_structure, emit_latex, layout):
+            for name in ("group_table", "step_table"):
+                table = StepBudget(getattr(vocab, name))
+                table.budget = 4 * len(seq)
+                monkeypatch.setattr(vocab, name, table)
             entry(seq, vocab)
 
 
@@ -415,6 +439,16 @@ class TestEmit:
             again = parse_latex(emit_latex(seq, vocab), vocab)
             assert again == seq, s
 
+    def test_bracket_ending_sqrt_index_refused(self, vocab):
+        """A ``]`` at the top level of an index has no LaTeX spelling: the
+        parser would read it as the index's end."""
+        sq, br, x, end = vocab.id_of("\\sqrt"), vocab.id_of("]"), vocab.id_of("x"), vocab.end_id
+        with pytest.raises(IllNested, match=r"'\]' at position 1 .* \\sqrt at position 0"):
+            emit_latex([sq, br, end, x, end], vocab)
+        # Nested in an inner group, or outside any index, it stays a symbol.
+        for s in ("\\sqrt [ x ^ { ] } ] { y }", "\\sqrt { ] }", "\\frac { ] } { x }"):
+            assert emit_latex(parse_latex(s, vocab), vocab) == s
+
     def test_ill_nested_emit(self, vocab):
         with pytest.raises(IllNested):
             emit_latex([vocab.end_id], vocab)
@@ -425,8 +459,7 @@ class TestEmit:
 SEQUENCE_ENTRY_POINTS = {
     "emit_latex": emit_latex,
     "repair_groups": repair_groups,
-    "instance_group_counts": instance_group_counts,
-    "end_parents": end_parents,
+    "group_structure": group_structure,
     "expand_imaginary": lambda seq, vocab: expand_imaginary(
         [Node(cid, 0, col) for col, cid in enumerate(seq)], vocab
     ),
@@ -442,6 +475,27 @@ def test_id_outside_vocab_raises(vocab, entry, where):
     for bad in (-1, len(vocab)):
         with pytest.raises(VocabMiss):
             SEQUENCE_ENTRY_POINTS[entry](prefix + [bad], vocab)
+
+
+_VOCAB = default_vocab()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=st.lists(st.one_of(
+    st.integers(0, _VOCAB.num_predictable - 1),
+    st.sampled_from([_VOCAB.end_id, _VOCAB.id_of("\\sqrt"), _VOCAB.id_of("]")]),
+), max_size=24))
+def test_repaired_emit_parses_back(seq):
+    """Any string of predictable and END ids, once repaired, either emits
+    LaTeX that parses back to it or is refused for a ``]`` ending an index."""
+    fixed = repair_groups(seq, _VOCAB)
+    try:
+        latex = emit_latex(fixed, _VOCAB)
+    except IllNested as err:
+        assert "']' at position" in str(err)
+        assert "index" in str(err)
+    else:
+        assert parse_latex(latex, _VOCAB) == fixed
 
 
 @settings(max_examples=200, deadline=None)
