@@ -459,7 +459,10 @@ class TestEmit:
 SEQUENCE_ENTRY_POINTS = {
     "emit_latex": emit_latex,
     "repair_groups": repair_groups,
-    "group_structure": group_structure,
+    # group_structure's two results, one case each: per-instance group
+    # counts and END parents.
+    "instance_group_counts": lambda seq, vocab: group_structure(seq, vocab)[0],
+    "end_parents": lambda seq, vocab: group_structure(seq, vocab)[1],
     "expand_imaginary": lambda seq, vocab: expand_imaginary(
         [Node(cid, 0, col) for col, cid in enumerate(seq)], vocab
     ),
