@@ -15,8 +15,13 @@ can be inspected:
 4. :func:`build_graph` scores directed edges between surviving nodes from
    the two neighbor heads, then :func:`prune_and_acyclify` removes weak
    edges and breaks cycles, never disconnecting start from end.  It keeps
-   a witness start-to-end path and searches again only when a removal
-   cuts the witness, since any other removal leaves the end reachable.
+   a witness start-to-end path whose weakest undecided edge ranks as high
+   as any path's.  Every other path then needs a weaker edge, which goes
+   first, so the witness's weakest edge is kept without a search; a
+   removal off the witness leaves the end reachable and needs none
+   either.  The weak-edge phase makes one search more than it keeps weak
+   edges, whatever the graph's size; the cycle phase, one per removal
+   on the witness.
    It prunes a weight matrix and edge mask, copied from the edge dict;
    :func:`decode_with_graph` hands over the matrix it scored, so a decode
    never builds the dense dict.  Weak edges are ranked only when strong
@@ -304,12 +309,17 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     It keeps a *witness*, a start-to-end path of the current graph.  A
     removal off the witness leaves it intact, so the end stays reachable
     and the removal goes ahead unsearched; a run of weak edges off the
-    witness therefore goes at once.  Only a removal on the witness
-    searches again: a new path becomes the witness, and if none exists the
-    edge was the last route to the end and is kept.  The witness crosses
-    as few undecided weak edges as possible, so when strong edges alone
-    connect start to end the first search is the only one the weak-edge
-    phase makes, and the weak edges are never even ranked.
+    witness therefore goes at once.  In the weak-edge phase the witness is
+    a bottleneck path: its lowest-ranked undecided weak edge ranks as high
+    as any start-to-end path allows.  Every path without that edge crosses
+    a lower-ranked one, off the witness, and those go first; so when the
+    removals reach the witness's lowest edge it is the last route to the
+    end, and it is kept without a search.  Only then is the next witness
+    searched for.  The weak-edge phase thus makes exactly one search more
+    than the weak edges it keeps, and the cycle phase one per removal on
+    the witness.  When strong edges alone connect start to end, the first
+    search is the only one the weak-edge phase makes, and the weak edges
+    are never even ranked.
 
     The edges are copied into the weight matrix and edge mask that
     :func:`decode_with_graph` prunes, so neither the decisions nor the
@@ -353,10 +363,15 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float) -> dict[tuple
 
     `weights[s, d]` is the float64 weight of s -> d, an edge exactly where
     the bool mask `valid` holds.  Strong edges, those not below `epsilon`,
-    become successor lists in ascending order.  Weak edges are listed and
-    ranked in ascending ``(weight, src, dst)`` order only when strong
-    edges alone do not reach the end.  Returns the kept edges with their
-    weights, by source and then target.
+    become successor lists in ascending order.  Weak edges are ranked in
+    ascending ``(weight, src, dst)`` order only when strong edges alone do
+    not reach the end.  Returns the kept edges with their weights, by
+    source and then target.
+
+    The weak phase keeps the lowest-ranked undecided weak edge of each
+    bottleneck witness from :func:`_witness_path` without a search (see
+    :func:`prune_and_acyclify`), so it makes exactly (kept weak edges + 1)
+    searches; the cycle phase adds one per removal on the witness.
     """
     n = len(weights)
     below = weights < epsilon
@@ -365,26 +380,26 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float) -> dict[tuple
     @functools.cache
     def weak():
         src, dst = np.nonzero(valid & below)  # row-major
-        # A stable sort by weight leaves ties in (src, dst) order.
-        order = np.argsort(weights[src, dst], kind="stable")
-        ranks = np.empty_like(order)
-        ranks[order] = np.arange(len(order))
-        return _rows(n, src, dst), _rows(n, src, ranks)
+        # A stable sort by weight leaves ties in (src, dst) order; reversed,
+        # position 0 holds the highest rank.
+        order = np.argsort(weights[src, dst], kind="stable")[::-1]
+        src, dst = src[order], dst[order]
+        pos = np.full((n, n), len(order))
+        pos[src, dst] = np.arange(len(order))
+        return src.tolist(), dst.tolist(), pos, pos.min(axis=1).tolist()
 
     witness = _witness_path(live, weak, -1)
     if witness is None:
         raise NoPath("virtual end unreachable before pruning")
     # Weak edges ranked up to `cut` are decided: in `live` when kept,
-    # otherwise gone.  Undecided ones ranked before the witness's first are
-    # off it, so they go without a search; once none is on it, all the rest go.
+    # otherwise gone.  Undecided ones ranked below the witness's lowest are
+    # off it and go unsearched; then every other path is cut, so the
+    # lowest is kept.  Once none is on the witness, all the rest go.
     cut = -1
     while on_witness := [(r, e) for e, r in witness.items() if r > cut]:
         cut, (s, d) = min(on_witness)
-        found = _witness_path(live, weak, cut)
-        if found is None:
-            insort(live[s], d)
-        else:
-            witness = found
+        insort(live[s], d)
+        witness = _witness_path(live, weak, cut)
 
     while (cycle := _find_cycle(live)) is not None:
         for _, (s, d) in sorted((weights.item(e), e) for e in cycle):
@@ -402,47 +417,58 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float) -> dict[tuple
 
 
 def _witness_path(live, weak, cut) -> dict[tuple[int, int], int] | None:
-    """A start-to-end path with the fewest undecided weak edges.
+    """A bottleneck start-to-end path over kept and undecided weak edges.
 
-    Kept edges (`live`) cost nothing; a weak edge from `weak()` costs one
-    and exists while its rank is above `cut`.  The search goes level by
-    level: all that kept edges reach, then one weak edge further, so
-    `weak()` is called only when kept edges alone miss the end; `weak` is
-    None when no weak edge is pending.  Returns the path's edges, each
-    mapped to its rank (-1 for a kept edge), or None when the end (the last
-    vertex) is unreachable.
+    Kept edges (`live`) rank above every weak edge; a weak edge from
+    `weak()` exists while its rank is above `cut`.  The path's lowest
+    weak rank is as high as any path's.  The search reaches what kept
+    edges reach, then walks the weak edges from the highest rank down.
+    An edge from a reached vertex to an unreached one extends the reach,
+    over kept edges and the weak edges already walked past, and the edge
+    that reaches the end is the bottleneck.  So `weak()` is called only
+    when kept edges alone miss the end, and only weak edges ranked at or
+    above the bottleneck are touched; `weak` is None when no weak edge is
+    pending.  Returns the path's edges, each mapped to its rank (-1 for a
+    kept edge), or None when the end (the last vertex) is unreachable.
     """
     end = len(live) - 1
     pred = [-1] * len(live)  # -1: not reached yet
     rank = [-1] * len(live)  # of the weak edge that reached each vertex
     pred[0] = 0
-    reached = [0]
-    pending = None
-    while reached:
-        for u in reached:  # grows while it is walked
-            for v in live[u]:
-                if pred[v] < 0:
-                    pred[v] = u
-                    reached.append(v)
+    reached, p, walk = [0], 0, None
+    while True:
+        for w in reached:  # grows while it is walked
+            for x in live[w]:
+                if pred[x] < 0:
+                    pred[x] = w
+                    reached.append(x)
+            if p and heaviest[w] < p:  # a weak edge out of w was walked past
+                row = pos[w]
+                for x in np.flatnonzero(row < p).tolist():
+                    if pred[x] < 0:
+                        pred[x], rank[x] = w, last - row.item(x)
+                        reached.append(x)
         if pred[end] >= 0:
-            path, v = {}, end
-            while v:
-                path[(pred[v], v)] = rank[v]
-                v = pred[v]
-            return path
-        if weak is None:
+            break
+        if walk is None:
+            if weak is None:
+                return None
+            # Position p holds rank last - p; ranks up to `cut` are decided.
+            src, dst, pos, heaviest = weak()
+            last = len(src) - 1
+            walk = zip(range(last - cut), src, dst)
+        for p, u, v in walk:
+            if pred[u] >= 0 and pred[v] < 0:
+                pred[v], rank[v] = u, last - p
+                reached = [v]
+                break
+        else:
             return None
-        if pending is None:
-            pending, ranks = weak()
-        frontier = []
-        for u in reached:
-            for v, r in zip(pending[u], ranks[u]):
-                if pred[v] < 0 and r > cut:
-                    pred[v] = u
-                    rank[v] = r
-                    frontier.append(v)
-        reached = frontier
-    return None
+    path, v = {}, end
+    while v:
+        path[(pred[v], v)] = rank[v]
+        v = pred[v]
+    return path
 
 
 def _find_cycle(succ: list[list[int]]) -> list[tuple[int, int]] | None:

@@ -439,10 +439,36 @@ def random_prune_case(rng):
     return ExprGraph(nodes, edges, n_slots=n)
 
 
+def strong_reaches_end(graph, eps):
+    """Whether edges at or above `eps` alone lead from start to end."""
+    reached, frontier = {0}, [0]
+    while frontier:
+        u = frontier.pop()
+        for (s, d), w in graph.edges.items():
+            if s == u and w >= eps and d not in reached:
+                reached.add(d)
+                frontier.append(d)
+    return graph.eos in reached
+
+
+def counted_searches(monkeypatch):
+    """Patch `_witness_path` to count its calls; returns the counter list,
+    whose one entry is reset to 0 by the caller between decodes."""
+    searches = [0]
+    search = decode._witness_path
+
+    def counted(*args):
+        searches[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(decode, "_witness_path", counted)
+    return searches
+
+
 class TestPruneMatchesOracle:
     def test_random_graphs(self, vocab):
         rng = random.Random(20241018)
-        seen = {"nopath": 0, "weak_kept": 0, "cycle_broken": 0}
+        seen = {"nopath": 0, "weak_kept": 0, "cycle_broken": 0, "strong_misses_end": 0}
         for trial in range(1200):
             g = random_prune_case(rng)
             items = list(g.edges.items())
@@ -466,19 +492,32 @@ class TestPruneMatchesOracle:
             seen["cycle_broken"] += any(
                 w >= eps and e not in got for e, w in g.edges.items()
             )
+            # Where the bottleneck rule decides: only weak edges reach the end.
+            seen["strong_misses_end"] += not strong_reaches_end(g, eps)
         assert min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equal_weights(self, vocab, n):
+        """Uniform rows weigh every edge the same, so only (src, dst) ranks
+        the weak edges; the decisions still match the oracle's."""
+        rng = random.Random(n)
+        rows = np.full((n + 2, n + 2), 1.0 / (n + 2))
+        for alive in [range(1, n + 1), range(1, n + 1, 2)]:  # all slots, every other one
+            nodes = [Node(0, 0, i, index=i) for i in alive]
+            for alpha in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]:
+                g = build_graph(nodes, rows, rows, alpha_l2r=alpha[0], alpha_r2l=alpha[1])
+                assert len(set(g.edges.values())) == 1
+                items = list(g.edges.items())
+                rng.shuffle(items)
+                shuffled = ExprGraph(g.nodes, dict(items), g.n_slots)
+                want = oracle_prune(g, 0.75)  # every edge weighs at most 2/3
+                got = prune_and_acyclify(g, 0.75).edges
+                assert list(prune_and_acyclify(shuffled, 0.75).edges.items()) == list(got.items())
+                assert set(got) == set(want), (list(alive), alpha)
 
     def test_search_count_gate(self, vocab, monkeypatch):
         """Witness searches per decode on the one-sided conn-flip ablation."""
-        searches = 0
-        search = decode._witness_path
-
-        def counted(*args):
-            nonlocal searches
-            searches += 1
-            return search(*args)
-
-        monkeypatch.setattr(decode, "_witness_path", counted)
+        searches = counted_searches(monkeypatch)
         worst = 0
         for alphas in [(1.0, 0.0), (0.0, 1.0)]:
             seed, decoded = 50000, 0
@@ -490,13 +529,40 @@ class TestPruneMatchesOracle:
                                          noise=NoiseSpec(conn_flip_prob=0.30), seed=seed)
                 except GridTooSmall:
                     continue
-                searches = 0
+                searches[0] = 0
                 decode_with_graph(sample.probs, sample.self_probs, sample.left,
                                   sample.right, vocab,
                                   alpha_l2r=alphas[0], alpha_r2l=alphas[1])
-                worst = max(worst, searches)
+                worst = max(worst, searches[0])
                 decoded += 1
-        assert 1 <= worst <= 64
+        assert 1 <= worst <= 32
+
+    def test_worst_case_search_gate(self, vocab, monkeypatch):
+        """Uniform neighbor rows make every edge weak and equal; the number
+        of witness searches does not grow with the node count.  A
+        temperature sample with no strong edge stays within its count too."""
+        searches = counted_searches(monkeypatch)
+        x = vocab.id_of("x")
+        counts = []
+        for n in (40, 80, 160, 320):
+            P = grid_for(vocab, {(0, c): x for c in range(n)}, 1, n)
+            self_probs = np.zeros((n, vocab.correction_classes))
+            self_probs[:, x] = 1.0
+            rows = np.full((n + 2, n + 2), 1.0 / (n + 2))
+            searches[0] = 0
+            decode_with_graph(P, self_probs, rows, rows, vocab)
+            counts.append(searches[0])
+        assert len(set(counts)) == 1 and counts[0] <= 3, counts
+
+        latex = gen_expression(1259, max_depth=2, vocab=vocab)
+        sample = make_sample(latex, vocab, (14, 56),
+                             noise=NoiseSpec(score_temperature=0.3), seed=1260)
+        assert (sample.right + sample.left.T).max() < 0.5  # no strong edge
+        searches[0] = 0
+        result, _ = decode_with_graph(sample.probs, sample.self_probs, sample.left,
+                                      sample.right, vocab)
+        assert searches[0] <= 89
+        assert result.latex == latex
 
 
 def dense_decode_inputs(rng, vocab):
