@@ -1,10 +1,14 @@
 """Synthetic sample generation, layout geometry, noise bookkeeping, oracles."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from hmegraph import (
     GridTooSmall,
+    HmeGraphError,
     IllNested,
     Infeasible,
     NoPath,
@@ -116,6 +120,49 @@ class TestLayout:
         seq = parse_latex("\\sqrt [ 3 ] { x }", vocab)
         with pytest.raises(IllNested):
             layout_and_render(seq, (8, 16), vocab)
+
+
+# The noise profiles of the perfbench decode workloads.
+_DIGEST_NOISES = (
+    NoiseSpec(),
+    NoiseSpec(flip_prob=0.1),
+    NoiseSpec(spurious_prob=0.02),
+    NoiseSpec(score_temperature=0.3),
+    NoiseSpec(conn_flip_prob=0.1),
+    NoiseSpec(conn_flip_prob=0.3),
+)
+
+
+def _outcome(label, vocab, dims, noise, seed) -> bytes:
+    """Every SynthSample field of one generation, or its error class and message."""
+    try:
+        sample = make_sample(label, vocab, dims, noise=noise, seed=seed)
+    except HmeGraphError as exc:
+        return repr((type(exc).__name__, str(exc))).encode()
+    parts = []
+    for f in dataclasses.fields(sample):
+        value = getattr(sample, f.name)
+        if isinstance(value, np.ndarray):
+            parts.append(repr((value.shape, value.dtype.str)).encode() + value.tobytes())
+        else:
+            parts.append(repr(value).encode())
+    return b"\x00".join(parts)
+
+
+def test_render_digest(vocab):
+    """The generator's output is pinned byte for byte, errors included."""
+    corpus = coverage_corpus()
+    cases = [(label, (14, 56), seed) for seed, label in enumerate(corpus)]
+    cases += [(label, (24, 160), seed) for seed, label in enumerate(corpus[:40])]
+    digest = hashlib.sha256()
+    for label, dims, seed in cases:
+        for noise in _DIGEST_NOISES:
+            outcome = _outcome(label, vocab, dims, noise, seed)
+            digest.update(len(outcome).to_bytes(8, "little") + outcome)
+    assert len(corpus) == 218
+    assert digest.hexdigest() == (
+        "4ca389d8a7fc55cf334bd033c7cbb9fb30e24ba4ba572af1da53fc0ef959513d"
+    )
 
 
 class TestTensors:
