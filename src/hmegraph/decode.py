@@ -14,14 +14,8 @@ can be inspected:
    correction row and drops nodes whose row votes for deletion.
 4. :func:`build_graph` scores directed edges between surviving nodes from
    the two neighbor heads, then :func:`prune_and_acyclify` removes weak
-   edges and breaks cycles, never disconnecting start from end.  It keeps
-   a witness start-to-end path whose weakest undecided edge ranks as high
-   as any path's.  Every other path then needs a weaker edge, which goes
-   first, so the witness's weakest edge is kept without a search; a
-   removal off the witness leaves the end reachable and needs none
-   either.  The weak-edge phase makes one search more than it keeps weak
-   edges, whatever the graph's size; the cycle phase, one per removal
-   on the witness.
+   edges and breaks cycles, never disconnecting start from end; its
+   docstring argues why a bottleneck witness path bounds the searches.
    It prunes a weight matrix and edge mask, copied from the edge dict;
    :func:`decode_with_graph` hands over the matrix it scored, so a decode
    never builds the dense dict.  Weak edges are ranked only when strong
@@ -246,9 +240,8 @@ def _edge_weights(
                 check_finite(m, f"{name} neighbor scores")
             if np.abs(sums - 1.0).max() > ROW_SUM_TOL or m.min() < -ROW_SUM_TOL:
                 off = (np.abs(sums - 1.0) > ROW_SUM_TOL) | np.any(m < -ROW_SUM_TOL, axis=1)
-                if np.any(off):
-                    bad = int(np.argmax(off))  # the first True
-                    raise NonStochasticRow(bad, float(sums[bad]))
+                bad = int(np.argmax(off))  # the first True
+                raise NonStochasticRow(bad, float(sums[bad]))
     for i in index_map:
         if not 1 <= i <= n:
             raise NodeCountMismatch(f"node position {i} outside 1..{n}")
@@ -368,10 +361,7 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float) -> dict[tuple
     not reach the end.  Returns the kept edges with their weights, by
     source and then target.
 
-    The weak phase keeps the lowest-ranked undecided weak edge of each
-    bottleneck witness from :func:`_witness_path` without a search (see
-    :func:`prune_and_acyclify`), so it makes exactly (kept weak edges + 1)
-    searches; the cycle phase adds one per removal on the witness.
+    The witness rule and its search count: see :func:`prune_and_acyclify`.
     """
     n = len(weights)
     below = weights < epsilon
@@ -392,9 +382,7 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float) -> dict[tuple
     if witness is None:
         raise NoPath("virtual end unreachable before pruning")
     # Weak edges ranked up to `cut` are decided: in `live` when kept,
-    # otherwise gone.  Undecided ones ranked below the witness's lowest are
-    # off it and go unsearched; then every other path is cut, so the
-    # lowest is kept.  Once none is on the witness, all the rest go.
+    # otherwise gone.  Why the witness's lowest is kept: prune_and_acyclify.
     cut = -1
     while on_witness := [(r, e) for e, r in witness.items() if r > cut]:
         cut, (s, d) = min(on_witness)
@@ -419,9 +407,9 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float) -> dict[tuple
 def _witness_path(live, weak, cut) -> dict[tuple[int, int], int] | None:
     """A bottleneck start-to-end path over kept and undecided weak edges.
 
-    Kept edges (`live`) rank above every weak edge; a weak edge from
-    `weak()` exists while its rank is above `cut`.  The path's lowest
-    weak rank is as high as any path's.  The search reaches what kept
+    The bottleneck is defined in :func:`prune_and_acyclify`.  Kept edges
+    (`live`) rank above every weak edge; a weak edge from `weak()` exists
+    while its rank is above `cut`.  The search reaches what kept
     edges reach, then walks the weak edges from the highest rank down.
     An edge from a reached vertex to an unreached one extends the reach,
     over kept edges and the weak edges already walked past, and the edge

@@ -165,9 +165,10 @@ def layout_and_render(
     """Lay a canonical sequence out on a grid and render decoder tensors.
 
     The neighbor matrices encode the ground-truth reading order as a chain
-    over the node list a detector would extract (non-blank cells in raster
-    order, plus implied END nodes); correction rows carry true classes so
-    the configured noise is recoverable by construction.
+    over the node list a detector would extract: non-blank cells in raster
+    order, each structural token followed by the END nodes that
+    :func:`group_structure` says it owns.  Correction rows carry true
+    classes so the configured noise is recoverable by construction.
 
     Raises:
         GridTooSmall: grid cannot hold the laid-out expression.
@@ -177,11 +178,10 @@ def layout_and_render(
     h, w = grid_dims
     counts, parents = group_structure(seq, vocab)
     for pos, g in counts.items():
-        if g != vocab.group_count(seq[pos]):
+        if g != vocab.group_table[seq[pos]]:
             raise IllNested(
-                f"{vocab.symbol_of(seq[pos])!r} instance takes {g} groups; "
-                "grid output re-expands it with "
-                f"{vocab.group_count(seq[pos])}"
+                f"{vocab.symbols[seq[pos]]!r} instance takes {g} groups; "
+                f"grid output re-expands it with {vocab.group_table[seq[pos]]}"
             )
     rng = random.Random(seed)
 
@@ -215,7 +215,7 @@ def layout_and_render(
     for pos in sorted(raw):
         cid = seq[pos]
         observed[pos] = cid
-        flippable = vocab.role_of(cid) == ROLE_VISIBLE and len(visible_pool) > 1
+        flippable = vocab.roles[cid] == ROLE_VISIBLE and len(visible_pool) > 1
         if flippable and rng.random() < noise.flip_prob:
             wrong = rng.choice([c for c in visible_pool if c != cid])
             observed[pos] = wrong
@@ -247,51 +247,28 @@ def layout_and_render(
 
     # Teacher attention: one peaked slice per canonical token.
     attn = np.zeros((len(seq), h, w), dtype=np.float32)
-    for pos, cell in enumerate(cells):
-        attn[pos, cell[0], cell[1]] = 1.0
+    attn[np.arange(len(seq)), [r for r, _ in cells], [c for _, c in cells]] = 1.0
 
-    # Node list the detector will extract, in raster order with END
-    # expansion; spurious detections interleave by cell.
-    entries = sorted(
-        [(raw[pos], observed[pos], pos) for pos in raw]
-        + [(cell, cls, None) for cell, cls in zip(spurious, spurious_cls)]
-    )
-    mapping: dict[int, int] = {}
-    spurious_idx: list[int] = []
-    n = 0
-    for cell, cls, pos in entries:
-        n += 1
-        if pos is None:
-            spurious_idx.append(n)
-        else:
-            mapping[pos] = n
-        if vocab.is_structural(cls):
-            n += vocab.group_count(cls)
-    seen_ends: dict[int, int] = {}
-    for pos in range(len(seq)):
-        parent = parents[pos]
-        if parent is not None:
-            seen_ends[parent] = seen_ends.get(parent, 0) + 1
-            mapping[pos] = mapping[parent] + seen_ends[parent]
+    # Node list the detector will extract, in raster order: each END shares
+    # its owner's cell and sorts after it, in sequence order (the sort is
+    # stable).  None marks a spurious node.
+    keyed = [(cell, parents[pos] is not None, pos) for pos, cell in enumerate(cells)]
+    keyed += [(cell, False, None) for cell in spurious]
+    nodes = [pos for *_, pos in sorted(keyed, key=lambda k: k[:2])]
+    n = len(nodes)
+    node_of = {pos: i for i, pos in enumerate(nodes, 1) if pos is not None}
 
     # Correction rows and neighbor matrices.
     self_probs = np.zeros((n, vocab.correction_classes), dtype=np.float32)
-    for pos in range(len(seq)):
-        self_probs[mapping[pos] - 1, seq[pos]] = 1.0
-    for idx in spurious_idx:
-        self_probs[idx - 1, vocab.none_id] = 1.0
+    self_probs[np.arange(n), [vocab.none_id if pos is None else seq[pos] for pos in nodes]] = 1.0
 
     left = np.eye(n + 2, dtype=np.float32)
     right = np.eye(n + 2, dtype=np.float32)
-    chain = [0] + [mapping[pos] for pos in range(len(seq))] + [n + 1]
-    for q in range(len(chain) - 1):
-        u, v = chain[q], chain[q + 1]
-        if u != n + 1:
-            right[u] = 0.0
-            right[u, v] = 1.0
-        if v != 0:
-            left[v] = 0.0
-            left[v, u] = 1.0
+    chain = [0] + [node_of[pos] for pos in range(len(seq))] + [n + 1]
+    right[chain[:-1]] = 0.0
+    right[chain[:-1], chain[1:]] = 1.0
+    left[chain[1:]] = 0.0
+    left[chain[1:], chain[:-1]] = 1.0
 
     if noise.score_temperature > 0:
         t = noise.score_temperature
@@ -301,7 +278,7 @@ def layout_and_render(
 
     conn_flipped: list[tuple[int, str]] = []
     if noise.conn_flip_prob > 0 and len(chain) > 2:
-        real = sorted(mapping.values())
+        real = sorted(chain[1:-1])
         for q in range(1, len(chain) - 1):
             idx = chain[q]
             if rng.random() >= noise.conn_flip_prob:

@@ -214,57 +214,39 @@ class TokenVocab:
 
 
 def build_vocab(corpus: list[str]) -> TokenVocab:
-    """Build a vocabulary by scanning label strings.
+    """Build a vocabulary over the classes that a corpus of labels uses.
 
-    Braces are dropped ('{' is absorbed, '}' becomes the shared END class),
-    \\sqrt index brackets are dropped, and every other token becomes a
-    predictable class.  Roles come from the fixed structural symbol tables;
-    anything unlisted is a plain visible symbol.
+    Every label is parsed with :func:`parse_latex` over a draft vocabulary
+    of all its tokens but braces, so braces and \\sqrt index brackets, which
+    the parser consumes, are not classes; plain brackets are.  Roles come
+    from the fixed structural symbol tables; anything unlisted is a plain
+    visible symbol.
 
     Args:
         corpus: non-empty list of LaTeX label strings.
 
     Raises:
         EmptyCorpus: on an empty list.
-        UnbalancedBraces: when a label's braces do not balance.
+        UnbalancedBraces: when a label's braces or \\sqrt index brackets do
+            not balance.
+        DanglingGroup: when a structural token in a label misses an
+            argument group.
         UnknownControlSequence: when a backslash is not followed by letters.
     """
     if not corpus:
         raise EmptyCorpus("vocabulary build needs at least one label")
-    seen: set[str] = set()
-    for label in corpus:
-        toks = _tokenize(label, vocab=None)
-        depth = 0
-        sqrt_index_depth = 0
-        prev = None
-        for pos, t in enumerate(toks):
-            if t == "{":
-                depth += 1
-            elif t == "}":
-                depth -= 1
-                if depth < 0:
-                    raise UnbalancedBraces(label, pos)
-            elif t == "[" and prev == "\\sqrt":
-                sqrt_index_depth += 1
-            elif t == "]" and sqrt_index_depth > 0:
-                sqrt_index_depth -= 1
-            else:
-                seen.add(t)
-            prev = t
-        if depth != 0:
-            raise UnbalancedBraces(label, len(toks))
-    ordered = sorted(seen)
-    roles = []
-    for sym in ordered:
-        if sym in IRS_SYMBOLS:
-            roles.append(ROLE_IRS)
-        elif sym in HSE_GROUP_COUNTS:
-            roles.append(ROLE_HSE)
-        else:
-            roles.append(ROLE_VISIBLE)
-    symbols = ordered + [NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL]
-    roles += [ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS]
-    return TokenVocab(symbols, roles)
+    draft = _vocab_over({t for label in corpus for t in _tokenize(label, None)} - {"{", "}"})
+    used = {cid for label in corpus for cid in parse_latex(label, draft)}
+    return _vocab_over(draft.symbols[cid] for cid in used if draft.is_predictable(cid))
+
+
+def _vocab_over(symbols) -> TokenVocab:
+    """The vocabulary whose predictable classes are `symbols`, sorted."""
+    ordered = sorted(symbols)
+    roles = [ROLE_IRS if sym in IRS_SYMBOLS else ROLE_HSE if sym in HSE_GROUP_COUNTS
+             else ROLE_VISIBLE for sym in ordered]
+    return TokenVocab(ordered + [NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
+                      roles + [ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS])
 
 
 def _tokenize(s: str, vocab: TokenVocab | None) -> list[str]:

@@ -1,12 +1,15 @@
 """Command-line behavior: subcommands, config precedence, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hmegraph
 from hmegraph import (
     default_vocab,
     loss_vat,
@@ -22,6 +25,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_python(*argv):
+    """A Python subprocess that imports the hmegraph these tests import."""
+    path = [str(Path(hmegraph.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 class TestConfig:
@@ -257,6 +267,14 @@ class TestVocabCommand:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "+\tvisible"
 
+    def test_labels_that_do_not_parse(self, capsys, tmp_path):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("p + q\nx ^\n")
+        code, out, err = run_cli(capsys, "vocab", "--labels", str(labels))
+        assert code == 1
+        assert out == ""
+        assert "'^' is missing an argument group" in err
+
     def test_env_var_resolution(self, capsys, tmp_path, monkeypatch):
         vpath = tmp_path / "v.tsv"
         default_vocab().save(vpath)
@@ -295,16 +313,12 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_console_script_installed(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hmegraph.cli", "parse", "--label", "x"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python("-m", "hmegraph.cli", "parse", "--label", "x")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)[0]["symbols"] == ["x"]
 
     def test_import_leaves_scipy_unloaded(self):
         # Only matching needs scipy; every other command skips its import cost.
         code = "import sys, hmegraph.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Graph decoding: extraction, expansion, corrections, pruning, best path."""
 
+import math
 import random
 import re
 
@@ -328,6 +329,19 @@ class TestBuildGraph:
             build_graph(nodes, big, good)
         assert type(exc.value) is NonStochasticRow
         assert (exc.value.row, exc.value.total) == (1, np.inf)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_row_summing_to_nan_is_not_stochastic(self, vocab):
+        """Finite float32 entries whose partial sums overflow both ways sum to NaN."""
+        nodes = expand_imaginary(plain_nodes(vocab, [vocab.id_of("x")] * 14), vocab)
+        good = np.full((16, 16), 1.0 / 16, dtype=np.float32)
+        bad = good.copy()
+        bad[3, [0, 8]] = 3e38
+        bad[3, [1, 9]] = -3e38
+        with pytest.raises(NonStochasticRow) as exc:
+            build_graph(nodes, bad, good)
+        assert exc.value.row == 3
+        assert math.isnan(exc.value.total)
 
     def test_row_of_both_infinities_is_non_finite(self, vocab):
         nodes = expand_imaginary(plain_nodes(vocab, [vocab.id_of("x")]), vocab)

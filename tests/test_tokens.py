@@ -159,6 +159,28 @@ class TestBuildVocab:
         with pytest.raises(UnknownControlSequence):
             build_vocab(["\\3 x"])
 
+    @pytest.mark.parametrize("label, error", [
+        ("x ^", DanglingGroup),
+        ("\\frac { a }", DanglingGroup),
+        ("{ x }", UnbalancedBraces),
+        ("\\sqrt [ 3", UnbalancedBraces),
+    ])
+    def test_labels_parse_latex_rejects(self, label, error):
+        """A corpus builds a vocabulary only when parse_latex reads every label."""
+        with pytest.raises(error):
+            build_vocab(["x + 1", label])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        drawn=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 3)), min_size=1, max_size=4),
+        extra=st.sampled_from(["\\sqrt [ 3 ] { x }", "[ 0 , 1 ]"]),
+    )
+    def test_every_label_parses_and_every_class_occurs(self, drawn, extra):
+        corpus = [gen_expression(seed, max_depth=depth) for seed, depth in drawn] + [extra]
+        v = build_vocab(corpus)
+        used = {cid for label in corpus for cid in parse_latex(label, v)}
+        assert used - {v.end_id} == set(range(v.num_predictable))
+
 
 class TestParse:
     def test_superscript(self, vocab):
