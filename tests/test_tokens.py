@@ -290,6 +290,53 @@ class TestParse:
         assert [parse_latex(s, vocab) for s in corpus] == want
 
 
+class TestTokenize:
+    """Surface tokens of spaced and unspaced input, pinned token by token,
+    without a vocabulary and with the builtin one."""
+
+    @pytest.mark.parametrize("text, want", [
+        ("{ x }", ["{", "x", "}"]),
+        ("{x}", ["{", "x", "}"]),
+        ("[ 3 ]", ["[", "3", "]"]),
+        ("[3]", ["[", "3", "]"]),
+        ("{ { } }", ["{", "{", "}", "}"]),
+        ("{{}}", ["{", "{", "}", "}"]),
+        ("][", ["]", "["]),
+        ("{x", ["{", "x"]),
+        ("x}", ["x", "}"]),
+        ("^{", ["^", "{"]),
+        ("^ {", ["^", "{"]),
+        ("x^2", ["x", "^", "2"]),
+        ("a_1^2", ["a", "_", "1", "^", "2"]),
+        ("\\fracx", ["\\fracx"]),
+        ("\\frac{x}{y}", ["\\frac", "{", "x", "}", "{", "y", "}"]),
+        ("\\frac { x } { y }", ["\\frac", "{", "x", "}", "{", "y", "}"]),
+        ("\\sqrt[3]{x}", ["\\sqrt", "[", "3", "]", "{", "x", "}"]),
+        ("\\sqrt [ 3 ] { x }", ["\\sqrt", "[", "3", "]", "{", "x", "}"]),
+        ("\\limits \\sum\\limits", ["\\limits", "\\sum", "\\limits"]),
+        ("ab c", ["a", "b", "c"]),
+    ])
+    @pytest.mark.parametrize("with_vocab", [False, True], ids=["no_vocab", "builtin"])
+    def test_pinned(self, vocab, text, want, with_vocab):
+        assert tokens._tokenize(text, vocab if with_vocab else None) == want
+
+    def test_vocabulary_chunk_kept_whole(self, vocab):
+        """A spaced chunk the vocabulary holds is one token; unknown to the
+        vocabulary, it splits."""
+        assert tokens._tokenize("x <sos>", None) == ["x", "<", "s", "o", "s", ">"]
+        assert tokens._tokenize("x <sos>", vocab) == ["x", "<sos>"]
+        v = TokenVocab(
+            ["\\{", "\\}", "x", NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
+            [ROLE_VISIBLE] * 3 + [ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS],
+        )
+        assert tokens._tokenize("\\{ x \\}", v) == ["\\{", "x", "\\}"]
+        assert syms(v, parse_latex("\\{ x \\}", v)) == ["\\{", "x", "\\}"]
+        with pytest.raises(UnknownControlSequence):
+            tokens._tokenize("\\{x", v)
+        with pytest.raises(UnknownControlSequence):
+            tokens._tokenize("\\{ x", None)
+
+
 class TestCanonicalHelpers:
     def test_instance_counts_plain(self, vocab):
         seq = parse_latex("\\frac { x } { y }", vocab)
