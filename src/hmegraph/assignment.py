@@ -232,16 +232,10 @@ def make_targets(
         grid[r, c] = cid
         pred_cells.append((r, c))
     _, parents = group_structure(label, vocab)
+    placed = iter(pred_cells)
     cells: list[tuple[int, int]] = []
-    by_pos: dict[int, tuple[int, int]] = {}
-    k = 0
-    for pos, cid in enumerate(label):
-        if vocab.is_predictable(cid):
-            by_pos[pos] = pred_cells[k]
-            cells.append(pred_cells[k])
-            k += 1
-        else:
-            cells.append(by_pos[parents[pos]])
+    for owner in parents:  # an END shares its owner's cell
+        cells.append(next(placed) if owner is None else cells[owner])
     self_t, left_t, right_t = gt_targets(label)
     return AssignmentTarget(grid, cells, self_t, left_t, right_t)
 
@@ -315,9 +309,9 @@ def loss_pgd(
     for name, m in (("left", left), ("right", right)):
         check_shape(m, (n + 2, n + 2), f"{name} neighbor scores", NodeCountMismatch)
         check_finite(m, f"{name} neighbor scores")
-    if n and (max(self_t) >= self_probs.shape[1] or min(self_t) < 0):
+    if max(self_t) >= self_probs.shape[1] or min(self_t) < 0:
         raise ShapeMismatch("self target outside correction classes")
-    if n and not all(0 <= t < n + 2 for t in left_t + right_t):
+    if not all(0 <= t < n + 2 for t in left_t + right_t):
         raise ShapeMismatch("neighbor target outside node range")
     rows = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore"):

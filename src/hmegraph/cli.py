@@ -78,7 +78,7 @@ def load_config(path: str) -> Config:
 def merge_config(args: argparse.Namespace, base: Config) -> Config:
     """Overlay flags that were actually given onto `base`."""
     updates = {}
-    for field in ("epsilon", "km", "lam", "alpha_l2r", "alpha_r2l", "seed"):
+    for field, _ in _CONFIG_KEYS.values():
         value = getattr(args, field, None)
         if value is not None:
             updates[field] = value

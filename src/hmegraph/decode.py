@@ -322,8 +322,6 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
         NodeCountMismatch: an edge end is neither the start, the end, nor
             a node's position within 1..n_slots.
         NoPath: the end was unreachable before pruning started.
-        CycleDetected: a cycle that cannot be broken (defensive; a
-            reachable end always leaves one breakable edge per cycle).
     """
     _check_edge_ends(graph)
     n = graph.n_slots + 2
@@ -399,8 +397,7 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float) -> dict[tuple
                 witness = found
                 break
             insort(live[s], d)
-        else:
-            raise CycleDetected(f"cycle through {sorted({s for s, _ in cycle})} is unbreakable")
+        # Always breaks: a simple path of `live` edges cannot hold a whole cycle.
     return {(s, d): weights.item(s, d) for s, out in enumerate(live) for d in out}
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import EmptyInput, HmeGraphError, LengthMismatch
 from .tokens import TokenVocab, parse_latex
@@ -40,13 +40,7 @@ class EvalReport:
     per_sample: list[int] = field(repr=False)
 
     def as_dict(self) -> dict:
-        return {
-            "exprate": self.exprate,
-            "leq1": self.leq1,
-            "leq2": self.leq2,
-            "n": self.n,
-            "per_sample": self.per_sample,
-        }
+        return asdict(self)
 
 
 def evaluate(preds: list[str], refs: list[str], vocab: TokenVocab) -> EvalReport:

@@ -206,44 +206,31 @@ def layout_and_render(
         for pos in range(len(seq))
     ]
 
-    # Cell noise.
-    visible_pool = [
-        i for i, role in enumerate(vocab.roles) if role == ROLE_VISIBLE
-    ]
-    observed: dict[int, int] = {}
+    # Classification grid, with cell noise written as it is drawn.
+    probs = np.zeros((vocab.grid_classes, h, w), dtype=np.float32)
+    probs[vocab.none_id] = 1.0
+    visible_pool = [i for i, role in enumerate(vocab.roles) if role == ROLE_VISIBLE]
     flipped: list[tuple[int, int]] = []
     for pos in sorted(raw):
-        cid = seq[pos]
-        observed[pos] = cid
+        cid, (r, c) = seq[pos], raw[pos]
+        probs[:, r, c] = 0.0
         flippable = vocab.roles[cid] == ROLE_VISIBLE and len(visible_pool) > 1
         if flippable and rng.random() < noise.flip_prob:
-            wrong = rng.choice([c for c in visible_pool if c != cid])
-            observed[pos] = wrong
-            flipped.append(raw[pos])
+            probs[rng.choice([x for x in visible_pool if x != cid]), r, c] = 0.8
+            probs[cid, r, c] = 0.2
+            flipped.append((r, c))
+        else:
+            probs[cid, r, c] = 1.0
 
     taken = set(raw.values())
     spurious: list[tuple[int, int]] = []
-    spurious_cls: list[int] = []
     if noise.spurious_prob > 0:
         for r in range(h):
             for c in range(w):
                 if (r, c) not in taken and rng.random() < noise.spurious_prob:
                     spurious.append((r, c))
-                    spurious_cls.append(rng.choice(visible_pool))
-
-    # Classification grid.
-    probs = np.zeros((vocab.grid_classes, h, w), dtype=np.float32)
-    probs[vocab.none_id] = 1.0
-    for pos, cell in raw.items():
-        probs[:, cell[0], cell[1]] = 0.0
-        if observed[pos] == seq[pos]:
-            probs[seq[pos], cell[0], cell[1]] = 1.0
-        else:
-            probs[observed[pos], cell[0], cell[1]] = 0.8
-            probs[seq[pos], cell[0], cell[1]] = 0.2
-    for cell, cls in zip(spurious, spurious_cls):
-        probs[vocab.none_id, cell[0], cell[1]] = 0.2
-        probs[cls, cell[0], cell[1]] = 0.8
+                    probs[vocab.none_id, r, c] = 0.2
+                    probs[rng.choice(visible_pool), r, c] = 0.8
 
     # Teacher attention: one peaked slice per canonical token.
     attn = np.zeros((len(seq), h, w), dtype=np.float32)

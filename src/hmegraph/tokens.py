@@ -260,10 +260,7 @@ def _tokenize(s: str, vocab: TokenVocab | None) -> list[str]:
     multi = () if vocab is None else vocab.multi_symbols
     out: list[str] = []
     for chunk in s.split():
-        if chunk in ("{", "}", "[", "]"):
-            out.append(chunk)
-            continue
-        if (vocab is not None and chunk in vocab) or chunk in IRS_SYMBOLS or chunk in HSE_GROUP_COUNTS:
+        if vocab is not None and chunk in vocab:
             out.append(chunk)
             continue
         i = 0
@@ -302,11 +299,12 @@ def parse_latex(s: str, vocab: TokenVocab) -> list[int]:
     Raises:
         UnbalancedBraces: stray or unclosed braces.
         DanglingGroup: a structural token missing an argument group.
-        VocabMiss: a token absent from the vocabulary.
+        VocabMiss: a token absent from the vocabulary, or a reserved
+            symbol (``<none>``, ``<sos>``, ``<eos>``), which no label holds.
         UnknownControlSequence: malformed backslash token.
     """
     toks = _tokenize(s, vocab)
-    groups, end, sqrt = vocab.group_table, vocab.end_id, vocab.sqrt_id
+    groups, end, none, sqrt = vocab.group_table, vocab.end_id, vocab.none_id, vocab.sqrt_id
     toks.append(None)  # the input end
     out: list[int] = []
     # Stack frames: a run of units waits for its closer (None: the input
@@ -338,6 +336,8 @@ def parse_latex(s: str, vocab: TokenVocab) -> list[int]:
             raise UnbalancedBraces(s, i)
         # One unit: a symbol, or a structural symbol that opens its groups.
         cid = vocab.id_of(t)
+        if cid >= none:  # END's "}" is a brace above, never a unit
+            raise VocabMiss(f"reserved symbol {t!r} cannot appear in a label")
         out.append(cid)
         i += 1
         if g := groups[cid]:

@@ -403,8 +403,14 @@ class TestLosses:
         with pytest.raises(ShapeMismatch):
             loss_pgd(sp, left[:3, :3], right, gt_targets(seq))
         bad = gt_targets(seq)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="neighbor target"):
             loss_pgd(sp, left, right, (bad[0], [99] * 3, bad[2]))
+        with pytest.raises(ShapeMismatch, match="differ in length"):
+            loss_pgd(sp, left, right, (bad[0], bad[1][:2], bad[2]))
+        with pytest.raises(ShapeMismatch, match="self target"):
+            loss_pgd(sp, left, right, ([sp.shape[1]] * 3, bad[1], bad[2]))
+        with pytest.raises(ShapeMismatch, match="self target"):
+            loss_pgd(sp, left, right, ([-1] * 3, bad[1], bad[2]))
 
     def test_pgd_zero_probability(self, vocab):
         seq = parse_latex("x + y", vocab)

@@ -109,6 +109,12 @@ class TestParseEmit:
         assert code == 1
         assert "error:" in err
 
+    def test_parse_reserved_symbol_exit(self, capsys):
+        code, out, err = run_cli(capsys, "parse", "--label", "x <eos>")
+        assert code == 1
+        assert out == ""
+        assert "error: reserved symbol '<eos>'" in err
+
     def test_emit_roundtrip(self, capsys):
         vocab = default_vocab()
         ids = parse_latex("\\frac { x } { y }", vocab)
@@ -301,6 +307,18 @@ class TestExitCodes:
         )
         assert code == 1
         assert "error:" in err
+
+    def test_gen_bad_grid_is_one(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "gen", "--grid", "12by48", "--out", str(tmp_path))
+        assert code == 1
+        assert "error: bad grid '12by48'" in err
+
+    def test_gen_gives_up_on_a_grid_nothing_fits(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "gen", "--grid", "0x0", "--count", "1", "--out", str(tmp_path)
+        )
+        assert code == 1
+        assert "error: gave up after 50 attempts; 0 of 1 fit" in err
 
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,4 @@
-"""Every exported name has a use outside its own definition.
+"""Every exported name and private helper has a use outside its own definition.
 
 A name counts as used when it appears as a word on some line of the
 package (other than ``__init__.py``), the benchmark or the demos that is
@@ -6,6 +6,7 @@ not its own ``def`` or ``class`` line.  The ``oracle_*`` references are
 exempt: the tests judge the package against them.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -33,3 +34,41 @@ def test_every_export_is_used():
         if not any(word.search(line) and not own.match(line) for line in lines):
             unused.append(name)
     assert unused == []
+
+
+def private_definitions(tree):
+    """The module-level ``_name`` definitions of a parsed module, by node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_helper_has_a_caller():
+    """A module-level ``_name`` in the package is read somewhere in the
+    package outside its own definition."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    reads = []  # (path, line, name) of every name read and attribute
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((path, node.lineno, node.attr))
+    defined, unused = 0, []
+    for path, tree in trees.items():
+        for name, node in private_definitions(tree):
+            defined += 1
+            if not any(
+                n == name and not (p == path and node.lineno <= line <= node.end_lineno)
+                for p, line, n in reads
+            ):
+                unused.append(f"{path.name}:{name}")
+    assert defined and unused == []

@@ -79,6 +79,9 @@ class TestEvaluate:
         assert report.per_sample == [UNPARSEABLE]
         assert report.exprate == 0.0
 
+    def test_reserved_symbol_prediction(self, vocab):
+        assert evaluate(["x <sos>", "x"], ["x", "x"], vocab).per_sample == [UNPARSEABLE, 0]
+
     def test_deeply_nested_prediction(self, vocab):
         deep = "\\sqrt { " * 5000 + "x" + " }" * 5000
         assert evaluate([deep, deep[:-2]], ["x", "x"], vocab).per_sample == [

@@ -143,6 +143,12 @@ class TestReadErrors:
         with pytest.raises(TruncatedPayload):
             read_tensor(path)
 
+    def test_header_cut_inside_dimensions(self, tmp_path):
+        path = self.write_good(tmp_path)
+        path.write_bytes(path.read_bytes()[:14])
+        with pytest.raises(TruncatedPayload, match="header cut short"):
+            read_tensor(path)
+
     def test_truncated_payload(self, tmp_path):
         path = self.write_good(tmp_path)
         path.write_bytes(path.read_bytes()[:-4])

@@ -1,6 +1,7 @@
 """Token grammar: vocabulary build, parse, emit, canonical-form helpers."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,10 @@ class TestVocabLayout:
                 [ROLE_VISIBLE, ROLE_END, ROLE_NONE, ROLE_SOS, ROLE_EOS],
             )
 
+    def test_validation_rejects_role_count(self):
+        with pytest.raises(VocabMiss, match="symbol and role counts differ"):
+            TokenVocab(["a", "b"], [ROLE_VISIBLE])
+
     def test_validation_requires_specials(self):
         with pytest.raises(VocabMiss):
             TokenVocab(["a"], [ROLE_VISIBLE])
@@ -123,6 +128,13 @@ class TestVocabLayout:
         back = TokenVocab.load(path)
         assert back.symbols == vocab.symbols
         assert back.roles == vocab.roles
+
+    def test_load_skips_blank_lines(self, vocab, tmp_path):
+        path = tmp_path / "v.tsv"
+        vocab.save(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n" + "\n\n".join(lines) + "\n\n")
+        assert TokenVocab.load(path).symbols == vocab.symbols
 
     def test_load_rejects_bad_line(self, tmp_path):
         path = tmp_path / "v.tsv"
@@ -158,6 +170,11 @@ class TestBuildVocab:
     def test_bad_control_sequence(self):
         with pytest.raises(UnknownControlSequence):
             build_vocab(["\\3 x"])
+
+    @pytest.mark.parametrize("label", ["<eos>", "x <sos>"])
+    def test_reserved_symbol_label(self, label):
+        with pytest.raises(VocabMiss, match="reserved"):
+            build_vocab([label])
 
     @pytest.mark.parametrize("label, error", [
         ("x ^", DanglingGroup),
@@ -235,6 +252,17 @@ class TestParse:
     def test_unknown_symbol(self, vocab):
         with pytest.raises(VocabMiss):
             parse_latex("\\nosuchthing", vocab)
+
+    @pytest.mark.parametrize("text, symbol", [
+        ("x <sos>", SOS_SYMBOL),
+        ("x<sos>", SOS_SYMBOL),
+        ("<none>", NONE_SYMBOL),
+        ("x ^ <eos>", EOS_SYMBOL),
+    ])
+    def test_reserved_symbol(self, vocab, text, symbol):
+        """The none, <sos> and <eos> classes are never part of a label."""
+        with pytest.raises(VocabMiss, match=re.escape(repr(symbol))):
+            parse_latex(text, vocab)
 
     @pytest.mark.parametrize("head, tail", [
         ("\\frac { ", " } { y }"),
