@@ -97,11 +97,10 @@ def resolve_vocab(args: argparse.Namespace, cfg: Config) -> TokenVocab:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    try:
-        h, w = text.lower().split("x")
-        return int(h), int(w)
-    except ValueError:
-        raise ValueError(f"bad grid {text!r}; expected HxW, e.g. 12x48") from None
+    h, _, w = text.lower().partition("x")
+    if not (h.isdecimal() and w.isdecimal() and int(h) > 0 < int(w)):
+        raise ValueError(f"bad grid {text!r}; expected HxW with both sides at least 1, e.g. 12x48")
+    return int(h), int(w)
 
 
 def _emit_json(payload) -> None:

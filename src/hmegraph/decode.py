@@ -17,11 +17,11 @@ can be inspected:
    edges and breaks cycles, never disconnecting start from end; its
    docstring argues why a bottleneck witness path bounds the searches.
    It prunes a weight matrix and edge mask, copied from the edge dict;
-   :func:`decode_with_graph` hands over the matrix it scored, so a decode
-   never builds the dense dict.  Weak edges are ranked only when strong
+   :func:`decode_with_graph` hands over the matrix it scored, and builds
+   a dict only of the kept edges.  Weak edges are ranked only when strong
    edges alone miss the end.
 5. :func:`longest_path` picks the maximum-weight start-to-end path and
-   renders it back to LaTeX.
+   renders it back to LaTeX; a decode runs its core on pruning's lists.
 
 Each of steps 1-3 is a thin wrapper that builds :class:`Node` objects
 from a private core on flat lists of class ids, rows, columns and
@@ -41,6 +41,7 @@ import itertools
 import math
 from bisect import insort
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,12 +58,13 @@ from .tokens import TokenVocab, emit_latex, repair_groups
 ROW_SUM_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One candidate symbol: class, cell, graph position.
 
     `index` is 0 until :func:`expand_imaginary` assigns positions.  END
     nodes remember the position of the structural node that implied them.
+    A named tuple: immutable, hashable, unpacked in field order, and
+    equal to the plain tuple of its fields.
     """
 
     class_id: int
@@ -107,8 +109,7 @@ def vat_extract(P: np.ndarray, vocab: TokenVocab) -> list[Node]:
     resolves to the lowest class id.  The none class is the last channel,
     so a symbol that ties it wins the cell: a cell is blank only when its
     none value is strictly above every symbol value.  Only the argmax
-    decides, so probabilities and logits extract the same nodes.  The
-    nodes are built from the flat lists :func:`decode_with_graph` reads.
+    decides, so probabilities and logits extract the same nodes.
 
     Raises:
         ShapeMismatch: P is not (channels, H, W) with the vocabulary's
@@ -135,13 +136,13 @@ def expand_imaginary(nodes: list[Node], vocab: TokenVocab) -> list[Node]:
 
     Each structural node gains its group count of END nodes immediately
     after it, at the same cell, carrying the structural node's position as
-    parent.  Positions are 1-based; 0 and N+1 stay virtual.  The nodes are
-    built from the flat lists :func:`decode_with_graph` reads.
+    parent.  Positions are 1-based; 0 and N+1 stay virtual.
 
     Raises:
         VocabMiss: a node's class id is outside the vocabulary.
     """
-    cids, rows, cols, parents = _expand(*_fields(nodes, "class_id", "row", "col", "parent"), vocab)
+    cids, rows, cols, _, parents = [*zip(*nodes)] or [()] * 5
+    cids, rows, cols, parents = _expand(cids, rows, cols, parents, vocab)
     return list(map(Node, cids, rows, cols, range(1, len(cids) + 1), parents))
 
 
@@ -172,8 +173,7 @@ def apply_corrections(
 
     Row i belongs to the node at graph position i+1.  A row whose argmax is
     the none class deletes the node; deleting a structural node also deletes
-    the END nodes it implied.  Surviving nodes keep their positions.  The
-    survivors are the ones :func:`decode_with_graph` keeps from flat lists.
+    the END nodes it implied.  Surviving nodes keep their positions.
 
     Raises:
         ShapeMismatch: rows are not 2-d, or their width differs from the
@@ -181,13 +181,8 @@ def apply_corrections(
         NodeCountMismatch: row count differs from the node count.
         NonFinite: a row holds NaN or infinity.
     """
-    kept = _correct(*_fields(nodes, "row", "col", "parent", "index"), self_probs, vocab)
-    return list(kept.values())
-
-
-def _fields(nodes: list[Node], *names: str) -> list[list]:
-    """One list per field name, holding that field of every node."""
-    return [[getattr(node, name) for node in nodes] for name in names]
+    _, rows, cols, positions, parents = [*zip(*nodes)] or [()] * 5
+    return list(_correct(rows, cols, parents, positions, self_probs, vocab).values())
 
 
 def _correct(rows, cols, parents, positions, self_probs: np.ndarray, vocab: TokenVocab):
@@ -330,7 +325,7 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     for (s, d), w in graph.edges.items():
         weights[s, d] = w
         valid[s, d] = True
-    return ExprGraph(dict(graph.nodes), _prune(weights, valid, epsilon), graph.n_slots)
+    return ExprGraph(dict(graph.nodes), _prune(weights, valid, epsilon)[0], graph.n_slots)
 
 
 def _check_edge_ends(graph: ExprGraph) -> None:
@@ -349,15 +344,15 @@ def _rows(n: int, src: np.ndarray, values: np.ndarray) -> list[list[int]]:
     return [values[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
-def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float) -> dict[tuple[int, int], float]:
+def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float):
     """The pruning pass of :func:`prune_and_acyclify` on a weight matrix.
 
     `weights[s, d]` is the float64 weight of s -> d, an edge exactly where
     the bool mask `valid` holds.  Strong edges, those not below `epsilon`,
     become successor lists in ascending order.  Weak edges are ranked in
     ascending ``(weight, src, dst)`` order only when strong edges alone do
-    not reach the end.  Returns the kept edges with their weights, by
-    source and then target.
+    not reach the end.  Returns the kept edges as a dict by source and then
+    target, as successor and weight lists, and the last DFS postorder.
 
     The witness rule and its search count: see :func:`prune_and_acyclify`.
     """
@@ -387,7 +382,8 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float) -> dict[tuple
         insort(live[s], d)
         witness = _witness_path(live, weak, cut)
 
-    while (cycle := _find_cycle(live)) is not None:
+    cycle, order = _find_cycle(live)
+    while cycle is not None:
         for _, (s, d) in sorted((weights.item(e), e) for e in cycle):
             live[s].remove(d)
             if (s, d) not in witness:
@@ -398,7 +394,11 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float) -> dict[tuple
                 break
             insort(live[s], d)
         # Always breaks: a simple path of `live` edges cannot hold a whole cycle.
-    return {(s, d): weights.item(s, d) for s, out in enumerate(live) for d in out}
+        cycle, order = _find_cycle(live)
+    edges = {(s, d): weights.item(s, d) for s, out in enumerate(live) for d in out}
+    ends = list(itertools.accumulate(map(len, live), initial=0))
+    flat = list(edges.values())  # by source: row s is flat[ends[s]:ends[s + 1]]
+    return edges, live, [flat[i:j] for i, j in zip(ends, ends[1:])], order
 
 
 def _witness_path(live, weak, cut) -> dict[tuple[int, int], int] | None:
@@ -456,13 +456,14 @@ def _witness_path(live, weak, cut) -> dict[tuple[int, int], int] | None:
     return path
 
 
-def _find_cycle(succ: list[list[int]]) -> list[tuple[int, int]] | None:
-    """First directed cycle found by DFS over ascending vertices, as edges.
-
-    Successor lists must be sorted.  Iterative so deep graphs cannot exhaust
-    the interpreter stack.
+def _find_cycle(succ: list[list[int]]):
+    """First directed cycle found by DFS over ascending vertices, as edges,
+    or None; and the pass's postorder, whose reverse is a topological order
+    when there is no cycle (Tarjan 1976).  Pruning keeps successor lists
+    sorted.  Iterative so deep graphs cannot exhaust the interpreter stack.
     """
     color = [0] * len(succ)  # 0 unseen, 1 on the stack, 2 done
+    order: list[int] = []
     for start in range(len(succ)):
         if color[start]:
             continue
@@ -474,25 +475,28 @@ def _find_cycle(succ: list[list[int]]) -> list[tuple[int, int]] | None:
                 if color[v] == 1:
                     on_stack = [frame[0] for frame in stack]
                     tail = on_stack[on_stack.index(v):]
-                    return [(u, v), *zip(tail, tail[1:])]
+                    return [(u, v), *zip(tail, tail[1:])], order
                 if color[v] == 0:
                     color[v] = 1
                     stack.append((v, iter(succ[v])))
                     break
             else:
                 color[u] = 2
+                order.append(u)
                 stack.pop()
-    return None
+    return None, order
 
 
 def longest_path(graph: ExprGraph, vocab: TokenVocab) -> PathResult:
     """Maximum-weight start-to-end path by DP over a topological order.
 
-    Runs in O(V + E) over Kahn's order.  When two predecessors give a node
-    the same distance, the smaller graph position wins, making the result
-    deterministic.  The winning node sequence renders to LaTeX; a path
-    whose group structure is ill-nested is repaired by dropping unopened
-    ENDs and closing groups left open at the end.
+    Runs in O(V + E) over the reverse postorder of a depth-first search,
+    which also finds any cycle.  When two predecessors give a node the same
+    distance, the smaller graph position wins, whatever order they are
+    relaxed in, so the edges' order cannot change the result.  The winning
+    node sequence renders to LaTeX; a path whose group structure is
+    ill-nested is repaired by dropping unopened ENDs and closing groups
+    left open at the end.
 
     Raises:
         NodeCountMismatch: an edge end is neither the start, the end, nor
@@ -503,43 +507,40 @@ def longest_path(graph: ExprGraph, vocab: TokenVocab) -> PathResult:
             \\sqrt index, which has no LaTeX spelling.
     """
     _check_edge_ends(graph)
-    n = graph.n_slots + 2
-    succ: list[list[int]] = [[] for _ in range(n)]
-    weights: list[list[float]] = [[] for _ in range(n)]
-    indeg = [0] * n
+    succ: list[list[int]] = [[] for _ in range(graph.n_slots + 2)]
+    wts: list[list[float]] = [[] for _ in succ]
     for (s, d), w in graph.edges.items():
         succ[s].append(d)
-        weights[s].append(w)
-        indeg[d] += 1
-    dist = [-math.inf] * n
+        wts[s].append(w)
+    cycle, order = _find_cycle(succ)
+    if cycle is not None:
+        raise CycleDetected("expression graph still holds a cycle")
+    return _best_path(graph.nodes, succ, wts, order, vocab)
+
+
+def _best_path(nodes, succ, wts, order, vocab: TokenVocab) -> PathResult:
+    """:func:`longest_path` on successor and weight lists.  Walking the DFS
+    postorder `order` backwards relaxes a vertex after all its predecessors."""
+    n = len(succ)
+    dist = [0.0] + [-math.inf] * (n - 1)
     pred = [n] * n  # n: no predecessor yet, larger than any position
-    dist[0] = 0.0
-    # Kahn's order, grown while it is walked; a vertex is walked only after
-    # all its predecessors, so its distance is final by then.
-    order = [v for v in range(n) if indeg[v] == 0]
-    for u in order:
+    for u in reversed(order):
         du = dist[u]
-        for v, w in zip(succ[u], weights[u]):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                order.append(v)
-            if du == -math.inf:
-                continue
+        if du == -math.inf:
+            continue
+        for v, w in zip(succ[u], wts[u]):
             cand = du + w
             if cand > dist[v] or (cand == dist[v] and u < pred[v]):
                 dist[v] = cand
                 pred[v] = u
-    if len(order) != n:
-        raise CycleDetected("expression graph still holds a cycle")
     end = n - 1
     if dist[end] == -math.inf:
         raise NoPath("no start-to-end path after pruning")
-
     path = [end]
     while path[-1]:
         path.append(pred[path[-1]])
     path.reverse()
-    seq = [graph.nodes[i].class_id for i in path[1:-1]]
+    seq = [nodes[i].class_id for i in path[1:-1]]
     latex = emit_latex(repair_groups(seq, vocab), vocab)
     return PathResult(path, dist[end], latex)
 
@@ -561,7 +562,7 @@ def decode_with_graph(
     steps 1-3 give.  But extraction, expansion and corrections run on flat
     lists, and the weight matrix and edge mask go straight into the
     pruning core, so only the surviving nodes and the kept edges become
-    Python objects.
+    Python objects; the path search runs on pruning's successor lists.
 
     Raises:
         ShapeMismatch: an input has the wrong rank, or the wrong grid
@@ -580,5 +581,5 @@ def decode_with_graph(
     check_shape(left, (n + 2, n + 2), "left neighbor scores", NodeCountMismatch)
     kept = _correct(rows, cols, parents, range(1, n + 1), self_probs, vocab)
     weights, valid = _edge_weights(kept, left, right, alpha_l2r, alpha_r2l)
-    pruned = ExprGraph(kept, _prune(weights, valid, epsilon), n)
-    return longest_path(pruned, vocab), pruned
+    edges, live, wts, order = _prune(weights, valid, epsilon)
+    return _best_path(kept, live, wts, order, vocab), ExprGraph(kept, edges, n)

@@ -11,6 +11,7 @@ import pytest
 
 import hmegraph
 from hmegraph import (
+    GridTooSmall,
     default_vocab,
     loss_vat,
     parse_latex,
@@ -18,6 +19,7 @@ from hmegraph import (
     teacher_matrices,
     write_tensor,
 )
+from hmegraph import cli
 from hmegraph.cli import Config, build_parser, load_config, main, merge_config
 
 
@@ -309,13 +311,22 @@ class TestExitCodes:
         assert "error:" in err
 
     def test_gen_bad_grid_is_one(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "gen", "--grid", "12by48", "--out", str(tmp_path))
-        assert code == 1
-        assert "error: bad grid '12by48'" in err
+        """A malformed grid or a side below 1 is refused before `gen`
+        creates its output directory."""
+        for grid in ["12by48", "0x10", "-1x5", "0x0", "12x0"]:
+            out = tmp_path / "out"
+            code, _, err = run_cli(capsys, "gen", f"--grid={grid}", "--out", str(out))
+            assert code == 1
+            assert f"error: bad grid '{grid}'" in err
+            assert not out.exists(), grid
 
-    def test_gen_gives_up_on_a_grid_nothing_fits(self, capsys, tmp_path):
+    def test_gen_gives_up_on_a_grid_nothing_fits(self, capsys, tmp_path, monkeypatch):
+        def too_small(*args, **kwargs):
+            raise GridTooSmall("nothing fits")
+
+        monkeypatch.setattr(cli, "make_sample", too_small)
         code, _, err = run_cli(
-            capsys, "gen", "--grid", "0x0", "--count", "1", "--out", str(tmp_path)
+            capsys, "gen", "--grid", "12x48", "--count", "1", "--out", str(tmp_path)
         )
         assert code == 1
         assert "error: gave up after 50 attempts; 0 of 1 fit" in err

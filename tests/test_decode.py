@@ -67,6 +67,16 @@ def grid_for(vocab, placed, h, w):
     return P
 
 
+def test_node_is_an_immutable_tuple():
+    node = Node(3, 1, 2)
+    assert (node.index, node.parent) == (0, None)
+    assert node == (3, 1, 2, 0, None) and hash(node) == hash((3, 1, 2, 0, None))
+    assert {node: 1}[Node(3, 1, 2, index=0)] == 1
+    assert repr(node) == "Node(class_id=3, row=1, col=2, index=0, parent=None)"
+    with pytest.raises(AttributeError):
+        node.index = 5
+
+
 def plain_nodes(vocab, cids):
     return [Node(cid, 0, i) for i, cid in enumerate(cids)]
 
@@ -655,22 +665,45 @@ class TestDecodePruneMatchesAdapter:
             )
         assert min(seen.values()) >= 50, seen
 
-    def test_decode_builds_no_edge_dict(self, vocab, monkeypatch):
+    def test_decode_operation_counts(self, vocab, monkeypatch):
         """Decoding the benchmark's default profiles never builds the dense
-        edge dict nor prunes through it."""
+        edge dict nor prunes through it, takes the path from pruning's
+        lists without `longest_path` or a second edge-end check, and makes
+        one depth-first pass per removed cycle edge, plus the one that
+        finds no cycle."""
 
         def refuse(*args, **kwargs):
-            raise AssertionError("dense edge dict on the decode path")
+            raise AssertionError("dict-based stage on the decode path")
 
-        monkeypatch.setattr(decode, "build_graph", refuse)
-        monkeypatch.setattr(decode, "prune_and_acyclify", refuse)
+        for name in ("build_graph", "prune_and_acyclify", "longest_path", "_check_edge_ends"):
+            monkeypatch.setattr(decode, name, refuse)
+        passes, cycles = 0, []
+        find_cycle = decode._find_cycle
+
+        def counted(succ):
+            nonlocal passes
+            passes += 1
+            cycle, order = find_cycle(succ)
+            if cycle is not None:
+                cycles.append(cycle)
+            return cycle, order
+
+        monkeypatch.setattr(decode, "_find_cycle", counted)
         profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
                     NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
+        removed_total = 0
         for k, sample in enumerate(bench_samples(vocab, profiles, 100, 80000)):
-            result, _ = decode_with_graph(sample.probs, sample.self_probs,
-                                          sample.left, sample.right, vocab)
+            passes, cycles = 0, []
+            result, pruned = decode_with_graph(sample.probs, sample.self_probs,
+                                               sample.left, sample.right, vocab)
+            # Every cycle edge missing from the kept edges was removed by
+            # the cycle phase, which removes one edge per cycle it finds.
+            removed = {e for cycle in cycles for e in cycle} - pruned.edges.keys()
+            assert passes == len(removed) + 1, f"sample {k}"
+            removed_total += len(removed)
             if k % 5 == 0:  # quiet
                 assert result.latex == emit_latex(sample.seq, vocab)
+        assert removed_total > 0  # some profile breaks cycles
 
     def test_decode_builds_each_node_once(self, vocab, monkeypatch):
         """Decoding the benchmark's default profiles builds a Node only for
@@ -679,10 +712,10 @@ class TestDecodePruneMatchesAdapter:
         built = 0
 
         class CountedNode(Node):
-            def __init__(self, *args, **kwargs):
+            def __new__(cls, *args, **kwargs):
                 nonlocal built
                 built += 1
-                super().__init__(*args, **kwargs)
+                return super().__new__(cls, *args, **kwargs)
 
         def refuse(*args, **kwargs):
             raise AssertionError("public stage function on the decode path")
@@ -757,6 +790,41 @@ class TestLongestPath:
         edges = {(0, 1): 1.0, (1, 2): 1.0, (2, 1): 1.0, (2, 3): 1.0}
         with pytest.raises(CycleDetected):
             longest_path(ExprGraph(nodes, edges, n_slots=2), vocab)
+
+    @pytest.mark.parametrize("edges", [
+        {(2, 3): 1.0, (3, 2): 1.0, (0, 1): 1.0, (1, 4): 1.0},  # off every start path
+        {(3, 2): 1.0, (2, 3): 1.0, (1, 2): 1.0, (3, 4): 1.0, (0, 1): 1.0},  # on it, listed backwards
+        {(0, 1): 1.0, (1, 1): 1.0, (1, 4): 1.0},  # a self-loop
+    ], ids=["unreached", "reached", "self_loop"])
+    def test_cycle_detected_anywhere(self, vocab, edges):
+        nodes = {i: Node(0, 0, i, index=i) for i in (1, 2, 3)}
+        with pytest.raises(CycleDetected):
+            longest_path(ExprGraph(nodes, edges, n_slots=3), vocab)
+
+    def test_insertion_order_changes_nothing(self, vocab):
+        """The same edges inserted in another order give the same path,
+        weight and LaTeX, on dyadic weights and on tie-heavy ones."""
+        rng = random.Random(20261019)
+        connected = 0
+        for trial in range(400):
+            g = random_dag(rng, vocab)
+            if trial % 2:
+                g.edges.update((e, rng.choice([0.5, 1.0])) for e in g.edges)
+            items = list(g.edges.items())
+            rng.shuffle(items)
+            shuffled = ExprGraph(g.nodes, dict(items), g.n_slots)
+            try:
+                want = longest_path(g, vocab)
+            except NoPath:
+                with pytest.raises(NoPath):
+                    longest_path(shuffled, vocab)
+                continue
+            got = longest_path(shuffled, vocab)
+            connected += 1
+            assert (got.path, repr(got.weight), got.latex) == (
+                want.path, repr(want.weight), want.latex
+            ), f"trial {trial}"
+        assert connected > 200
 
     def test_renders_latex(self, vocab):
         frac, x, y = vocab.id_of("\\frac"), vocab.id_of("x"), vocab.id_of("y")
