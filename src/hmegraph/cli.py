@@ -62,7 +62,7 @@ _CONFIG_KEYS = {
 
 
 def load_config(path: str) -> Config:
-    """Read a JSON config file; unknown keys are rejected."""
+    """Read a JSON config file; unknown keys and mistyped values are rejected."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
@@ -71,6 +71,9 @@ def load_config(path: str) -> Config:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}: unknown config key {key!r}")
         field, cast = _CONFIG_KEYS[key]
+        # A JSON integer is a valid float; true and false are neither.
+        if not (type(value) is cast or cast is float and type(value) is int):
+            raise ValueError(f"{path}: config key {key!r} must be {cast.__name__}, not {value!r}")
         setattr(cfg, field, cast(value))
     return cfg
 

@@ -15,7 +15,7 @@ can be inspected:
 4. :func:`build_graph` scores directed edges between surviving nodes from
    the two neighbor heads, then :func:`prune_and_acyclify` removes weak
    edges and breaks cycles, never disconnecting start from end; its
-   docstring argues why a bottleneck witness path bounds the searches.
+   docstring argues why one path search decides every weak edge.
    It prunes a weight matrix and edge mask, copied from the edge dict;
    :func:`decode_with_graph` hands over the matrix it scored, and builds
    a dict only of the kept edges.  Weak edges are ranked only when strong
@@ -36,11 +36,11 @@ others.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -293,21 +293,21 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     ascending vertices and successors meets), the lightest cycle edge whose
     removal keeps the end reachable is dropped.
 
-    One pass makes exactly these sequential decisions with few searches.
-    It keeps a *witness*, a start-to-end path of the current graph.  A
-    removal off the witness leaves it intact, so the end stays reachable
-    and the removal goes ahead unsearched; a run of weak edges off the
-    witness therefore goes at once.  In the weak-edge phase the witness is
-    a bottleneck path: its lowest-ranked undecided weak edge ranks as high
-    as any start-to-end path allows.  Every path without that edge crosses
-    a lower-ranked one, off the witness, and those go first; so when the
-    removals reach the witness's lowest edge it is the last route to the
-    end, and it is kept without a search.  Only then is the next witness
-    searched for.  The weak-edge phase thus makes exactly one search more
-    than the weak edges it keeps, and the cycle phase one per removal on
-    the witness.  When strong edges alone connect start to end, the first
-    search is the only one the weak-edge phase makes, and the weak edges
-    are never even ranked.
+    The weak-edge decisions take one path search.  Give the weak edge of
+    ascending rank r, of M weak edges, the cost 2 ** (M - r), and every
+    other edge the cost 0.  The weak edges kept are exactly those of the
+    cheapest start-to-end path P, a lexicographic bottleneck path
+    (Burkard & Rendl 1991); its weak edges are unique, as distinct sets of
+    powers of two have distinct sums.  Every removal leaves P: an edge off
+    P goes, since P still connects.  An edge r on P stays: a path without
+    it would hold the weak edges kept before r, each of which lay on every
+    path left, so P's edges below r, and otherwise only ranks above r,
+    which together cost less than 2 ** (M - r); it would be cheaper than
+    P.  One search finds P (see :func:`_find_path`).  When strong edges
+    alone connect start to end, a plain search finds the path first, and
+    the weak edges are never even ranked.  The cycle phase keeps the path
+    found as a witness: a removal off it leaves the end reachable, so only
+    a removal on it searches for a new one.
 
     The edges are copied into the weight matrix and edge mask that
     :func:`decode_with_graph` prunes, so neither the decisions nor the
@@ -351,36 +351,28 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float):
     the bool mask `valid` holds.  Strong edges, those not below `epsilon`,
     become successor lists in ascending order.  Weak edges are ranked in
     ascending ``(weight, src, dst)`` order only when strong edges alone do
-    not reach the end.  Returns the kept edges as a dict by source and then
-    target, as successor and weight lists, and the last DFS postorder.
-
-    The witness rule and its search count: see :func:`prune_and_acyclify`.
+    not reach the end; then one search over both finds the path whose weak
+    edges are kept, as :func:`prune_and_acyclify` argues.  Returns the kept
+    edges as a dict by source and then target, as successor and weight
+    lists, and the last DFS postorder.
     """
     n = len(weights)
     below = weights < epsilon
     live = _rows(n, *np.nonzero(valid & ~below))  # row-major
-
-    @functools.cache
-    def weak():
+    witness = _find_path(live)
+    if witness is None:
         src, dst = np.nonzero(valid & below)  # row-major
         # A stable sort by weight leaves ties in (src, dst) order; reversed,
         # position 0 holds the highest rank.
-        order = np.argsort(weights[src, dst], kind="stable")[::-1]
-        src, dst = src[order], dst[order]
-        pos = np.full((n, n), len(order))
-        pos[src, dst] = np.arange(len(order))
-        return src.tolist(), dst.tolist(), pos, pos.min(axis=1).tolist()
-
-    witness = _witness_path(live, weak, -1)
-    if witness is None:
-        raise NoPath("virtual end unreachable before pruning")
-    # Weak edges ranked up to `cut` are decided: in `live` when kept,
-    # otherwise gone.  Why the witness's lowest is kept: prune_and_acyclify.
-    cut = -1
-    while on_witness := [(r, e) for e, r in witness.items() if r > cut]:
-        cut, (s, d) = min(on_witness)
-        insort(live[s], d)
-        witness = _witness_path(live, weak, cut)
+        by_rank = np.argsort(weights[src, dst], kind="stable")[::-1]
+        pos = np.full((n, n), len(by_rank))
+        pos[src[by_rank], dst[by_rank]] = np.arange(len(by_rank))
+        witness = _find_path(live, pos, dst[by_rank].tolist())
+        if witness is None:
+            raise NoPath("virtual end unreachable before pruning")
+        for s, d in witness:
+            if d not in live[s]:  # a weak edge
+                insort(live[s], d)
 
     cycle, order = _find_cycle(live)
     while cycle is not None:
@@ -388,7 +380,7 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float):
             live[s].remove(d)
             if (s, d) not in witness:
                 break
-            found = _witness_path(live, None, cut)  # no weak edge is pending
+            found = _find_path(live)
             if found is not None:
                 witness = found
                 break
@@ -401,57 +393,60 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float):
     return edges, live, [flat[i:j] for i, j in zip(ends, ends[1:])], order
 
 
-def _witness_path(live, weak, cut) -> dict[tuple[int, int], int] | None:
-    """A bottleneck start-to-end path over kept and undecided weak edges.
+def _find_path(live, pos=None, dst=None) -> set[tuple[int, int]] | None:
+    """A start-to-end path over the kept edges `live`, and over weak edges
+    when `pos` is given; None when the end (the last vertex) is unreachable.
 
-    The bottleneck is defined in :func:`prune_and_acyclify`.  Kept edges
-    (`live`) rank above every weak edge; a weak edge from `weak()` exists
-    while its rank is above `cut`.  The search reaches what kept
-    edges reach, then walks the weak edges from the highest rank down.
-    An edge from a reached vertex to an unreached one extends the reach,
-    over kept edges and the weak edges already walked past, and the edge
-    that reaches the end is the bottleneck.  So `weak()` is called only
-    when kept edges alone miss the end, and only weak edges ranked at or
-    above the bottleneck are touched; `weak` is None when no weak edge is
-    pending.  Returns the path's edges, each mapped to its rank (-1 for a
-    kept edge), or None when the end (the last vertex) is unreachable.
+    Weak edge s -> d has position ``pos[s, d]``, 0 for the highest rank,
+    and target ``dst[pos[s, d]]``; a pair with no weak edge holds
+    ``len(dst)``.  The search reaches what kept edges reach, then takes
+    weak edges in Prim's order (1957): the best one out of the vertices
+    reached so far.  A reached vertex offers only its best weak edge, and
+    sorts the rest of its row only when that edge is taken.
+
+    This order finds the cheapest path of :func:`prune_and_acyclify`.
+    Take a vertex v and the highest rank b that the lowest weak edge of a
+    path to v can have.  Until v is reached, a weak edge ranked b or above
+    leaves the reached set, so the path found to v has no weak edge below
+    b and holds the one edge e of rank b, as the cheapest path to v does.
+    Before e, the path found is the one found to e's source, reached
+    earlier.  After e, both paths run from e's target over ranks above b,
+    through vertices that no path ranked above b reaches, where the search
+    keeps the same order.  By induction on reaching order and on rank,
+    each part is the cheapest.  Returns the path's edges.
     """
-    end = len(live) - 1
+    end, none = len(live) - 1, len(dst or ())
     pred = [-1] * len(live)  # -1: not reached yet
-    rank = [-1] * len(live)  # of the weak edge that reached each vertex
+    first = [none] * len(live) if pos is None else pos.min(axis=1).tolist()
     pred[0] = 0
-    reached, p, walk = [0], 0, None
+    reached, heap, rest = [0], [], {}
     while True:
-        for w in reached:  # grows while it is walked
-            for x in live[w]:
+        for u in reached:  # grows while it is walked
+            for x in live[u]:
                 if pred[x] < 0:
-                    pred[x] = w
+                    pred[x] = u
                     reached.append(x)
-            if p and heaviest[w] < p:  # a weak edge out of w was walked past
-                row = pos[w]
-                for x in np.flatnonzero(row < p).tolist():
-                    if pred[x] < 0:
-                        pred[x], rank[x] = w, last - row.item(x)
-                        reached.append(x)
+            if first[u] < none:
+                heappush(heap, (first[u], u))
         if pred[end] >= 0:
             break
-        if walk is None:
-            if weak is None:
-                return None
-            # Position p holds rank last - p; ranks up to `cut` are decided.
-            src, dst, pos, heaviest = weak()
-            last = len(src) - 1
-            walk = zip(range(last - cut), src, dst)
-        for p, u, v in walk:
-            if pred[u] >= 0 and pred[v] < 0:
-                pred[v], rank[v] = u, last - p
+        while heap:
+            p, u = heappop(heap)
+            if u not in rest:  # u's best weak edge: sort the rest of its row
+                row = pos[u]
+                rest[u] = iter(np.sort(row[row < none])[1:].tolist())
+            if (q := next(rest[u], None)) is not None:
+                heappush(heap, (q, u))
+            v = dst[p]
+            if pred[v] < 0:
+                pred[v] = u
                 reached = [v]
                 break
         else:
             return None
-    path, v = {}, end
+    path, v = set(), end
     while v:
-        path[(pred[v], v)] = rank[v]
+        path.add((pred[v], v))
         v = pred[v]
     return path
 

@@ -68,6 +68,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("vocab_path", None), ("vocab_path", 3), ("km", 4.9), ("km", 4.0), ("km", "5"),
+        ("seed", 1.5), ("seed", True), ("epsilon", True), ("lambda", False),
+        ("alpha_l2r", "1"), ("alpha_r2l", None),
+    ])
+    def test_wrong_type_names_key(self, tmp_path, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            load_config(path)
+
+    def test_integer_is_a_float(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"epsilon": 1, "vocab_path": "v.tsv", "seed": 7}))
+        cfg = load_config(path)
+        assert (cfg.epsilon, cfg.vocab_path, cfg.seed) == (1.0, "v.tsv", 7)
+        assert type(cfg.epsilon) is float
+
     def test_flag_beats_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"epsilon": 0.25, "lambda": 0.75}))
