@@ -50,10 +50,12 @@ def estimate_positions(
     so the result has one entry per predictable token, in label order.
 
     Raises:
+        VocabMiss: a label id outside the vocabulary.
         ShapeMismatch: `attn` is not 3-d, or its maps have no cells.
         StepMismatch: fewer attention slices than label tokens.
         NonFinite: `attn` holds NaN or infinity.
     """
+    vocab.check_ids(label)
     check_shape(attn, (None, None, None), "attention stack")
     if attn.shape[1] * attn.shape[2] == 0:
         raise ShapeMismatch(f"attention maps of shape {attn.shape[1:]} have no cells")
@@ -87,12 +89,14 @@ def build_cost(
         float64 array of shape (L, H*W).
 
     Raises:
+        VocabMiss: a label id outside the vocabulary.
         EvenKernel: km is even or < 1 (the window must center on a cell).
         ShapeMismatch: P is not (channels, H, W) with the vocabulary's
             channel count, positions do not line up with the label, or a
             position lies outside the H x W grid.
         NonFinite: P holds NaN or infinity.
     """
+    vocab.check_ids(label)
     if km < 1 or km % 2 == 0:
         raise EvenKernel(f"window size must be odd and positive, got {km}")
     check_shape(P, (vocab.grid_classes, None, None), "grid")
@@ -210,27 +214,32 @@ def make_targets(
 
     `assignment` pairs the l-th predictable token with a flat cell index
     (from :func:`hungarian` over a :func:`build_cost` matrix); flat indices
-    unravel row-major to (flat // width, flat % width).
+    unravel row-major to (flat // width, flat % width).  Its rows are
+    exactly 0..L-1, in any order, and no two share a cell.
 
     Raises:
+        VocabMiss: a label id outside the vocabulary.
         ShapeMismatch: the assignment does not cover the label's
-            predictable tokens, or a cell index lies outside the grid.
+            predictable tokens once each, a cell index lies outside the
+            grid, or two tokens share a cell.
         IllNested: the label's groups do not nest.
         EmptyInput: an empty label.
     """
+    vocab.check_ids(label)
     pred = [cid for cid in label if vocab.is_predictable(cid)]
-    if len(assignment) != len(pred):
-        raise ShapeMismatch(
-            f"assignment covers {len(assignment)} tokens, label has {len(pred)}"
-        )
+    pairs = sorted(assignment)
+    if (rows := [l for l, _ in pairs]) != list(range(len(pred))):
+        raise ShapeMismatch(f"assignment rows {rows} are not 0..{len(pred) - 1} once each")
     grid = np.full((height, width), vocab.none_id, dtype=np.int64)
     pred_cells = []
-    for (l, flat), cid in zip(sorted(assignment), pred):
+    for (_, flat), cid in zip(pairs, pred):
         if not 0 <= flat < height * width:
             raise ShapeMismatch(f"cell index {flat} outside {height}x{width} grid")
         r, c = divmod(flat, width)
         grid[r, c] = cid
         pred_cells.append((r, c))
+    if len(set(pred_cells)) < len(pred_cells):
+        raise ShapeMismatch(f"two tokens assigned to cell {max(pred_cells, key=pred_cells.count)}")
     _, parents = group_structure(label, vocab)
     placed = iter(pred_cells)
     cells: list[tuple[int, int]] = []

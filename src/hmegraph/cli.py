@@ -151,12 +151,7 @@ def cmd_match(args: argparse.Namespace, cfg: Config) -> int:
     pairs = hungarian(cost)
     height, width = int(probs.shape[1]), int(probs.shape[2])
     target = make_targets(pairs, seq, vocab, height, width)
-    payload = {
-        "cells": [list(c) for c in target.cells],
-        "self_targets": target.self_targets,
-        "left_targets": target.left_targets,
-        "right_targets": target.right_targets,
-    }
+    payload = {k: v for k, v in dataclasses.asdict(target).items() if k != "grid"}
     if args.self_probs or args.left or args.right:
         if not (args.self_probs and args.left and args.right):
             raise ValueError("scoring needs --self, --left, and --right together")

@@ -136,27 +136,28 @@ def expand_imaginary(nodes: list[Node], vocab: TokenVocab) -> list[Node]:
 
     Each structural node gains its group count of END nodes immediately
     after it, at the same cell, carrying the structural node's position as
-    parent.  Positions are 1-based; 0 and N+1 stay virtual.
+    parent.  Positions are 1-based; 0 and N+1 stay virtual.  The input
+    nodes are unexpanded: their positions and parents are not read.
 
     Raises:
         VocabMiss: a node's class id is outside the vocabulary.
     """
-    cids, rows, cols, _, parents = [*zip(*nodes)] or [()] * 5
-    cids, rows, cols, parents = _expand(cids, rows, cols, parents, vocab)
+    cids, rows, cols, *_ = [*zip(*nodes)] or [()] * 3
+    cids, rows, cols, parents = _expand(cids, rows, cols, vocab)
     return list(map(Node, cids, rows, cols, range(1, len(cids) + 1), parents))
 
 
-def _expand(cids, rows, cols, parents, vocab: TokenVocab):
+def _expand(cids, rows, cols, vocab: TokenVocab):
     """:func:`expand_imaginary` on flat lists: returns the class ids, rows,
     columns and parents of the expanded nodes, entry i at position i+1."""
     vocab.check_ids(cids)
     groups, end = vocab.group_table, vocab.end_id
     out_c, out_r, out_k, out_p = [], [], [], []
-    for cid, row, col, parent in zip(cids, rows, cols, parents):
+    for cid, row, col in zip(cids, rows, cols):
         out_c.append(cid)
         out_r.append(row)
         out_k.append(col)
-        out_p.append(parent)
+        out_p.append(None)
         if g := groups[cid]:
             idx = len(out_c)
             out_c += [end] * g
@@ -171,9 +172,10 @@ def apply_corrections(
 ) -> list[Node]:
     """Re-label nodes from their correction rows; drop deletion votes.
 
-    Row i belongs to the node at graph position i+1.  A row whose argmax is
-    the none class deletes the node; deleting a structural node also deletes
-    the END nodes it implied.  Surviving nodes keep their positions.
+    Row i belongs to the node at graph position i+1, as
+    :func:`expand_imaginary` numbers them.  A row whose argmax is the none
+    class deletes the node; deleting a structural node also deletes the END
+    nodes it implied.  Surviving nodes keep their positions.
 
     Raises:
         ShapeMismatch: rows are not 2-d, or their width differs from the
@@ -181,14 +183,13 @@ def apply_corrections(
         NodeCountMismatch: row count differs from the node count.
         NonFinite: a row holds NaN or infinity.
     """
-    _, rows, cols, positions, parents = [*zip(*nodes)] or [()] * 5
-    return list(_correct(rows, cols, parents, positions, self_probs, vocab).values())
+    _, rows, cols, _, parents = [*zip(*nodes)] or [()] * 5
+    return list(_correct(rows, cols, parents, self_probs, vocab).values())
 
 
-def _correct(rows, cols, parents, positions, self_probs: np.ndarray, vocab: TokenVocab):
+def _correct(rows, cols, parents, self_probs: np.ndarray, vocab: TokenVocab):
     """:func:`apply_corrections` on flat lists: returns i+1 -> Node for
-    each surviving node i, the only nodes it builds.  Node i keeps
-    ``positions[i]``, which is i+1 after :func:`expand_imaginary`."""
+    each surviving node i, at position i+1, the only nodes it builds."""
     check_shape(self_probs, (None, vocab.correction_classes), "correction rows")
     check_shape(self_probs, (len(rows), None), "correction rows", NodeCountMismatch)
     check_finite(self_probs, "correction rows")
@@ -196,13 +197,11 @@ def _correct(rows, cols, parents, positions, self_probs: np.ndarray, vocab: Toke
     deleted: set[int] = set()
     kept: dict[int, Node] = {}
     votes = np.argmax(self_probs, axis=1).tolist()
-    for slot, pos, vote, row, col, parent in zip(
-        itertools.count(1), positions, votes, rows, cols, parents
-    ):
+    for pos, vote, row, col, parent in zip(itertools.count(1), votes, rows, cols, parents):
         if vote == none:
             deleted.add(pos)
         elif parent not in deleted:
-            kept[slot] = Node(vote, row, col, pos, parent)
+            kept[pos] = Node(vote, row, col, pos, parent)
     return kept
 
 
@@ -489,17 +488,15 @@ def longest_path(graph: ExprGraph, vocab: TokenVocab) -> PathResult:
     which also finds any cycle.  When two predecessors give a node the same
     distance, the smaller graph position wins, whatever order they are
     relaxed in, so the edges' order cannot change the result.  The winning
-    node sequence renders to LaTeX; a path whose group structure is
-    ill-nested is repaired by dropping unopened ENDs and closing groups
-    left open at the end.
+    node sequence renders to LaTeX, every path: :func:`repair_groups`
+    drops unopened ENDs and any ``]`` that would end a \\sqrt index, and
+    closes groups left open at the end.
 
     Raises:
         NodeCountMismatch: an edge end is neither the start, the end, nor
             a node's position within 1..n_slots.
         CycleDetected: the graph is not acyclic.
         NoPath: no start-to-end path exists.
-        IllNested: the repaired path holds a ``]`` at the top level of a
-            \\sqrt index, which has no LaTeX spelling.
     """
     _check_edge_ends(graph)
     succ: list[list[int]] = [[] for _ in range(graph.n_slots + 2)]
@@ -567,14 +564,12 @@ def decode_with_graph(
         NonFinite: an input holds NaN or infinity.
         NonStochasticRow: a neighbor score row is not a distribution.
         NoPath: nothing decodable, including an all-blank grid.
-        IllNested: the path holds a ``]`` at the top level of a \\sqrt
-            index (see :func:`longest_path`).
     """
-    cids, rows, cols, parents = _expand(*_extract(P, vocab), itertools.repeat(None), vocab)
+    cids, rows, cols, parents = _expand(*_extract(P, vocab), vocab)
     n = len(cids)
     # _edge_weights holds `right` to the shape of `left`.
     check_shape(left, (n + 2, n + 2), "left neighbor scores", NodeCountMismatch)
-    kept = _correct(rows, cols, parents, range(1, n + 1), self_probs, vocab)
+    kept = _correct(rows, cols, parents, self_probs, vocab)
     weights, valid = _edge_weights(kept, left, right, alpha_l2r, alpha_r2l)
     edges, live, wts, order = _prune(weights, valid, epsilon)
     return _best_path(kept, live, wts, order, vocab), ExprGraph(kept, edges, n)

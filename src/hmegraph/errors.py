@@ -47,7 +47,15 @@ class VocabMiss(HmeGraphError):
 
 
 class IllNested(HmeGraphError):
-    """A token sequence closes groups it never opened, or leaves groups open."""
+    """A token sequence closes groups it never opened, or leaves groups open.
+
+    ``position`` is the position of a ``]`` at the top level of a \\sqrt
+    index, which has no LaTeX spelling; None for any other fault.
+    """
+
+    def __init__(self, message: str, position: int | None = None):
+        self.position = position
+        super().__init__(message)
 
 
 # --- tensor container ------------------------------------------------------

@@ -88,14 +88,15 @@ class TokenVocab:
 
     The tables are built once: ``group_table[i]`` is the group count of
     class ``i`` when it is structural, else 0 (a structural role on a
-    symbol with no known count raises VocabMiss), ``sqrt_id`` is the
-    id of \\sqrt, or -1 when the vocabulary has none, and ``multi_symbols``
-    lists the multi-character symbols that are not control sequences,
-    longest first, as the tokenizer tries them.  ``step_table[i]`` is the
-    ``(a, h)`` by which class ``i`` moves the interval [lo, hi] of group
-    ENDs still owed (an interval, as a \\sqrt owns one group or two):
-    ``lo = max(lo + a, 0)``, ``hi += h``.  END has ``a = h = -1``, \\sqrt
-    ``a = 1, h = 2``, any other class its group count for both.
+    symbol with no known count raises VocabMiss), ``sqrt_id`` and
+    ``bracket_id`` are the ids of \\sqrt and ``]``, each -1 when the
+    vocabulary has none, and ``multi_symbols`` lists the multi-character
+    symbols that are not control sequences, longest first, as the
+    tokenizer tries them.  ``step_table[i]`` is the ``(a, h)`` by which
+    class ``i`` moves the interval [lo, hi] of group ENDs still owed (an
+    interval, as a \\sqrt owns one group or two): ``lo = max(lo + a, 0)``,
+    ``hi += h``.  END has ``a = h = -1``, \\sqrt ``a = 1, h = 2``, any
+    other class its group count for both.
     """
 
     symbols: list[str]
@@ -110,6 +111,7 @@ class TokenVocab:
     correction_classes: int = field(init=False, repr=False)
     group_table: tuple[int, ...] = field(init=False, repr=False)
     sqrt_id: int = field(init=False, repr=False)
+    bracket_id: int = field(init=False, repr=False)
     step_table: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     multi_symbols: tuple[str, ...] = field(init=False, repr=False)
 
@@ -121,7 +123,7 @@ class TokenVocab:
         self.grid_classes, self.correction_classes = k + 1, k + 2
         self.group_table = tuple(self.group_count(i) if self.is_structural(i) else 0
                                  for i in range(len(self.symbols)))
-        self.sqrt_id = self._index.get("\\sqrt", -1)
+        self.sqrt_id, self.bracket_id = (self._index.get(s, -1) for s in ("\\sqrt", "]"))
         self.step_table = tuple((-1, -1) if i == self.end_id else (g, 2 if i == self.sqrt_id else g)
                                 for i, g in enumerate(self.group_table))
         self.multi_symbols = tuple(sorted(
@@ -360,22 +362,49 @@ def group_structure(seq: list[int], vocab: TokenVocab) -> tuple[dict[int, int], 
     that reading would leave the rest of the sequence ill-nested, in which
     case it owns two groups, index first.  ``parents[pos]`` is the position
     of the token owning the group the END at ``pos`` closes, None at any
-    other position.  One forward walk: the first \\sqrt builds
-    :func:`_suffix_closers` once and every \\sqrt reads it, so the work is
-    linear in the sequence length.
+    other position.  One forward walk, shared with :func:`emit_latex`: the
+    first \\sqrt builds :func:`_suffix_closers` once and every \\sqrt reads
+    it, so the work is linear in the sequence length.
 
     Raises:
         IllNested: the sequence closes groups it never opened, leaves groups
             open, contains tokens that cannot appear in canonical form, or
             holds a ``]`` at the top level of a \\sqrt index, which LaTeX
-            would read as the end of the index.
+            would read as the end of the index; the first fault in sequence
+            order is named, and only the ``]`` sets ``position``.
         VocabMiss: an id outside the vocabulary.
     """
+    return _walk(seq, vocab)[:2]
+
+
+def emit_latex(seq: list[int], vocab: TokenVocab) -> str:
+    """Render a canonical class-id sequence back to a spaced LaTeX string.
+
+    Structural arguments are always emitted braced.  A \\sqrt instance is
+    emitted index-less unless treating it so would leave the rest of the
+    sequence ill-nested, in which case its first group becomes a [...] index
+    (see :func:`group_structure`, whose walk spells each token).
+
+    Raises:
+        IllNested: an END with no open group, groups left open at the end,
+            a token that cannot appear in canonical form, or a ``]`` at the
+            top level of a \\sqrt index, which would parse back as the end
+            of the index (:func:`repair_groups` drops such a ``]``).
+        VocabMiss: an id outside the vocabulary.
+    """
+    return " ".join(_walk(seq, vocab)[2])
+
+
+def _walk(seq: list[int], vocab: TokenVocab):
+    """The forward walk behind :func:`group_structure` and
+    :func:`emit_latex`: returns ``counts``, ``parents`` and the LaTeX of
+    each token in order, and raises as they document."""
     vocab.check_ids(seq)
     groups, end, none, sqrt = vocab.group_table, vocab.end_id, vocab.none_id, vocab.sqrt_id
-    bracket = vocab._index.get("]", -1)
+    symbols, bracket = vocab.symbols, vocab.bracket_id
     counts: dict[int, int] = {}
     parents: list[int | None] = [None] * len(seq)
+    parts: list[str] = []
     stack: list[list[int]] = []  # [owner position, groups left]
     pending = 0  # the groups left summed over `stack`: ENDs still owed
     closes = None
@@ -389,6 +418,7 @@ def group_structure(seq: list[int], vocab: TokenVocab) -> tuple[dict[int, int], 
             frame[1] -= 1
             if not frame[1]:
                 stack.pop()
+            parts.append(("] {" if seq[frame[0]] == sqrt else "} {") if frame[1] else "}")
         elif g := groups[cid]:
             if cid == sqrt:
                 if closes is None:
@@ -398,49 +428,17 @@ def group_structure(seq: list[int], vocab: TokenVocab) -> tuple[dict[int, int], 
             counts[pos] = g
             stack.append([pos, g])
             pending += g
+            parts.append(symbols[cid] + (" [" if cid == sqrt and g == 2 else " {"))
         elif cid >= none:  # none, <sos> or <eos>
-            raise IllNested(f"{vocab.symbols[cid]!r} cannot appear in canonical form")
+            raise IllNested(f"{symbols[cid]!r} cannot appear in canonical form")
         elif cid == bracket and stack and stack[-1][1] == 2 and seq[stack[-1][0]] == sqrt:
-            raise IllNested(
-                f"']' at position {pos} would end the index of the \\sqrt at "
-                f"position {stack[-1][0]}"
-            )
-    if stack:
-        raise IllNested("group left open at sequence end")
-    return counts, parents
-
-
-def emit_latex(seq: list[int], vocab: TokenVocab) -> str:
-    """Render a canonical class-id sequence back to a spaced LaTeX string.
-
-    Structural arguments are always emitted braced.  A \\sqrt instance is
-    emitted index-less unless treating it so would leave the rest of the
-    sequence ill-nested, in which case its first group becomes a [...] index
-    (see :func:`group_structure`).
-
-    Raises:
-        IllNested: an END with no open group, groups left open at the end,
-            a token that cannot appear in canonical form, or a ``]`` at the
-            top level of a \\sqrt index, which would parse back as the end
-            of the index.
-        VocabMiss: an id outside the vocabulary.
-    """
-    counts, parents = group_structure(seq, vocab)
-    symbols, sqrt = vocab.symbols, vocab.sqrt_id
-    parts: list[str] = []
-    for pos, cid in enumerate(seq):
-        owner = parents[pos]
-        if owner is not None:  # an END; `counts` now counts down the groups left
-            counts[owner] -= 1
-            if counts[owner]:
-                parts.append("] {" if seq[owner] == sqrt else "} {")
-            else:
-                parts.append("}")
-        elif pos in counts:
-            parts += symbols[cid], "[" if cid == sqrt and counts[pos] == 2 else "{"
+            raise IllNested(f"']' at position {pos} would end the index of the \\sqrt at "
+                            f"position {stack[-1][0]}", pos)
         else:
             parts.append(symbols[cid])
-    return " ".join(parts)
+    if stack:
+        raise IllNested("group left open at sequence end")
+    return counts, parents, parts
 
 
 def _suffix_closers(seq: list[int], vocab: TokenVocab):
@@ -466,12 +464,20 @@ def _suffix_closers(seq: list[int], vocab: TokenVocab):
 
 
 def repair_groups(seq: list[int], vocab: TokenVocab) -> list[int]:
-    """Make a class sequence well-nested with minimal edits.
+    """Make a class sequence well-nested and spellable with minimal edits.
 
     One forward walk steps the interval [lo, hi] of ENDs still owed by
     ``vocab.step_table``.  An END that would take ``hi`` below 0 matches an
     open group under no reading and is dropped; the ``lo`` groups that
     every reading leaves open at the end are closed by appended ENDs.
+
+    A ``]`` at the top level of a \\sqrt index has no LaTeX spelling: the
+    parser would end the index there.  So while the result holds both
+    \\sqrt and ``]``, it is walked as :func:`emit_latex` walks it, and the
+    ``]`` that the walk refuses is dropped; a walk that refuses no ``]``
+    ends the repair.  A ``]`` steps the interval by ``(0, 0)``, so dropping
+    it changes no group reading, and :func:`emit_latex` spells every
+    repaired sequence of predictable and END ids.
 
     Raises:
         VocabMiss: an id outside the vocabulary.
@@ -486,6 +492,14 @@ def repair_groups(seq: list[int], vocab: TokenVocab) -> list[int]:
             lo, hi = max(lo + a, 0), hi + h
             out.append(cid)
     out.extend([vocab.end_id] * lo)
+    while vocab.sqrt_id in out and vocab.bracket_id in out:
+        try:
+            _walk(out, vocab)
+        except IllNested as err:
+            if err.position is not None:
+                del out[err.position]
+                continue
+        break
     return out
 
 

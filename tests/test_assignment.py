@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hmegraph import (
     NonFinite,
     ShapeMismatch,
     StepMismatch,
+    VocabMiss,
     build_cost,
     build_vocab,
     default_vocab,
@@ -321,6 +323,31 @@ class TestMakeTargets:
         assert label == []
         with pytest.raises(EmptyInput):
             make_targets([], label, vocab, 2, 2)
+
+    def test_rows_and_cells_once_each(self, vocab):
+        seq = parse_latex("x + y", vocab)
+        with pytest.raises(ShapeMismatch, match=re.escape("two tokens assigned to cell (0, 3)")):
+            make_targets([(0, 3), (1, 3), (2, 3)], seq, vocab, 2, 4)
+        for rows in ([7, 7, 9], [0, 0, 2], [1, 2, 3], [0, 1]):
+            with pytest.raises(ShapeMismatch, match=re.escape(f"assignment rows {sorted(rows)}")):
+                make_targets(list(zip(rows, [0, 1, 2])), seq, vocab, 2, 4)
+        # Rows in any order: each token's cell follows its row.
+        target = make_targets([(2, 5), (0, 3), (1, 4)], seq, vocab, 2, 4)
+        assert target.cells == [(0, 3), (1, 0), (1, 1)]
+
+
+class TestLabelIdsChecked:
+    """Each training entry point refuses a label id outside the vocabulary
+    before it reads the label."""
+
+    def test_vocab_miss(self, vocab):
+        label = [999, -5]
+        with pytest.raises(VocabMiss, match="class id 999"):
+            estimate_positions(np.zeros((2, 3, 4)), label, vocab)
+        with pytest.raises(VocabMiss, match="class id 999"):
+            build_cost(np.zeros((vocab.grid_classes, 3, 4)), [], label, vocab)
+        with pytest.raises(VocabMiss, match="class id 999"):
+            make_targets([(0, 0)], [999], vocab, 3, 4)
 
 
 class TestLosses:

@@ -23,12 +23,14 @@ from hmegraph import (
     apply_corrections,
     build_cost,
     build_graph,
+    coverage_corpus,
     decode_with_graph,
     default_vocab,
     emit_latex,
     estimate_positions,
     expand_imaginary,
     gen_expression,
+    group_structure,
     gt_targets,
     hungarian,
     longest_path,
@@ -42,7 +44,7 @@ from hmegraph import (
     prune_and_acyclify,
     vat_extract,
 )
-from hmegraph import decode
+from hmegraph import decode, tokens
 from hmegraph.decode import ExprGraph, Node
 from hmegraph.tokens import (
     END_SYMBOL,
@@ -485,17 +487,20 @@ def strong_reaches_end(graph, eps):
     return graph.eos in reached
 
 
-def count_calls(monkeypatch, name):
-    """Patch `decode.<name>` to record the result of each call; returns the
-    list of results, which the caller clears between decodes."""
+def count_calls(monkeypatch, name, module=decode):
+    """Patch `module.<name>` to record the result of each call, None for a
+    call that raises; returns the list of results, which the caller clears
+    between decodes."""
     results = []
-    func = getattr(decode, name)
+    func = getattr(module, name)
 
     def recorded(*args):
-        results.append(func(*args))
-        return results[-1]
+        i = len(results)
+        results.append(None)
+        results[i] = func(*args)
+        return results[i]
 
-    monkeypatch.setattr(decode, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return results
 
 
@@ -864,14 +869,16 @@ class TestLongestPath:
         got = longest_path(ExprGraph(graph_nodes, edges, n_slots=len(nodes)), vocab)
         assert got.latex == "\\frac { x } { y }"
 
-    def test_bracket_ending_sqrt_index_refused(self, vocab):
-        # sqrt ] END x END: the only nesting makes `]` the whole index.
+    def test_bracket_ending_sqrt_index_renders(self, vocab):
+        # sqrt ] END x END: the only nesting makes `]` the whole index, which
+        # LaTeX cannot spell; the repair drops it and the index stays, empty.
         cids = [vocab.id_of("\\sqrt"), vocab.id_of("]"), vocab.end_id, vocab.id_of("x"), vocab.end_id]
         nodes = {i: Node(cid, 0, i, index=i) for i, cid in enumerate(cids, 1)}
         chain = range(len(cids) + 2)
         edges = {e: 1.0 for e in zip(chain, chain[1:])}
-        with pytest.raises(IllNested, match="position 1"):
-            longest_path(ExprGraph(nodes, edges, n_slots=len(cids)), vocab)
+        got = longest_path(ExprGraph(nodes, edges, n_slots=len(cids)), vocab)
+        assert (got.path, got.latex) == (list(chain), "\\sqrt [ ] { x }")
+        assert parse_latex(got.latex, vocab) == [cids[0], *cids[2:]]
 
 
 class TestRepair:
@@ -894,6 +901,89 @@ class TestRepair:
     def test_wellformed_untouched(self, vocab):
         seq = parse_latex("\\frac { x } { y } + 1", vocab)
         assert repair_groups(seq, vocab) == seq
+
+    def test_drops_bracket_ending_sqrt_index(self, vocab):
+        sq, br, a, b, x = (vocab.id_of(s) for s in ("\\sqrt", "]", "a", "b", "x"))
+        end = vocab.end_id
+        cases = [
+            # The whole index.
+            ([sq, br, end, x, end], [sq, end, x, end], "\\sqrt [ ] { x }"),
+            # Two strays in one index, and one in each of two indexes.
+            ([sq, a, br, b, br, end, x, end], [sq, a, b, end, x, end], "\\sqrt [ a b ] { x }"),
+            ([sq, br, end, x, end, sq, br, a, end, b, end], [sq, end, x, end, sq, a, end, b, end],
+             "\\sqrt [ ] { x } \\sqrt [ a ] { b }"),
+        ]
+        for seq, fixed, latex in cases:
+            with pytest.raises(IllNested, match=r"'\]' at position"):
+                emit_latex(seq, vocab)
+            assert repair_groups(seq, vocab) == fixed
+            assert emit_latex(fixed, vocab) == latex
+            assert parse_latex(latex, vocab) == fixed
+
+
+class TestWalkCounts:
+    """`tokens._walk` resolves the groups of a sequence and spells it.
+    Resolving or rendering walks once.  The repair walks a result that
+    holds both \\sqrt and `]`: once per `]` it drops, and once more if a
+    `]` stays."""
+
+    def test_resolve_and_emit_walk_once(self, vocab, monkeypatch):
+        sq, br, x, end = vocab.id_of("\\sqrt"), vocab.id_of("]"), vocab.id_of("x"), vocab.end_id
+        seqs = [parse_latex(s, vocab) for s in coverage_corpus()]
+        walks = count_calls(monkeypatch, "_walk", tokens)
+        for entry in (group_structure, emit_latex):
+            for seq in seqs:
+                walks.clear()
+                entry(seq, vocab)
+                assert len(walks) == 1, (entry, seq)
+            for bad in ([sq, br, end, x, end], [end], [sq, x]):
+                walks.clear()
+                with pytest.raises(IllNested):
+                    entry(bad, vocab)
+                assert len(walks) == 1
+
+    def test_render_walks(self, vocab, monkeypatch):
+        """A path renders in one walk plus the repair's, through
+        `longest_path` on chains of random ids and through the decode of
+        the benchmark's default profiles."""
+        sq, br = vocab.id_of("\\sqrt"), vocab.id_of("]")
+
+        def expected(seq):
+            fixed = repair_groups(seq, vocab)
+            dropped = seq.count(br) - fixed.count(br)
+            return 1 + dropped + (sq in fixed and br in fixed), dropped
+
+        rng = random.Random(20261019)
+        pool = [sq, sq, br, br, vocab.end_id, vocab.end_id, vocab.end_id]
+        chains, dropped_total = [], 0
+        for _ in range(1500):
+            cids = [rng.choice(pool + [rng.randrange(vocab.num_predictable)])
+                    for _ in range(rng.randint(1, 14))]
+            nodes = {i: Node(cid, 0, i, index=i) for i, cid in enumerate(cids, 1)}
+            chain = range(len(cids) + 2)
+            edges = {e: 1.0 for e in zip(chain, chain[1:])}
+            want, dropped = expected(cids)
+            chains.append((ExprGraph(nodes, edges, n_slots=len(cids)), want))
+            dropped_total += dropped
+        assert dropped_total >= 100
+        profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
+                    NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
+        decodes = []
+        for sample in bench_samples(vocab, profiles, 100, 95000):
+            result, pruned = decode_with_graph(sample.probs, sample.self_probs,
+                                               sample.left, sample.right, vocab)
+            path = [pruned.nodes[i].class_id for i in result.path[1:-1]]
+            decodes.append((sample, expected(path)[0]))
+
+        walks = count_calls(monkeypatch, "_walk", tokens)
+        for graph, want in chains:
+            walks.clear()
+            longest_path(graph, vocab)
+            assert len(walks) == want, graph.nodes
+        for sample, want in decodes:
+            walks.clear()
+            decode_with_graph(sample.probs, sample.self_probs, sample.left, sample.right, vocab)
+            assert len(walks) == want
 
 
 class TestPipeline:

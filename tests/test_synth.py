@@ -23,6 +23,7 @@ from hmegraph import (
     oracle_edit,
     oracle_hungarian,
     oracle_longest_path,
+    oracle_prune,
     parse_latex,
 )
 from hmegraph.decode import ExprGraph, Node
@@ -331,6 +332,11 @@ class TestOracles:
             oracle_longest_path(ExprGraph(nodes, {}, n_slots=11))
         with pytest.raises(NoPath):
             oracle_longest_path(ExprGraph({}, {}, n_slots=0))
+
+    def test_prune_bound(self):
+        nodes = {i: Node(0, 0, i, index=i) for i in range(1, 14)}
+        with pytest.raises(TooLarge, match="13 nodes exceed the 12-node"):
+            oracle_prune(ExprGraph(nodes, {(0, 1): 1.0}, n_slots=13))
 
     def test_edit_bounds(self):
         with pytest.raises(TooLarge):

@@ -540,17 +540,40 @@ class TestEmit:
         """A ``]`` at the top level of an index has no LaTeX spelling: the
         parser would read it as the index's end."""
         sq, br, x, end = vocab.id_of("\\sqrt"), vocab.id_of("]"), vocab.id_of("x"), vocab.end_id
-        with pytest.raises(IllNested, match=r"'\]' at position 1 .* \\sqrt at position 0"):
+        with pytest.raises(IllNested, match=r"'\]' at position 1 .* \\sqrt at position 0") as err:
             emit_latex([sq, br, end, x, end], vocab)
-        # Nested in an inner group, or outside any index, it stays a symbol.
-        for s in ("\\sqrt [ x ^ { ] } ] { y }", "\\sqrt { ] }", "\\frac { ] } { x }"):
-            assert emit_latex(parse_latex(s, vocab), vocab) == s
+        assert err.value.position == 1
+        # Nested in an inner group, or outside any index, it stays a symbol,
+        # and the repair keeps it.
+        for s in ("\\sqrt [ x ^ { ] } ] { y }", "\\sqrt { ] }", "\\sqrt { x ] } ]",
+                  "\\frac { ] } { x }", "] x"):
+            seq = parse_latex(s, vocab)
+            assert emit_latex(seq, vocab) == s
+            assert repair_groups(seq, vocab) == seq, s
 
     def test_ill_nested_emit(self, vocab):
         with pytest.raises(IllNested):
             emit_latex([vocab.end_id], vocab)
         with pytest.raises(IllNested):
             emit_latex([vocab.id_of("\\frac"), vocab.id_of("x"), vocab.end_id], vocab)
+
+    def test_first_fault_named(self, vocab):
+        """The walk names the first fault in sequence order; only a stray
+        ``]`` sets ``position``."""
+        sq, br, x, end = vocab.id_of("\\sqrt"), vocab.id_of("]"), vocab.id_of("x"), vocab.end_id
+        stray = [sq, br, end, x, end]
+        for seq, message, position in (
+            (stray + [sq], r"'\]' at position 1", 1),
+            (stray + [end], r"'\]' at position 1", 1),
+            ([x] + stray + [vocab.sos_id], r"'\]' at position 2", 2),
+            ([end] + stray, "group end at position 0 closes nothing", None),
+            ([vocab.eos_id] + stray, "'<eos>' cannot appear", None),
+            ([sq, x, end, sq], "group left open at sequence end", None),
+        ):
+            for entry in (emit_latex, group_structure):
+                with pytest.raises(IllNested, match=message) as err:
+                    entry(seq, vocab)
+                assert err.value.position == position, seq
 
 
 SEQUENCE_ENTRY_POINTS = {
@@ -586,16 +609,10 @@ _VOCAB = default_vocab()
     st.sampled_from([_VOCAB.end_id, _VOCAB.id_of("\\sqrt"), _VOCAB.id_of("]")]),
 ), max_size=24))
 def test_repaired_emit_parses_back(seq):
-    """Any string of predictable and END ids, once repaired, either emits
-    LaTeX that parses back to it or is refused for a ``]`` ending an index."""
+    """Any string of predictable and END ids, once repaired, emits LaTeX
+    that parses back to it."""
     fixed = repair_groups(seq, _VOCAB)
-    try:
-        latex = emit_latex(fixed, _VOCAB)
-    except IllNested as err:
-        assert "']' at position" in str(err)
-        assert "index" in str(err)
-    else:
-        assert parse_latex(latex, _VOCAB) == fixed
+    assert parse_latex(emit_latex(fixed, _VOCAB), _VOCAB) == fixed
 
 
 @settings(max_examples=200, deadline=None)
