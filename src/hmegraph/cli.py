@@ -8,6 +8,11 @@ Settings resolve flag first, then `--config` JSON file, then built-in
 defaults.  The vocabulary resolves `--vocab`, then the config file's
 `vocab_path`, then the `NAMER_VOCAB` environment variable, then the
 builtin-corpus vocabulary.
+
+Start-up is most of a short call's time, so this module imports only the
+decode path; `assignment`, `metrics` and `synth` are imported inside the
+handlers that use them.  `decode --vocab` loads none of the three, and
+only `match` loads scipy.
 """
 
 from __future__ import annotations
@@ -22,19 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import (
-    build_cost,
-    estimate_positions,
-    hungarian,
-    loss_pgd,
-    loss_total,
-    loss_vat,
-    make_targets,
-)
 from .decode import decode_with_graph
 from .errors import GridTooSmall, HmeGraphError
-from .metrics import evaluate
-from .synth import NoiseSpec, default_vocab, gen_expression, make_sample
 from .tensor_io import export_dot, read_tensor, write_tensor
 from .tokens import TokenVocab, build_vocab, emit_latex, parse_latex
 
@@ -96,6 +90,8 @@ def resolve_vocab(args: argparse.Namespace, cfg: Config) -> TokenVocab:
     )
     if path:
         return TokenVocab.load(path)
+    from .synth import default_vocab
+
     return default_vocab()
 
 
@@ -142,6 +138,16 @@ def cmd_emit(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_match(args: argparse.Namespace, cfg: Config) -> int:
+    from .assignment import (
+        build_cost,
+        estimate_positions,
+        hungarian,
+        loss_pgd,
+        loss_total,
+        loss_vat,
+        make_targets,
+    )
+
     vocab = resolve_vocab(args, cfg)
     attn = read_tensor(args.attn)
     probs = read_tensor(args.probs)
@@ -200,6 +206,8 @@ def cmd_decode(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
+    from .metrics import evaluate
+
     vocab = resolve_vocab(args, cfg)
     preds = Path(args.pred).read_text(encoding="utf-8").splitlines()
     refs = Path(args.ref).read_text(encoding="utf-8").splitlines()
@@ -209,6 +217,8 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_gen(args: argparse.Namespace, cfg: Config) -> int:
+    from .synth import NoiseSpec, gen_expression, make_sample
+
     vocab = resolve_vocab(args, cfg)
     height, width = _parse_grid(args.grid)
     noise = NoiseSpec(
@@ -270,6 +280,8 @@ def cmd_gen(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_vocab(args: argparse.Namespace, cfg: Config) -> int:
     if args.builtin:
+        from .synth import default_vocab
+
         vocab = default_vocab()
     elif args.labels:
         lines = Path(args.labels).read_text(encoding="utf-8").splitlines()

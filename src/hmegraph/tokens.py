@@ -395,10 +395,12 @@ def emit_latex(seq: list[int], vocab: TokenVocab) -> str:
     return " ".join(_walk(seq, vocab)[2])
 
 
-def _walk(seq: list[int], vocab: TokenVocab):
+def _walk(seq: list[int], vocab: TokenVocab, strays: list[int] | None = None):
     """The forward walk behind :func:`group_structure` and
     :func:`emit_latex`: returns ``counts``, ``parents`` and the LaTeX of
-    each token in order, and raises as they document."""
+    each token in order, and raises as they document.  Given a `strays`
+    list, a ``]`` at the top level of a \\sqrt index is not a fault: its
+    position is appended there and the walk goes on without it."""
     vocab.check_ids(seq)
     groups, end, none, sqrt = vocab.group_table, vocab.end_id, vocab.none_id, vocab.sqrt_id
     symbols, bracket = vocab.symbols, vocab.bracket_id
@@ -432,8 +434,10 @@ def _walk(seq: list[int], vocab: TokenVocab):
         elif cid >= none:  # none, <sos> or <eos>
             raise IllNested(f"{symbols[cid]!r} cannot appear in canonical form")
         elif cid == bracket and stack and stack[-1][1] == 2 and seq[stack[-1][0]] == sqrt:
-            raise IllNested(f"']' at position {pos} would end the index of the \\sqrt at "
-                            f"position {stack[-1][0]}", pos)
+            if strays is None:
+                raise IllNested(f"']' at position {pos} would end the index of the \\sqrt at "
+                                f"position {stack[-1][0]}", pos)
+            strays.append(pos)
         else:
             parts.append(symbols[cid])
     if stack:
@@ -472,12 +476,13 @@ def repair_groups(seq: list[int], vocab: TokenVocab) -> list[int]:
     every reading leaves open at the end are closed by appended ENDs.
 
     A ``]`` at the top level of a \\sqrt index has no LaTeX spelling: the
-    parser would end the index there.  So while the result holds both
-    \\sqrt and ``]``, it is walked as :func:`emit_latex` walks it, and the
-    ``]`` that the walk refuses is dropped; a walk that refuses no ``]``
-    ends the repair.  A ``]`` steps the interval by ``(0, 0)``, so dropping
-    it changes no group reading, and :func:`emit_latex` spells every
-    repaired sequence of predictable and END ids.
+    parser would end the index there.  So when the result holds both
+    \\sqrt and ``]``, it is walked once as :func:`emit_latex` walks it, and
+    every ``]`` that the walk would refuse before its first other fault is
+    dropped.  A ``]`` steps the interval by ``(0, 0)``, so dropping it
+    changes no group reading, and no later ``]`` is read differently for
+    it; :func:`emit_latex` spells every repaired sequence of predictable
+    and END ids.
 
     Raises:
         VocabMiss: an id outside the vocabulary.
@@ -492,14 +497,14 @@ def repair_groups(seq: list[int], vocab: TokenVocab) -> list[int]:
             lo, hi = max(lo + a, 0), hi + h
             out.append(cid)
     out.extend([vocab.end_id] * lo)
-    while vocab.sqrt_id in out and vocab.bracket_id in out:
+    if vocab.sqrt_id in out and vocab.bracket_id in out:
+        strays: list[int] = []
         try:
-            _walk(out, vocab)
-        except IllNested as err:
-            if err.position is not None:
-                del out[err.position]
-                continue
-        break
+            _walk(out, vocab, strays)
+        except IllNested:  # a fault no repair mends; the strays before it still go
+            pass
+        drop = set(strays)
+        out = [cid for pos, cid in enumerate(out) if pos not in drop]
     return out
 
 

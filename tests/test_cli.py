@@ -19,7 +19,7 @@ from hmegraph import (
     teacher_matrices,
     write_tensor,
 )
-from hmegraph import cli
+from hmegraph import synth
 from hmegraph.cli import Config, build_parser, load_config, main, merge_config
 
 
@@ -208,6 +208,20 @@ class TestGenDecodeEval:
         assert json.loads(out)["exprate"] == 1.0
 
 
+def match_inputs(folder):
+    """Match flags for the label `x` on a 2x2 grid, written to `folder`."""
+    attn = np.zeros((1, 2, 2), dtype=np.float32)
+    attn[0, 0, 0] = 1.0
+    vocab = default_vocab()
+    probs = np.zeros((vocab.grid_classes, 2, 2), dtype=np.float32)
+    probs[vocab.none_id] = 1.0
+    probs[:, 0, 0] = 0.0
+    probs[vocab.id_of("x"), 0, 0] = 1.0
+    write_tensor(attn, folder / "a.namt")
+    write_tensor(probs, folder / "p.namt")
+    return ["--attn", str(folder / "a.namt"), "--probs", str(folder / "p.namt"), "--label", "x"]
+
+
 class TestMatch:
     def test_match_scores_teacher_rows(self, capsys, tmp_path):
         vocab = default_vocab()
@@ -254,19 +268,8 @@ class TestMatch:
         assert side["cells"] == doc["cells"]
 
     def test_match_partial_scoring_flags(self, capsys, tmp_path):
-        vocab = default_vocab()
-        attn = np.zeros((1, 2, 2), dtype=np.float32)
-        attn[0, 0, 0] = 1.0
-        P = np.zeros((vocab.grid_classes, 2, 2), dtype=np.float32)
-        P[vocab.none_id] = 1.0
-        P[:, 0, 0] = 0.0
-        P[vocab.id_of("x"), 0, 0] = 1.0
-        pa, pp = tmp_path / "a.namt", tmp_path / "p.namt"
-        write_tensor(attn, pa)
-        write_tensor(P, pp)
         code, _, err = run_cli(
-            capsys, "match", "--attn", str(pa), "--probs", str(pp),
-            "--label", "x", "--self", str(pa),
+            capsys, "match", *match_inputs(tmp_path), "--self", str(tmp_path / "a.namt"),
         )
         assert code == 1
         assert "together" in err
@@ -342,7 +345,7 @@ class TestExitCodes:
         def too_small(*args, **kwargs):
             raise GridTooSmall("nothing fits")
 
-        monkeypatch.setattr(cli, "make_sample", too_small)
+        monkeypatch.setattr(synth, "make_sample", too_small)
         code, _, err = run_cli(
             capsys, "gen", "--grid", "12x48", "--count", "1", "--out", str(tmp_path)
         )
@@ -366,6 +369,58 @@ class TestExitCodes:
 
     def test_import_leaves_scipy_unloaded(self):
         # Only matching needs scipy; every other command skips its import cost.
-        code = "import sys, hmegraph.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
-        proc = run_python("-c", code)
-        assert proc.returncode == 0, proc.stderr
+        loaded, scipy = loads_of()
+        assert not scipy
+        assert loaded == CLI_CORE
+
+
+# What importing the command line loads: the decode path.
+CLI_CORE = {"hmegraph", "hmegraph.cli", "hmegraph.decode", "hmegraph.errors",
+            "hmegraph.tensor_io", "hmegraph.tokens"}
+
+
+def loads_of(*argv):
+    """The `hmegraph.*` modules, and whether scipy, that a fresh
+    interpreter has loaded after running the command line on `argv`
+    (after importing it, when `argv` is empty)."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from hmegraph.cli import main\n"
+        f"argv = {list(argv)!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(argv) if argv else 0\n"
+        "names = sorted(m for m in sys.modules if m.split('.')[0] == 'hmegraph')\n"
+        "print(json.dumps([code, names, 'scipy' in sys.modules]))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    code, names, scipy = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    return set(names), scipy
+
+
+# The modules each subcommand loads beyond CLI_CORE.
+EXTRA_LOADS = {"decode": (), "eval": ("metrics",), "gen": ("synth",), "match": ("assignment",),
+               "parse": ("synth",), "emit": ("synth",), "vocab": ("synth",)}
+
+
+@pytest.mark.parametrize("command", EXTRA_LOADS)
+def test_subcommand_loads_only_what_it_runs(command, gen_dir, tmp_path):
+    """Each subcommand loads the decode path plus the modules only it
+    runs; `parse`, `emit` and `vocab` take the builtin vocabulary from
+    `synth`, and only `match` loads scipy."""
+    vocab = ["--vocab", str(gen_dir / "vocab.tsv")]
+    inputs = [f"--{k}={gen_dir / f'0000.{k}.namt'}" for k in ("probs", "self", "left", "right")]
+    argv = {
+        "decode": ["decode", *vocab, *inputs],
+        "eval": ["eval", *vocab, "--pred", str(gen_dir / "labels.txt"),
+                 "--ref", str(gen_dir / "labels.txt")],
+        "gen": ["gen", "--count", "1", "--out", str(tmp_path / "gen")],
+        "match": ["match", *vocab, *match_inputs(tmp_path)],
+        "parse": ["parse", "--label", "x"],
+        "emit": ["emit", "--ids", "0"],
+        "vocab": ["vocab", "--builtin"],
+    }[command]
+    loaded, scipy = loads_of(*argv)
+    assert loaded == CLI_CORE | {f"hmegraph.{name}" for name in EXTRA_LOADS[command]}
+    assert scipy == (command == "match")

@@ -920,12 +920,51 @@ class TestRepair:
             assert emit_latex(fixed, vocab) == latex
             assert parse_latex(latex, vocab) == fixed
 
+    def test_matches_one_walk_per_stray(self, vocab):
+        """On seeded random id strings, with none, <sos> and <eos> ids
+        among them, the repair equals the loop it replaced, which walked
+        once per stray ``]`` and dropped the one `emit_latex` named."""
+
+        def reference(seq):
+            lo = hi = 0
+            out = []
+            for cid in seq:
+                a, h = vocab.step_table[cid]
+                if hi + h >= 0:
+                    lo, hi = max(lo + a, 0), hi + h
+                    out.append(cid)
+            out.extend([vocab.end_id] * lo)
+            while vocab.sqrt_id in out and vocab.bracket_id in out:
+                try:
+                    emit_latex(out, vocab)
+                except IllNested as err:
+                    if err.position is not None:
+                        del out[err.position]
+                        continue
+                break
+            return out
+
+        sq, br, end = vocab.id_of("\\sqrt"), vocab.id_of("]"), vocab.end_id
+        pool = [sq, sq, br, br, br, end, end, end]
+        rng = random.Random(20261019)
+        several = after_fault = 0
+        for _ in range(3000):
+            seq = [rng.choice(pool + [rng.randrange(vocab.num_predictable)])
+                   for _ in range(rng.randint(1, 40))]
+            if rng.random() < 0.2:
+                seq.insert(rng.randrange(len(seq) + 1), rng.choice(range(vocab.none_id, len(vocab))))
+            want = reference(seq)
+            assert repair_groups(seq, vocab) == want, seq
+            dropped = seq.count(br) - want.count(br)
+            several += dropped >= 2
+            after_fault += dropped >= 1 and max(want) >= vocab.none_id
+        assert several >= 100 and after_fault >= 10, (several, after_fault)
+
 
 class TestWalkCounts:
     """`tokens._walk` resolves the groups of a sequence and spells it.
     Resolving or rendering walks once.  The repair walks a result that
-    holds both \\sqrt and `]`: once per `]` it drops, and once more if a
-    `]` stays."""
+    holds both \\sqrt and `]` once, however many `]` it drops."""
 
     def test_resolve_and_emit_walk_once(self, vocab, monkeypatch):
         sq, br, x, end = vocab.id_of("\\sqrt"), vocab.id_of("]"), vocab.id_of("x"), vocab.end_id
@@ -945,13 +984,19 @@ class TestWalkCounts:
     def test_render_walks(self, vocab, monkeypatch):
         """A path renders in one walk plus the repair's, through
         `longest_path` on chains of random ids and through the decode of
-        the benchmark's default profiles."""
+        the benchmark's default profiles.  The repair changes only ENDs
+        before its walk, so the path's ids tell whether it walks."""
         sq, br = vocab.id_of("\\sqrt"), vocab.id_of("]")
 
         def expected(seq):
-            fixed = repair_groups(seq, vocab)
-            dropped = seq.count(br) - fixed.count(br)
-            return 1 + dropped + (sq in fixed and br in fixed), dropped
+            dropped = seq.count(br) - repair_groups(seq, vocab).count(br)
+            return 1 + (sq in seq and br in seq), dropped
+
+        def chain_of(cids):
+            nodes = {i: Node(cid, 0, i, index=i) for i, cid in enumerate(cids, 1)}
+            chain = range(len(cids) + 2)
+            edges = {e: 1.0 for e in zip(chain, chain[1:])}
+            return ExprGraph(nodes, edges, n_slots=len(cids))
 
         rng = random.Random(20261019)
         pool = [sq, sq, br, br, vocab.end_id, vocab.end_id, vocab.end_id]
@@ -959,13 +1004,15 @@ class TestWalkCounts:
         for _ in range(1500):
             cids = [rng.choice(pool + [rng.randrange(vocab.num_predictable)])
                     for _ in range(rng.randint(1, 14))]
-            nodes = {i: Node(cid, 0, i, index=i) for i, cid in enumerate(cids, 1)}
-            chain = range(len(cids) + 2)
-            edges = {e: 1.0 for e in zip(chain, chain[1:])}
             want, dropped = expected(cids)
-            chains.append((ExprGraph(nodes, edges, n_slots=len(cids)), want))
+            chains.append((chain_of(cids), want))
             dropped_total += dropped
         assert dropped_total >= 100
+        # A whole index of strays, up to as many as a 14x56 grid has cells.
+        for k in (1, 10, 780):
+            cids = [sq, *[br] * k, vocab.end_id, vocab.id_of("x"), vocab.end_id]
+            assert expected(cids) == (2, k)
+            chains.append((chain_of(cids), 2))
         profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
                     NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
         decodes = []

@@ -7,8 +7,14 @@ exempt: the tests judge the package against them.
 """
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import hmegraph
 
@@ -72,3 +78,34 @@ def test_every_private_helper_has_a_caller():
             ):
                 unused.append(f"{path.name}:{name}")
     assert defined and unused == []
+
+
+def test_exports_load_on_first_use():
+    """A fresh ``import hmegraph`` loads none of the modules the decode
+    never runs; ``hmegraph.metrics`` and ``hmegraph.synth`` resolve as
+    modules before any of their names is touched."""
+    code = (
+        "import sys, hmegraph\n"
+        "heavy = ['hmegraph.assignment', 'hmegraph.metrics', 'hmegraph.synth']\n"
+        "assert not [m for m in heavy if m in sys.modules], sorted(sys.modules)\n"
+        "assert hmegraph.metrics is sys.modules['hmegraph.metrics']\n"
+        "assert hmegraph.synth is sys.modules['hmegraph.synth']\n"
+        "assert 'hmegraph.assignment' not in sys.modules\n"
+    )
+    path = [str(Path(hmegraph.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_exports_are_their_home_objects():
+    """Each exported name is the object its home module defines, ``dir``
+    lists every export, and an unknown name raises naming it."""
+    for name in hmegraph.__all__:
+        obj = getattr(hmegraph, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("hmegraph."), name
+        assert getattr(home, name) is obj, name
+    assert set(hmegraph.__all__) <= set(dir(hmegraph))
+    with pytest.raises(AttributeError, match="'no_such_export'"):
+        hmegraph.no_such_export
