@@ -64,10 +64,9 @@ def estimate_positions(
             f"{attn.shape[0]} attention steps for {len(label)} label tokens"
         )
     check_finite(attn, "attention stack")
-    h, w = attn.shape[1:]
-    steps = [step for step, cid in enumerate(label) if vocab.is_predictable(cid)]
-    flat = attn[steps].reshape(len(steps), h * w).argmax(axis=1)
-    return [divmod(f, w) for f in flat.tolist()]
+    n, (h, w) = len(label), attn.shape[1:]
+    flat = attn[:n].reshape(n, h * w).argmax(axis=1).tolist()
+    return [divmod(f, w) for f, cid in zip(flat, label) if vocab.is_predictable(cid)]
 
 
 def build_cost(
@@ -83,7 +82,9 @@ def build_cost(
     km x km window centered on that token's rough position cost
     ``|P[class, cell] - 1|``; all other cells cost 1e6, which keeps the
     assignment inside the windows whenever that is feasible.  Windows clip
-    at the grid border.
+    at the grid border.  Every window is filled at once: one gather of the
+    km x km cells per token from P, and one scatter into the matrix of
+    1e6.  The matrix stays dense because callers read it by flat cell.
 
     Returns:
         float64 array of shape (L, H*W).
@@ -107,14 +108,23 @@ def build_cost(
             f"{len(positions)} positions for {len(pred)} predictable tokens"
         )
     h, w = P.shape[1:]
-    half = km // 2
-    cost = np.full((len(pred), h, w), BLOCK_COST)
-    for l, (cid, (r, c)) in enumerate(zip(pred, positions)):
+    for r, c in positions:
         if not (0 <= r < h and 0 <= c < w):
             raise ShapeMismatch(f"position {(r, c)} outside the {h}x{w} grid")
-        window = np.s_[max(0, r - half): r + half + 1, max(0, c - half): c + half + 1]
-        cost[l][window] = np.abs(P[cid][window].astype(np.float64) - 1.0)
-    return cost.reshape(len(pred), h * w)
+    n, half = len(pred), km // 2
+    # Each token's km row and km column indices, clamped to the grid.  A
+    # clamped index lands on the window's border cell, so the clipped
+    # window is covered and repeats write that cell's own value again.
+    # Positions keep their dtype: a non-integer one fails to index.
+    span = np.array(positions, dtype=None if n else np.intp).reshape(n, 2, 1)
+    span = span + np.arange(-half, half + 1)
+    rows = np.minimum(np.maximum(span[:, 0], 0), h - 1)[:, :, None]
+    cols = np.minimum(np.maximum(span[:, 1], 0), w - 1)[:, None, :]
+    cost = np.full((n, h * w), BLOCK_COST)
+    cost[np.arange(n)[:, None, None], rows * w + cols] = np.abs(
+        P[np.array(pred, dtype=np.intp)[:, None, None], rows, cols].astype(np.float64) - 1.0
+    )
+    return cost
 
 
 def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -127,7 +137,10 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     canonicalized; a tie that needs a cycle of three or more rows, or a move
     to an unused lower column, keeps the solver's choice, so the pairs can
     differ from :func:`hmegraph.synth.oracle_hungarian`, which returns the
-    lexicographically smallest optimal column tuple.
+    lexicographically smallest optimal column tuple.  One array comparison
+    over the block of assigned columns first tests whether any two rows
+    tie toward a lower column; when none do, the pairwise loop would swap
+    nothing and is skipped.
 
     Columns that hold the matrix maximum in every row are interchangeable;
     only the `n_rows` lowest-index ones reach the solver.  That changes no
@@ -161,12 +174,27 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     keep[np.flatnonzero(~keep)[:n_rows]] = True
     kept = np.flatnonzero(keep)
     _, col_ind = linear_sum_assignment(cost[:, kept])  # rows come back as 0..n-1
-    cols = kept[col_ind].tolist()
-    # Swaps only permute the assigned columns, so the tie loop reads the
+    cols = kept[col_ind]
+    # Swaps only permute the assigned columns, so ties are read from the
     # n x n block of them: row i on the column that row k was given is
-    # block[i][k].  Python floats add exactly as float64 does; other dtypes
-    # keep numpy's own arithmetic.
+    # block[i, k].  tied[i, j]: rows i and j can trade columns at equal
+    # total cost, and row j holds the smaller one.  With no such i < j the
+    # loop's first pass swaps nothing.  Array sums round as the loop's do
+    # (Python floats add exactly as float64 does).
     block = cost[:, cols]
+    diag = block.diagonal()
+    tied = (block + block.T == diag[:, None] + diag) & (cols < cols[:, None])
+    if not np.triu(tied, 1).any():
+        return list(enumerate(cols.tolist()))
+    return _swap_ties(block, cols.tolist())
+
+
+def _swap_ties(block: np.ndarray, cols: list[int]) -> list[tuple[int, int]]:
+    """The pairwise tie loop of :func:`hungarian`: repeatedly give the
+    earlier of two rows the smaller column wherever they can swap at equal
+    total cost.  Float64 sums run on Python floats, which round alike;
+    other dtypes keep numpy's own arithmetic."""
+    n_rows = len(cols)
     if block.dtype == np.float64:
         block = block.tolist()
     slot = list(range(n_rows))

@@ -218,24 +218,27 @@ def _edge_weights(
     edges, those between the positions of `index_map` and the virtual
     ends.  Raises as :func:`build_graph` documents.
 
-    Each neighbor matrix is checked from one row-sum pass.  NaN or an
-    infinity makes its row sum non-finite, so only a non-finite sum
-    searches for the bad entry; only a sum off 1 or a negative entry
-    searches for the bad row.  A NaN sum from finite entries needs entries
-    of both signs, so the negative entry sends it to the row search.
+    A valid pair of neighbor matrices passes on one row-sum pass and one
+    minimum, which NaN and infinities fail.  Any other pair is diagnosed
+    one matrix at a time, left before right.  NaN or an infinity makes
+    its row sum non-finite, so only a non-finite sum searches for the bad
+    entry; only a sum off 1 or a negative entry searches for the bad row.
+    A NaN sum from finite entries needs entries of both signs, so the
+    negative entry sends it to the row search.
     """
     check_shape(left, (None, None), "left neighbor scores")
     n = max(len(left) - 2, 0)
-    with np.errstate(invalid="ignore"):  # inf - inf in a sum: check_finite names it
-        for name, m in (("left", left), ("right", right)):
-            check_shape(m, (n + 2, n + 2), f"{name} neighbor scores", NodeCountMismatch)
-            sums = m.sum(axis=1)
-            if not np.isfinite(sums).all():
-                check_finite(m, f"{name} neighbor scores")
-            if np.abs(sums - 1.0).max() > ROW_SUM_TOL or m.min() < -ROW_SUM_TOL:
-                off = (np.abs(sums - 1.0) > ROW_SUM_TOL) | np.any(m < -ROW_SUM_TOL, axis=1)
-                bad = int(np.argmax(off))  # the first True
-                raise NonStochasticRow(bad, float(sums[bad]))
+    if not _stochastic(left, right, n):
+        with np.errstate(invalid="ignore"):  # inf - inf in a sum: check_finite names it
+            for name, m in (("left", left), ("right", right)):
+                check_shape(m, (n + 2, n + 2), f"{name} neighbor scores", NodeCountMismatch)
+                sums = m.sum(axis=1)
+                if not np.isfinite(sums).all():
+                    check_finite(m, f"{name} neighbor scores")
+                if np.abs(sums - 1.0).max() > ROW_SUM_TOL or m.min() < -ROW_SUM_TOL:
+                    off = (np.abs(sums - 1.0) > ROW_SUM_TOL) | np.any(m < -ROW_SUM_TOL, axis=1)
+                    bad = int(np.argmax(off))  # the first True
+                    raise NonStochasticRow(bad, float(sums[bad]))
     for i in index_map:
         if not 1 <= i <= n:
             raise NodeCountMismatch(f"node position {i} outside 1..{n}")
@@ -250,6 +253,22 @@ def _edge_weights(
     np.fill_diagonal(valid, False)
     valid[0, n + 1] = False  # the bare start -> end edge
     return weights, valid
+
+
+def _stochastic(left: np.ndarray, right: np.ndarray, n: int) -> bool:
+    """Whether both matrices are (N+2) x (N+2), with every row summing to 1
+    and no entry below 0, within ROW_SUM_TOL.  Row sums round as each
+    matrix's own ``sum(axis=1)`` does: the two are summed in one call only
+    when they share a dtype and are C-contiguous, as their stack is."""
+    if not left.shape == right.shape == (n + 2, n + 2):
+        return False
+    if left.dtype == right.dtype and left.flags.c_contiguous and right.flags.c_contiguous:
+        parts = (np.concatenate((left, right)),)
+    else:
+        parts = (left, right)
+    with np.errstate(all="ignore"):  # a fault is named, with its warnings, by the diagnosis
+        return all(np.abs(m.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL and m.min() >= -ROW_SUM_TOL
+                   for m in parts)
 
 
 def build_graph(

@@ -148,11 +148,12 @@ def check_shape(a, shape: tuple, what: str, error: type = ShapeMismatch) -> None
     A None entry matches any size.  A wrong rank raises ShapeMismatch; a
     wrong size raises `error`, NodeCountMismatch for axes that count nodes.
     """
-    got = np.shape(a)
+    got = a.shape if isinstance(a, np.ndarray) else np.shape(a)
     if len(got) != len(shape):
         raise ShapeMismatch(f"{what} must be {len(shape)}-d, got shape {got}")
-    if any(want is not None and n != want for n, want in zip(got, shape)):
-        raise error(f"{what} has shape {got}, expected {shape} (None: any size)")
+    for n, want in zip(got, shape):
+        if want is not None and n != want:
+            raise error(f"{what} has shape {got}, expected {shape} (None: any size)")
 
 
 def check_finite(a, what: str) -> None:

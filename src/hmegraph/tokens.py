@@ -461,9 +461,14 @@ def _suffix_closers(seq: list[int], vocab: TokenVocab):
     step = vocab.step_table
     n = len(seq)
     A, B, S = [0] * (n + 1), [-math.inf] * (n + 1), [math.inf] * (n + 1)
+    a_k, b_k, s_k = 0, -math.inf, math.inf  # A, B and S of the suffix after k
     for k in range(n - 1, -1, -1):
         a, h = step[seq[k]]
-        A[k], B[k], S[k] = A[k + 1] + a, max(A[k + 1], B[k + 1]), h + min(S[k + 1], 0)
+        if a_k > b_k:
+            b_k = a_k
+        a_k += a
+        s_k = h + s_k if s_k < 0 else h
+        A[k], B[k], S[k] = a_k, b_k, s_k
     return lambda k, p: p + S[k] >= 0 and max(p + A[k], B[k]) == 0
 
 

@@ -38,6 +38,7 @@ from hmegraph import (
     teacher_matrices,
     write_tensor,
 )
+from hmegraph import assignment
 from hmegraph.assignment import BLOCK_COST
 from hmegraph.errors import check_finite
 
@@ -137,6 +138,60 @@ class TestBuildCost:
         for pos in [(-2, 1), (-3, 1), (3, 1), (1, -1), (1, 3), (9, 9)]:
             with pytest.raises(ShapeMismatch):
                 build_cost(P, [pos], parse_latex("a", v), v, km=5)
+
+    def test_names_first_off_grid_position(self, small_vocab):
+        v = small_vocab
+        P = np.ones((v.grid_classes, 3, 4))
+        seq = parse_latex("a b c x a", v)
+        positions = [(0, 0), (2, 3), (3, 1), (1, 1), (-1, 0)]
+        with pytest.raises(ShapeMismatch, match=re.escape("position (3, 1) outside the 3x4 grid")):
+            build_cost(P, positions, seq, v, km=3)
+
+    def test_non_integer_position_fails(self, small_vocab):
+        # A fractional position is refused, never truncated to a cell.
+        v = small_vocab
+        P = np.ones((v.grid_classes, 3, 4))
+        with pytest.raises((TypeError, IndexError)):
+            build_cost(P, [(0, 0), (1.5, 2)], parse_latex("a b", v), v, km=3)
+
+
+def window_loop_cost(P, positions, label, vocab, km):
+    """Reference: one clipped window at a time, filled with slices."""
+    pred = [cid for cid in label if vocab.is_predictable(cid)]
+    h, w = P.shape[1:]
+    half = km // 2
+    cost = np.full((len(pred), h, w), BLOCK_COST)
+    for l, (cid, (r, c)) in enumerate(zip(pred, positions)):
+        window = np.s_[max(0, r - half): r + half + 1, max(0, c - half): c + half + 1]
+        cost[l][window] = np.abs(P[cid][window].astype(np.float64) - 1.0)
+    return cost.reshape(len(pred), h * w)
+
+
+def test_build_cost_matches_window_loop(vocab):
+    """Byte for byte, for every odd km up to 7, both float widths, windows
+    clipped at each border, and labels with no predictable token."""
+    rng = np.random.default_rng(20261019)
+    ids = list(range(vocab.num_predictable)) + [vocab.end_id] * 8
+    seen = {"top": 0, "bottom": 0, "left": 0, "right": 0, "empty": 0}
+    for trial in range(400):
+        km = (1, 3, 5, 7)[trial % 4]
+        dtype = (np.float32, np.float64)[trial // 4 % 2]
+        h, w = (int(x) for x in rng.integers(1, 12, 2))
+        P = rng.random((vocab.grid_classes, h, w)).astype(dtype)
+        label = [ids[i] for i in rng.integers(0, len(ids), int(rng.integers(0, 9)))]
+        n = sum(vocab.is_predictable(cid) for cid in label)
+        positions = [(int(rng.integers(0, h)), int(rng.integers(0, w))) for _ in range(n)]
+        got = build_cost(P, positions, label, vocab, km=km)
+        want = window_loop_cost(P, positions, label, vocab, km)
+        assert (got.dtype, got.shape) == (np.float64, (n, h * w))
+        assert got.tobytes() == want.tobytes(), (trial, positions)
+        half = km // 2
+        seen["top"] += any(r < half for r, _ in positions)
+        seen["bottom"] += any(r + half >= h for r, _ in positions)
+        seen["left"] += any(c < half for _, c in positions)
+        seen["right"] += any(c + half >= w for _, c in positions)
+        seen["empty"] += n == 0
+    assert min(seen.values()) >= 20, seen
 
 
 class TestHungarian:
@@ -288,6 +343,28 @@ def test_hungarian_pairs_match_full_matrix_solve():
     assert dropped >= 50
     assert swapped >= 50
     assert square >= 50
+
+
+def test_tie_loop_runs_only_when_a_pair_swaps(monkeypatch):
+    """The pairwise tie loop runs only on a matrix where two rows can swap
+    to an equal-cost lower column, so every run of it swaps something."""
+    runs = []
+    loop = assignment._swap_ties
+
+    def recorded(block, cols):
+        pairs = loop(block, cols)
+        runs.append(pairs != list(enumerate(cols)))
+        return pairs
+
+    monkeypatch.setattr(assignment, "_swap_ties", recorded)
+    # Distinct optimum with the columns out of row order: nothing ties.
+    assert hungarian(np.array([[1.0, 0.0], [0.0, 1.0]])) == [(0, 1), (1, 0)]
+    assert hungarian(np.array([[0.0, 0.5, 3.0], [2.0, 0.25, 0.75]])) == [(0, 0), (1, 1)]
+    assert runs == []
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        hungarian(tie_heavy_cost(rng))
+    assert len(runs) >= 50 and all(runs)
 
 
 class TestMakeTargets:

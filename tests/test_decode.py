@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from hmegraph import (
 )
 from hmegraph import decode, tokens
 from hmegraph.decode import ExprGraph, Node
+from hmegraph.errors import check_finite, check_shape
 from hmegraph.tokens import (
     END_SYMBOL,
     EOS_SYMBOL,
@@ -383,6 +385,72 @@ class TestBuildGraph:
         ok = np.full((3, 3), 1.0 / 3)
         with pytest.raises(NodeCountMismatch):
             build_graph([Node(0, 0, 0, index=9)], ok, ok)
+
+    @staticmethod
+    def diagnose(left, right):
+        """Reference: every neighbor matrix checked on its own, left first."""
+        n = max(len(left) - 2, 0)
+        with np.errstate(invalid="ignore"):
+            for name, m in (("left", left), ("right", right)):
+                check_shape(m, (n + 2, n + 2), f"{name} neighbor scores", NodeCountMismatch)
+                sums = m.sum(axis=1)
+                if not np.isfinite(sums).all():
+                    check_finite(m, f"{name} neighbor scores")
+                if np.abs(sums - 1.0).max() > decode.ROW_SUM_TOL or m.min() < -decode.ROW_SUM_TOL:
+                    off = (np.abs(sums - 1.0) > decode.ROW_SUM_TOL) | np.any(
+                        m < -decode.ROW_SUM_TOL, axis=1)
+                    bad = int(np.argmax(off))
+                    raise NonStochasticRow(bad, float(sums[bad]))
+
+    @staticmethod
+    def plant(m, fault, row):
+        if fault == "nan":
+            m[row, 3] = np.nan
+        elif fault in ("inf", "-inf"):
+            m[row, 1] = float(fault)
+        elif fault == "off_sum":
+            m[row] *= 1.5
+        elif fault == "negative":  # the row still sums to 1
+            m[row, :2] = [-0.25, m[row, 0] + m[row, 1] + 0.25]
+        elif fault == "overflow":  # finite entries whose sum overflows
+            m[row, :2] = np.finfo(m.dtype).max
+        return m
+
+    @staticmethod
+    def outcome(fn):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                fn()
+                raised = None
+            except (NonFinite, NonStochasticRow) as err:
+                raised = (type(err), str(err), getattr(err, "index", None),
+                          getattr(err, "row", None), repr(getattr(err, "total", None)))
+        return raised, [(w.category, str(w.message)) for w in caught]
+
+    def test_faults_named_as_by_each_matrix_alone(self):
+        """NaN, either infinity, an off-sum row, a negative entry or an
+        overflowing sum, in left, right or both: the same class, message,
+        row or index, and the same warnings as checking each matrix alone."""
+        faults = [None, "nan", "inf", "-inf", "off_sum", "negative", "overflow"]
+        nodes = [Node(0, 0, i, index=i) for i in range(1, 5)]
+        rng = np.random.default_rng(19)
+        seen = set()
+        for dtypes in [(np.float64, np.float64), (np.float32, np.float32),
+                       (np.float32, np.float64)]:
+            for order in "CF":
+                for lf in faults:
+                    for rf in faults:
+                        left, right = (
+                            np.asarray(self.plant(self.stochastic(rng, 4).astype(dt), f, row),
+                                       order=order)
+                            for dt, f, row in zip(dtypes, (lf, rf), (2, 4)))
+                        got = self.outcome(lambda: build_graph(nodes, left, right))
+                        want = self.outcome(lambda: self.diagnose(left, right))
+                        assert got == want, (dtypes, order, lf, rf)
+                        seen.add(want[0] and want[0][0])
+                        assert (want[0] is None) == (lf is rf is None)
+        assert seen == {None, NonFinite, NonStochasticRow}
 
 
 class TestPrune:

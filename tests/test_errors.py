@@ -53,3 +53,26 @@ def test_check_finite_reports_first_row_major_index():
     with pytest.raises(NonFinite) as exc:
         check_finite(a.T, "a")  # row-major over the view, not memory order
     assert exc.value.index == 1
+
+
+@pytest.mark.parametrize("value, shape, message", [
+    ([[1, 2, 3], [4, 5, 6]], (2, None), None),
+    ([[1, 2, 3], [4, 5, 6]], (3, None), "a has shape (2, 3), expected (3, None) (None: any size)"),
+    ([[1, 2, 3], [4, 5, 6]], (None,), "a must be 1-d, got shape (2, 3)"),
+    (((1, 2), (3, 4)), (None, 3), "a has shape (2, 2), expected (None, 3) (None: any size)"),
+    (((1, 2), (3, 4)), (None, None, None), "a must be 3-d, got shape (2, 2)"),
+    (7.0, (None,), "a must be 1-d, got shape ()"),
+    (7, (), None),
+    (np.float32(7.0), (None, None), "a must be 2-d, got shape ()"),
+    (np.zeros((2, 3)), (2, 4), "a has shape (2, 3), expected (2, 4) (None: any size)"),
+    (np.zeros((2, 3)).T, (None,), "a must be 1-d, got shape (3, 2)"),
+])
+def test_check_shape_reads_any_array_like(value, shape, message):
+    """Lists, tuples and scalars are measured as numpy measures them, and
+    give the same messages as an array of that shape."""
+    if message is None:
+        check_shape(value, shape, "a")
+        return
+    with pytest.raises(ShapeMismatch) as exc:
+        check_shape(value, shape, "a")
+    assert str(exc.value) == message

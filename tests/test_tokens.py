@@ -1,5 +1,6 @@
 """Token grammar: vocabulary build, parse, emit, canonical-form helpers."""
 
+import math
 import random
 import re
 
@@ -480,6 +481,29 @@ class TestGroupCountsLinear:
             else:
                 seen["error"] += 1
         assert min(seen.values()) >= 100, seen
+
+    def test_suffix_closers_match_builtin_loop(self, vocab):
+        def reference(seq, vocab):
+            """The composition with builtin max and min per token."""
+            step, n = vocab.step_table, len(seq)
+            A, B, S = [0] * (n + 1), [-math.inf] * (n + 1), [math.inf] * (n + 1)
+            for k in range(n - 1, -1, -1):
+                a, h = step[seq[k]]
+                A[k], B[k], S[k] = A[k + 1] + a, max(A[k + 1], B[k + 1]), h + min(S[k + 1], 0)
+            return lambda k, p: p + S[k] >= 0 and max(p + A[k], B[k]) == 0
+
+        rng = random.Random(20261019)
+        heavy = [vocab.end_id, vocab.sqrt_id, vocab.bracket_id]
+        closed = 0
+        for _ in range(2000):
+            seq = [rng.choice(heavy) if rng.random() < 0.7 else rng.randrange(vocab.num_predictable)
+                   for _ in range(rng.randint(0, 16))]
+            got, want = tokens._suffix_closers(seq, vocab), reference(seq, vocab)
+            for k in range(len(seq) + 1):
+                for p in range(5):
+                    assert got(k, p) == want(k, p), (seq, k, p)
+                    closed += want(k, p)
+        assert closed >= 1000
 
     def test_deep_sqrt_steps_linear(self, monkeypatch):
         """Repairing, resolving, emitting and laying out a 5,000-deep \\sqrt
