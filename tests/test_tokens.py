@@ -1,5 +1,7 @@
 """Token grammar: vocabulary build, parse, emit, canonical-form helpers."""
 
+import hashlib
+import json
 import math
 import random
 import re
@@ -142,6 +144,44 @@ class TestVocabLayout:
         path.write_text("a\tvisible\nb visible\n")
         with pytest.raises(VocabMiss):
             TokenVocab.load(path)
+
+
+def vocab_digest(vocab, tmp_path):
+    """SHA-256 prefix of every table a vocabulary derives, its reserved
+    ids, and the bytes `save` writes."""
+    path = tmp_path / "pin.tsv"
+    vocab.save(path)
+    tables = {
+        name: getattr(vocab, name)
+        for name in ("symbols", "roles", "group_table", "step_table", "sqrt_id", "bracket_id",
+                     "multi_symbols", "num_predictable", "none_id", "end_id", "sos_id",
+                     "eos_id", "grid_classes", "correction_classes")
+    }
+    blob = json.dumps(tables, sort_keys=True).encode() + b"\0" + path.read_bytes()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+class TestVocabPin:
+    """The tables and saved bytes of the builtin vocabulary and of small
+    ones, pinned byte for byte."""
+
+    def test_default_vocab(self, tmp_path):
+        assert vocab_digest(default_vocab(), tmp_path) == "92269c1f9bec2b25"
+
+    @pytest.mark.parametrize("corpus, want", [
+        (["x ^ { 2 } + y _ { i }", "\\sum \\limits _ { k } a ^ 2"], "f9458d1a422d2ae2"),
+        (["\\sqrt [ 3 ] { x } + [ y ]", "\\frac { 1 } { \\sqrt { 2 } }"], "e0cdd6b60074211f"),
+    ], ids=["scripts", "indexed_sqrt"])
+    def test_build_vocab(self, corpus, want, tmp_path):
+        assert vocab_digest(build_vocab(corpus), tmp_path) == want
+
+    def test_multichar_and_escaped_brace(self, tmp_path):
+        """build_vocab cannot tokenize these; the symbol list builds them."""
+        v = tokens._vocab_over(["\\{", "\\}", "12", "ab", "x", "^", "\\sqrt"])
+        assert vocab_digest(v, tmp_path) == "c50b40b8c06fa911"
+        path = tmp_path / "v.tsv"
+        v.save(path)
+        assert vocab_digest(TokenVocab.load(path), tmp_path) == "c50b40b8c06fa911"
 
 
 class TestBuildVocab:
