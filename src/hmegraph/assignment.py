@@ -91,15 +91,17 @@ def build_cost(
 
     Raises:
         VocabMiss: a label id outside the vocabulary.
-        EvenKernel: km is even or < 1 (the window must center on a cell).
+        EvenKernel: km is not an integer, or is even or < 1 (the window
+            must center on a cell).
         ShapeMismatch: P is not (channels, H, W) with the vocabulary's
-            channel count, positions do not line up with the label, or a
-            position lies outside the H x W grid.
+            channel count, positions do not line up with the label, a
+            position is not a (row, column) pair of integers, or one lies
+            outside the H x W grid.
         NonFinite: P holds NaN or infinity.
     """
     vocab.check_ids(label)
-    if km < 1 or km % 2 == 0:
-        raise EvenKernel(f"window size must be odd and positive, got {km}")
+    if not isinstance(km, (int, np.integer)) or km < 1 or km % 2 == 0:
+        raise EvenKernel(f"window size must be an odd positive integer, got {km!r}")
     check_shape(P, (vocab.grid_classes, None, None), "grid")
     check_finite(P, "grid")
     pred = [cid for cid in label if vocab.is_predictable(cid)]
@@ -107,16 +109,20 @@ def build_cost(
         raise ShapeMismatch(
             f"{len(positions)} positions for {len(pred)} predictable tokens"
         )
+    n, half = len(pred), km // 2
+    try:  # the safe cast refuses a fraction, string or object; the reshape, a non-pair
+        span = np.array(positions, dtype=None if n else np.intp)
+        span = span.astype(np.intp, casting="safe").reshape(n, 2, 1)
+    except (TypeError, ValueError):
+        bad = next((p for p in positions if not _is_int_pair(p)), positions)
+        raise ShapeMismatch(f"position {bad!r} is not a (row, column) pair of integers") from None
     h, w = P.shape[1:]
     for r, c in positions:
         if not (0 <= r < h and 0 <= c < w):
             raise ShapeMismatch(f"position {(r, c)} outside the {h}x{w} grid")
-    n, half = len(pred), km // 2
     # Each token's km row and km column indices, clamped to the grid.  A
     # clamped index lands on the window's border cell, so the clipped
     # window is covered and repeats write that cell's own value again.
-    # Positions keep their dtype: a non-integer one fails to index.
-    span = np.array(positions, dtype=None if n else np.intp).reshape(n, 2, 1)
     span = span + np.arange(-half, half + 1)
     rows = np.minimum(np.maximum(span[:, 0], 0), h - 1)[:, :, None]
     cols = np.minimum(np.maximum(span[:, 1], 0), w - 1)[:, None, :]
@@ -125,6 +131,12 @@ def build_cost(
         P[np.array(pred, dtype=np.intp)[:, None, None], rows, cols].astype(np.float64) - 1.0
     )
     return cost
+
+
+def _is_int_pair(p) -> bool:
+    """Whether `p` is a tuple or list of two integers; read only to name a fault."""
+    return (isinstance(p, (tuple, list)) and len(p) == 2
+            and all(isinstance(x, (int, np.integer)) for x in p))
 
 
 def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -247,25 +259,34 @@ def make_targets(
 
     Raises:
         VocabMiss: a label id outside the vocabulary.
-        ShapeMismatch: the assignment does not cover the label's
-            predictable tokens once each, a cell index lies outside the
-            grid, or two tokens share a cell.
+        ShapeMismatch: an assignment item is not a (row, cell) pair, the
+            assignment does not cover the label's predictable tokens once
+            each, the grid size is not two integers >= 0, a cell
+            index is not an integer or lies outside the grid, or two
+            tokens share a cell.
         IllNested: the label's groups do not nest.
         EmptyInput: an empty label.
     """
     vocab.check_ids(label)
     pred = [cid for cid in label if vocab.is_predictable(cid)]
-    pairs = sorted(assignment)
-    if (rows := [l for l, _ in pairs]) != list(range(len(pred))):
-        raise ShapeMismatch(f"assignment rows {rows} are not 0..{len(pred) - 1} once each")
-    grid = np.full((height, width), vocab.none_id, dtype=np.int64)
-    pred_cells = []
-    for (_, flat), cid in zip(pairs, pred):
-        if not 0 <= flat < height * width:
-            raise ShapeMismatch(f"cell index {flat} outside {height}x{width} grid")
-        r, c = divmod(flat, width)
-        grid[r, c] = cid
-        pred_cells.append((r, c))
+    try:
+        grid = np.full((height, width), vocab.none_id, dtype=np.int64)
+    except (TypeError, ValueError):
+        raise ShapeMismatch(f"grid size {height!r}x{width!r} is not two integers >= 0") from None
+    try:  # unpacking, comparing and indexing refuse an item that is not two integers
+        pairs = sorted(assignment)
+        if (rows := [l for l, _ in pairs]) != list(range(len(pred))):
+            raise ShapeMismatch(f"assignment rows {rows} are not 0..{len(pred) - 1} once each")
+        pred_cells = []
+        for (_, flat), cid in zip(pairs, pred):
+            if not 0 <= flat < height * width:
+                raise ShapeMismatch(f"cell index {flat} outside {height}x{width} grid")
+            r, c = divmod(flat, width)
+            grid[r, c] = cid
+            pred_cells.append((r, c))
+    except (TypeError, ValueError, IndexError):
+        bad = next((p for p in assignment if not _is_int_pair(p)), assignment)
+        raise ShapeMismatch(f"assignment pair {bad!r} is not (row, cell index)") from None
     if len(set(pred_cells)) < len(pred_cells):
         raise ShapeMismatch(f"two tokens assigned to cell {max(pred_cells, key=pred_cells.count)}")
     _, parents = group_structure(label, vocab)
@@ -330,7 +351,7 @@ def loss_pgd(
 
     Raises:
         ShapeMismatch: an array is not 2-d, target lists differ in length,
-            or targets fall outside their range.
+            or a target is not an integer or falls outside its range.
         NodeCountMismatch: row counts disagree with the node count.
         NonFinite: NaN or infinity in an input, or a zero-probability
             target (infinite loss, index None).
@@ -351,10 +372,13 @@ def loss_pgd(
     if not all(0 <= t < n + 2 for t in left_t + right_t):
         raise ShapeMismatch("neighbor target outside node range")
     rows = np.arange(n)
+    try:
+        picked = self_probs[rows, self_t], left[rows + 1, left_t], right[rows + 1, right_t]
+    except IndexError:  # in range, so not all integers
+        bad = next(ts for ts in targets if np.asarray(ts).dtype.kind not in "iu")
+        raise ShapeMismatch(f"targets {bad} are not all integers") from None
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = float(np.mean(-np.log(self_probs[rows, self_t].astype(np.float64))))
-        lt = float(np.mean(-np.log(left[rows + 1, left_t].astype(np.float64))))
-        rt = float(np.mean(-np.log(right[rows + 1, right_t].astype(np.float64))))
+        s, lt, rt = (float(np.mean(-np.log(p.astype(np.float64)))) for p in picked)
     if not (np.isfinite(s) and np.isfinite(lt) and np.isfinite(rt)):
         raise NonFinite("node loss is not finite")
     return PgdLoss(s, lt, rt)

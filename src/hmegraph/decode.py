@@ -48,6 +48,7 @@ import numpy as np
 from .errors import (
     CycleDetected,
     NodeCountMismatch,
+    NonFinite,
     NonStochasticRow,
     NoPath,
     check_finite,
@@ -226,6 +227,9 @@ def _edge_weights(
     A NaN sum from finite entries needs entries of both signs, so the
     negative entry sends it to the row search.
     """
+    for name, alpha in (("alpha_l2r", alpha_l2r), ("alpha_r2l", alpha_r2l)):
+        if not math.isfinite(alpha):
+            raise NonFinite(f"{name} is {alpha}, not a finite weight")
     check_shape(left, (None, None), "left neighbor scores")
     n = max(len(left) - 2, 0)
     if not _stochastic(left, right, n):
@@ -292,7 +296,7 @@ def build_graph(
         ShapeMismatch: a matrix is not 2-d.
         NodeCountMismatch: matrices not equal and square (N+2) with N >= 0,
             or node positions out of range.
-        NonFinite: a score holds NaN or infinity.
+        NonFinite: a score or an alpha is NaN or infinite.
         NonStochasticRow: a score row is not a probability distribution.
     """
     index_map = {node.index: node for node in nodes}
@@ -334,6 +338,8 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     Raises:
         NodeCountMismatch: an edge end is neither the start, the end, nor
             a node's position within 1..n_slots.
+        NonFinite: an edge weight is NaN or infinite, or `epsilon` is NaN.
+            An infinite `epsilon` makes every edge weak.
         NoPath: the end was unreachable before pruning started.
     """
     _check_edge_ends(graph)
@@ -348,11 +354,17 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
 
 def _check_edge_ends(graph: ExprGraph) -> None:
     """Name the first edge with an end that is not the start, the end, or
-    a node's position within 1..n_slots."""
+    a node's position within 1..n_slots; then the first edge whose weight
+    is NaN or infinite, with its place in the edges' order as the index."""
     ends = {0, graph.eos, *(v for v in graph.nodes if 1 <= v <= graph.n_slots)}
     if not ends.issuperset(itertools.chain.from_iterable(graph.edges)):
         bad = next(e for e in graph.edges if not ends.issuperset(e))
         raise NodeCountMismatch(f"edge {bad}: an end is not 0, {graph.eos} or a node position")
+    finite = np.isfinite(np.fromiter(graph.edges.values(), np.float64, len(graph.edges)))
+    if not finite.all():
+        index = int(np.argmin(finite))  # the first False
+        bad = next(itertools.islice(graph.edges, index, None))
+        raise NonFinite(f"edge {bad}: weight {graph.edges[bad]}", index)
 
 
 def _rows(n: int, src: np.ndarray, values: np.ndarray) -> list[list[int]]:
@@ -372,8 +384,10 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float):
     not reach the end; then one search over both finds the path whose weak
     edges are kept, as :func:`prune_and_acyclify` argues.  Returns the kept
     edges as a dict by source and then target, as successor and weight
-    lists, and the last DFS postorder.
+    lists, and the last DFS postorder.  A NaN `epsilon` raises NonFinite.
     """
+    if math.isnan(epsilon):
+        raise NonFinite("epsilon is nan, not a weight threshold")
     n = len(weights)
     below = weights < epsilon
     live = _rows(n, *np.nonzero(valid & ~below))  # row-major
@@ -514,6 +528,7 @@ def longest_path(graph: ExprGraph, vocab: TokenVocab) -> PathResult:
     Raises:
         NodeCountMismatch: an edge end is neither the start, the end, nor
             a node's position within 1..n_slots.
+        NonFinite: an edge weight is NaN or infinite.
         CycleDetected: the graph is not acyclic.
         NoPath: no start-to-end path exists.
     """
@@ -580,7 +595,8 @@ def decode_with_graph(
             channel or correction class count.
         NodeCountMismatch: score matrices disagree with the node count the
             grid implies (correction rows N, neighbor matrices N+2).
-        NonFinite: an input holds NaN or infinity.
+        NonFinite: an input holds NaN or infinity, an alpha is not finite,
+            or `epsilon` is NaN.
         NonStochasticRow: a neighbor score row is not a distribution.
         NoPath: nothing decodable, including an all-blank grid.
     """

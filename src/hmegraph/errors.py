@@ -9,7 +9,9 @@ a fault raises one class wherever it is found: a wrong rank or axis size
 raises :class:`ShapeMismatch`; a size that disagrees with a node count,
 :class:`NodeCountMismatch` (a ShapeMismatch); NaN or infinity,
 :class:`NonFinite`, whose ``index`` is the first bad value's row-major flat
-position (None only for a loss that is not finite from finite inputs).
+position (an edge's place in the edge order for a graph's weights; None
+for a scalar parameter, or for a loss that is not finite from finite
+inputs).
 """
 
 import numpy as np

@@ -18,13 +18,17 @@ Class ids are dense: visible and structural symbols occupy 0..K-1 in
 lexicographic order, the blank/none class is K, then END, <sos> and <eos>.
 Only ids below K are predictable by a grid classifier; the rest exist for
 sequence targets and graph decoding.
+
+A vocabulary is its symbol list.  Each symbol's role and group count
+follow from ``IRS_SYMBOLS`` and ``HSE_GROUP_COUNTS``, where the grammar is
+stated once.  A vocabulary file writes the roles out for readers, and
+loading one refuses a role that contradicts its symbol.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
 from .errors import (
     DanglingGroup,
@@ -44,8 +48,6 @@ ROLE_END = "end"        # shared imaginary group-end token
 ROLE_NONE = "none"      # blank grid cell
 ROLE_SOS = "sos"
 ROLE_EOS = "eos"
-
-_PREDICTABLE_ROLES = (ROLE_VISIBLE, ROLE_HSE, ROLE_IRS)
 
 # Implicit-relation symbols: a following group, no ink of its own structure.
 IRS_SYMBOLS = frozenset({"^", "_", "\\limits"})
@@ -72,57 +74,63 @@ END_SYMBOL = "}"
 SOS_SYMBOL = "<sos>"
 EOS_SYMBOL = "<eos>"
 
+# The reserved classes that end every vocabulary, in id order, by role.
+_RESERVED = {NONE_SYMBOL: ROLE_NONE, END_SYMBOL: ROLE_END,
+             SOS_SYMBOL: ROLE_SOS, EOS_SYMBOL: ROLE_EOS}
+
 _CONTROL_RE = re.compile(r"\\[a-zA-Z]+")
 
 
-@dataclass
+def _role(symbol: str) -> str:
+    """The role of `symbol` in any vocabulary."""
+    return _RESERVED.get(symbol) or (ROLE_IRS if symbol in IRS_SYMBOLS else
+                                     ROLE_HSE if symbol in HSE_GROUP_COUNTS else ROLE_VISIBLE)
+
+
 class TokenVocab:
-    """Immutable symbol table with dense class ids.
+    """Immutable symbol table with dense class ids, built from its symbols.
 
-    ``symbols[i]`` is the surface form of class id ``i`` and ``roles[i]`` its
-    role string.  Ids 0..K-1 are the predictable classes, the ones a grid
-    cell can take besides none (K is ``num_predictable``); then come
-    ``none_id`` (K), ``end_id``, ``sos_id`` and ``eos_id``.  A cell grid has
-    ``grid_classes`` channels (predictables + none), a per-node correction
-    row ``correction_classes`` (predictables + none + END).
+    ``symbols[i]`` is the surface form of class id ``i``.  The list ends in
+    the reserved classes ``<none> } <sos> <eos>``.  Ids 0..K-1 are the
+    predictable classes, the ones a grid cell can take besides none (K is
+    ``num_predictable``); then come ``none_id`` (K), ``end_id``, ``sos_id``
+    and ``eos_id``.  A cell grid has ``grid_classes`` channels
+    (predictables + none), a per-node correction row
+    ``correction_classes`` (predictables + none + END).
 
-    The tables are built once: ``group_table[i]`` is the group count of
-    class ``i`` when it is structural, else 0 (a structural role on a
-    symbol with no known count raises VocabMiss), ``sqrt_id`` and
-    ``bracket_id`` are the ids of \\sqrt and ``]``, each -1 when the
-    vocabulary has none, and ``multi_symbols`` lists the multi-character
-    symbols that are not control sequences, longest first, as the
-    tokenizer tries them.  ``step_table[i]`` is the ``(a, h)`` by which
-    class ``i`` moves the interval [lo, hi] of group ENDs still owed (an
-    interval, as a \\sqrt owns one group or two): ``lo = max(lo + a, 0)``,
-    ``hi += h``.  END has ``a = h = -1``, \\sqrt ``a = 1, h = 2``, any
-    other class its group count for both.
+    Everything else follows from each symbol and the grammar tables
+    ``IRS_SYMBOLS`` and ``HSE_GROUP_COUNTS``, so a class's role is stated
+    once.  ``roles[i]`` is the role string of class ``i``: irs or hse for
+    a structural symbol, visible for any other predictable one, and the
+    reserved classes' own roles.  ``group_table[i]`` is the index-less
+    group count of class ``i`` (1 for an irs symbol), 0 when it opens no
+    group; ``sqrt_id`` and ``bracket_id`` are the ids of \\sqrt and ``]``,
+    each -1 when the vocabulary has none; and ``multi_symbols`` lists the
+    multi-character symbols that are not control sequences, longest first,
+    as the tokenizer tries them.  ``step_table[i]`` is the ``(a, h)`` by
+    which class ``i`` moves the interval [lo, hi] of group ENDs still owed
+    (an interval, as a \\sqrt owns one group or two):
+    ``lo = max(lo + a, 0)``, ``hi += h``.  END has ``a = h = -1``, \\sqrt
+    ``a = 1, h = 2``, any other class its group count for both.
+
+    Raises:
+        VocabMiss: a duplicate symbol, or a tail other than
+            ``<none> } <sos> <eos>``.
     """
 
-    symbols: list[str]
-    roles: list[str]
-    _index: dict[str, int] = field(init=False, repr=False)
-    num_predictable: int = field(init=False, repr=False)
-    none_id: int = field(init=False, repr=False)
-    end_id: int = field(init=False, repr=False)
-    sos_id: int = field(init=False, repr=False)
-    eos_id: int = field(init=False, repr=False)
-    grid_classes: int = field(init=False, repr=False)
-    correction_classes: int = field(init=False, repr=False)
-    group_table: tuple[int, ...] = field(init=False, repr=False)
-    sqrt_id: int = field(init=False, repr=False)
-    bracket_id: int = field(init=False, repr=False)
-    step_table: tuple[tuple[int, int], ...] = field(init=False, repr=False)
-    multi_symbols: tuple[str, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, symbols):
+        self.symbols = list(symbols)
         self._index = {s: i for i, s in enumerate(self.symbols)}
-        self._validate()
+        if len(self._index) != len(self.symbols):
+            raise VocabMiss("duplicate symbol in vocabulary")
+        if self.symbols[-4:] != list(_RESERVED):
+            raise VocabMiss(f"vocabulary must end in {list(_RESERVED)}, got {self.symbols[-4:]}")
         k = self.num_predictable = len(self.symbols) - 4
         self.none_id, self.end_id, self.sos_id, self.eos_id = k, k + 1, k + 2, k + 3
         self.grid_classes, self.correction_classes = k + 1, k + 2
-        self.group_table = tuple(self.group_count(i) if self.is_structural(i) else 0
-                                 for i in range(len(self.symbols)))
+        self.roles = [_role(s) for s in self.symbols]
+        self.group_table = tuple(1 if s in IRS_SYMBOLS else HSE_GROUP_COUNTS.get(s, 0)
+                                 for s in self.symbols)
         self.sqrt_id, self.bracket_id = (self._index.get(s, -1) for s in ("\\sqrt", "]"))
         self.step_table = tuple((-1, -1) if i == self.end_id else (g, 2 if i == self.sqrt_id else g)
                                 for i, g in enumerate(self.group_table))
@@ -130,23 +138,6 @@ class TokenVocab:
             (sym for sym in self.symbols if len(sym) > 1 and not sym.startswith("\\")),
             key=len, reverse=True,
         ))
-
-    def _validate(self) -> None:
-        if len(self.symbols) != len(self.roles):
-            raise VocabMiss("symbol and role counts differ")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise VocabMiss("duplicate symbol in vocabulary")
-        counts = {r: self.roles.count(r) for r in (ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS)}
-        for role, n in counts.items():
-            if n != 1:
-                raise VocabMiss(f"vocabulary needs exactly one {role} entry, found {n}")
-        k = sum(1 for r in self.roles if r in _PREDICTABLE_ROLES)
-        expected = [ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS]
-        if self.roles[k:] != expected:
-            raise VocabMiss(
-                "predictable classes must form a dense prefix followed by "
-                f"{expected}, got tail {self.roles[k:]}"
-            )
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -169,10 +160,6 @@ class TokenVocab:
         self.symbol_of(class_id)
         return self.roles[class_id]
 
-    def is_structural(self, class_id: int) -> bool:
-        """True when the class opens argument groups (HSE or IRS role)."""
-        return self.role_of(class_id) in (ROLE_HSE, ROLE_IRS)
-
     def check_ids(self, ids) -> None:
         """Raise VocabMiss for the first of `ids` outside the vocabulary."""
         if len(ids) and (min(ids) < 0 or max(ids) >= len(self.symbols)):
@@ -184,12 +171,9 @@ class TokenVocab:
 
     def group_count(self, class_id: int) -> int:
         """Index-less argument-group count of a structural class."""
-        sym = self.symbol_of(class_id)
-        if sym in IRS_SYMBOLS:
-            return 1
-        if sym in HSE_GROUP_COUNTS:
-            return HSE_GROUP_COUNTS[sym]
-        raise VocabMiss(f"{sym!r} is not a structural symbol")
+        if self.is_predictable(class_id) and (g := self.group_table[class_id]):
+            return g
+        raise VocabMiss(f"{self.symbol_of(class_id)!r} is not a structural symbol")
 
     # --- persistence ------------------------------------------------------
 
@@ -201,7 +185,18 @@ class TokenVocab:
 
     @classmethod
     def load(cls, path) -> "TokenVocab":
-        symbols, roles = [], []
+        """Read a file that :meth:`save` writes; blank lines are skipped.
+
+        The role column is checked, not used: a file from elsewhere whose
+        roles contradict its symbols is refused rather than read one way
+        by the tables and another by the file.
+
+        Raises:
+            VocabMiss: a line that is not ``symbol<TAB>role``, a role that
+                contradicts its symbol (naming the line and the symbol), or
+                a symbol list that :class:`TokenVocab` refuses.
+        """
+        symbols = []
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
@@ -210,9 +205,12 @@ class TokenVocab:
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise VocabMiss(f"line {lineno}: expected 'symbol<TAB>role'")
-                symbols.append(parts[0])
-                roles.append(parts[1])
-        return cls(symbols, roles)
+                sym, role = parts
+                if role != _role(sym):
+                    raise VocabMiss(f"line {lineno}: symbol {sym!r} has role {_role(sym)!r}, "
+                                    f"not {role!r}")
+                symbols.append(sym)
+        return cls(symbols)
 
 
 def build_vocab(corpus: list[str]) -> TokenVocab:
@@ -220,9 +218,10 @@ def build_vocab(corpus: list[str]) -> TokenVocab:
 
     Every label is parsed with :func:`parse_latex` over a draft vocabulary
     of all its tokens but braces, so braces and \\sqrt index brackets, which
-    the parser consumes, are not classes; plain brackets are.  Roles come
-    from the fixed structural symbol tables; anything unlisted is a plain
-    visible symbol.
+    the parser consumes, are not classes; plain brackets are.  The result
+    is the sorted list of the symbols used; :class:`TokenVocab` derives
+    each one's role from the fixed structural symbol tables, and anything
+    unlisted is a plain visible symbol.
 
     Args:
         corpus: non-empty list of LaTeX label strings.
@@ -243,12 +242,9 @@ def build_vocab(corpus: list[str]) -> TokenVocab:
 
 
 def _vocab_over(symbols) -> TokenVocab:
-    """The vocabulary whose predictable classes are `symbols`, sorted."""
-    ordered = sorted(symbols)
-    roles = [ROLE_IRS if sym in IRS_SYMBOLS else ROLE_HSE if sym in HSE_GROUP_COUNTS
-             else ROLE_VISIBLE for sym in ordered]
-    return TokenVocab(ordered + [NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
-                      roles + [ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS])
+    """The vocabulary whose predictable classes are `symbols`, sorted, and
+    whose roles and tables :class:`TokenVocab` derives from them."""
+    return TokenVocab(sorted(symbols) + list(_RESERVED))
 
 
 def _tokenize(s: str, vocab: TokenVocab | None) -> list[str]:

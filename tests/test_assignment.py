@@ -151,8 +151,33 @@ class TestBuildCost:
         # A fractional position is refused, never truncated to a cell.
         v = small_vocab
         P = np.ones((v.grid_classes, 3, 4))
-        with pytest.raises((TypeError, IndexError)):
+        with pytest.raises(ShapeMismatch, match=re.escape("position (1.5, 2) is not")):
             build_cost(P, [(0, 0), (1.5, 2)], parse_latex("a b", v), v, km=3)
+
+    @pytest.mark.parametrize("bad", [(1, 2, 3), ("a", 2), (1,), 7, (1.0, 2)])
+    def test_malformed_position_named(self, small_vocab, bad):
+        v = small_vocab
+        P = np.ones((v.grid_classes, 3, 4))
+        msg = f"position {bad!r} is not a (row, column) pair of integers"
+        with pytest.raises(ShapeMismatch, match=re.escape(msg)):
+            build_cost(P, [(0, 0), bad], parse_latex("a b", v), v, km=3)
+
+    @pytest.mark.parametrize("km", [3.0, "3", None])
+    def test_non_integer_kernel(self, small_vocab, km):
+        v = small_vocab
+        P = np.ones((v.grid_classes, 3, 3))
+        with pytest.raises(EvenKernel, match=re.escape(f"got {km!r}")):
+            build_cost(P, [(0, 0)], parse_latex("a", v), v, km=km)
+
+    def test_numpy_integers_accepted(self, small_vocab):
+        v = small_vocab
+        P = np.random.default_rng(5).random((v.grid_classes, 3, 4))
+        label = parse_latex("a b", v)
+        want = build_cost(P, [(0, 0), (1, 2)], label, v, km=3)
+        for positions in ([(np.int64(0), np.int32(0)), (np.uint8(1), 2)],
+                          np.array([[0, 0], [1, 2]])):
+            got = build_cost(P, positions, label, v, km=np.int64(3))
+            assert np.array_equal(got, want)
 
 
 def window_loop_cost(P, positions, label, vocab, km):
@@ -401,6 +426,20 @@ class TestMakeTargets:
         with pytest.raises(EmptyInput):
             make_targets([], label, vocab, 2, 2)
 
+    def test_malformed_input_named(self, vocab):
+        seq = parse_latex("x + y", vocab)
+        for bad in [(1, 1.5), (1,), (1, 2, 3), (1, "a"), 7]:
+            msg = f"assignment pair {bad!r} is not (row, cell index)"
+            with pytest.raises(ShapeMismatch, match=re.escape(msg)):
+                make_targets([(0, 0), bad, (2, 2)], seq, vocab, 2, 4)
+        for h, w in ((-1, 4), (2.5, 4), (2, None)):
+            with pytest.raises(ShapeMismatch, match=re.escape(f"grid size {h!r}x{w!r} is not")):
+                make_targets([(0, 0), (1, 1), (2, 2)], seq, vocab, h, w)
+        # numpy integers, as hungarian's columns were before tolist().
+        pairs = [(np.int64(l), np.int64(c)) for l, c in [(0, 3), (1, 4), (2, 5)]]
+        target = make_targets(pairs, seq, vocab, np.int64(2), np.int64(4))
+        assert target.cells == [(0, 3), (1, 0), (1, 1)]
+
     def test_rows_and_cells_once_each(self, vocab):
         seq = parse_latex("x + y", vocab)
         with pytest.raises(ShapeMismatch, match=re.escape("two tokens assigned to cell (0, 3)")):
@@ -515,6 +554,13 @@ class TestLosses:
             loss_pgd(sp, left, right, ([sp.shape[1]] * 3, bad[1], bad[2]))
         with pytest.raises(ShapeMismatch, match="self target"):
             loss_pgd(sp, left, right, ([-1] * 3, bad[1], bad[2]))
+        floats = [bad[0][0], 1.0, bad[0][2]]
+        with pytest.raises(ShapeMismatch, match=re.escape(f"targets {floats} are not all")):
+            loss_pgd(sp, left, right, (floats, bad[1], bad[2]))
+        with pytest.raises(ShapeMismatch, match=re.escape("targets [2.5, 3, 4] are not all")):
+            loss_pgd(sp, left, right, (bad[0], bad[1], [2.5, 3, 4]))
+        numpy_ints = tuple([np.int64(t) for t in ts] for ts in bad)
+        assert loss_pgd(sp, left, right, numpy_ints) == loss_pgd(sp, left, right, bad)
 
     def test_pgd_zero_probability(self, vocab):
         seq = parse_latex("x + y", vocab)

@@ -162,6 +162,13 @@ def gen_dir(tmp_path_factory):
     return out
 
 
+def decode_flags(gen_dir):
+    """Decode flags for the first generated sample."""
+    flags = [arg for name in ("probs", "self", "left", "right")
+             for arg in (f"--{name}", str(gen_dir / f"0000.{name}.namt"))]
+    return [*flags, "--vocab", str(gen_dir / "vocab.tsv")]
+
+
 class TestGenDecodeEval:
     def test_layout_of_outputs(self, gen_dir):
         manifest = json.loads((gen_dir / "manifest.json").read_text())
@@ -351,6 +358,44 @@ class TestExitCodes:
         )
         assert code == 1
         assert "error: gave up after 50 attempts; 0 of 1 fit" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha-l2r", "nan"], "error: alpha_l2r is nan, not a finite weight"),
+        (["--alpha-r2l", "inf"], "error: alpha_r2l is inf, not a finite weight"),
+        (["--epsilon", "nan"], "error: epsilon is nan, not a weight threshold"),
+    ])
+    def test_decode_non_finite_weight_is_one(self, gen_dir, capsys, flags, message):
+        code, out, err = run_cli(capsys, "decode", *decode_flags(gen_dir), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.strip() == message
+
+    @pytest.mark.parametrize("symbol, role, want", [
+        ("\\sqrt", "visible", "hse"),
+        ("^", "visible", "irs"),
+        ("\\frac", "irs", "hse"),
+        ("\\nosuch", "hse", "visible"),
+    ])
+    def test_decode_contradicting_vocab_is_one(self, gen_dir, capsys, tmp_path,
+                                               symbol, role, want):
+        lines = (gen_dir / "vocab.tsv").read_text().splitlines()
+        rows = [line.split("\t")[0] for line in lines]
+        if symbol in rows:
+            lineno = rows.index(symbol) + 1
+            lines[lineno - 1] = f"{symbol}\t{role}"
+        else:
+            lineno = 1
+            lines.insert(0, f"{symbol}\t{role}")
+        vocab = tmp_path / "v.tsv"
+        vocab.write_text("\n".join(lines) + "\n")
+        flags = decode_flags(gen_dir)
+        flags[flags.index("--vocab") + 1] = str(vocab)
+        code, out, err = run_cli(capsys, "decode", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.strip() == (
+            f"error: line {lineno}: symbol {symbol!r} has role {want!r}, not {role!r}"
+        )
 
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:

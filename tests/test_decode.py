@@ -52,10 +52,6 @@ from hmegraph.tokens import (
     END_SYMBOL,
     EOS_SYMBOL,
     NONE_SYMBOL,
-    ROLE_END,
-    ROLE_EOS,
-    ROLE_NONE,
-    ROLE_SOS,
     SOS_SYMBOL,
     TokenVocab,
     repair_groups,
@@ -156,10 +152,7 @@ class TestVatExtract:
         assert all(type(n.class_id) is int for n in nodes)
 
     def test_vocab_without_symbols(self):
-        vocab = TokenVocab(
-            [NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
-            [ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS],
-        )
+        vocab = TokenVocab([NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL])
         assert vocab.grid_classes == 1
         assert vat_extract(np.ones((1, 2, 3)), vocab) == []
         assert vat_extract(np.zeros((1, 2, 3), dtype=np.int64), vocab) == []
@@ -849,7 +842,7 @@ class TestDecodePruneMatchesAdapter:
         def refuse(*args, **kwargs):
             raise AssertionError("per-id vocabulary lookup on the decode path")
 
-        for name in ("role_of", "symbol_of", "is_structural", "group_count"):
+        for name in ("role_of", "symbol_of", "group_count"):
             monkeypatch.setattr(TokenVocab, name, refuse)
         decoded = [decode_with_graph(s.probs, s.self_probs, s.left, s.right, vocab)[0].latex
                    for s in samples]
@@ -1218,7 +1211,50 @@ class TestPipeline:
             )
 
 
-BAD_VALUES = st.sampled_from([np.nan, np.inf, -np.inf])
+class TestNonFiniteWeights:
+    """A NaN or infinite weight is named where it enters, not met later as
+    an unreachable end or decoded as if it were a number."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["alpha_l2r", "alpha_r2l"])
+    def test_alpha(self, vocab, name, value):
+        sample = make_sample("x + 1", vocab, (8, 16))
+        with pytest.raises(NonFinite, match=f"^{name} is {value}") as exc:
+            decode_with_graph(sample.probs, sample.self_probs, sample.left, sample.right,
+                              vocab, **{name: value})
+        assert exc.value.index is None
+        nodes = expand_imaginary(vat_extract(sample.probs, vocab), vocab)
+        with pytest.raises(NonFinite, match=f"^{name} is {value}"):
+            build_graph(nodes, sample.left, sample.right, **{name: value})
+
+    def test_epsilon(self, vocab):
+        """A NaN threshold makes no edge weak; an infinite one makes every
+        edge weak, which pruning handles."""
+        sample = make_sample("x + 1", vocab, (8, 16))
+        args = (sample.probs, sample.self_probs, sample.left, sample.right, vocab)
+        graph = build_graph(expand_imaginary(vat_extract(sample.probs, vocab), vocab),
+                            sample.left, sample.right)
+        with pytest.raises(NonFinite, match="^epsilon is nan"):
+            decode_with_graph(*args, epsilon=np.nan)
+        with pytest.raises(NonFinite, match="^epsilon is nan"):
+            prune_and_acyclify(graph, epsilon=np.nan)
+        assert decode_with_graph(*args, epsilon=np.inf)[0].latex == "x + 1"
+        assert decode_with_graph(*args, epsilon=-np.inf)[0].latex == "x + 1"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_hand_built_edge(self, vocab, value):
+        x = vocab.id_of("x")
+        nodes = {1: Node(x, 0, 0, 1), 2: Node(x, 0, 1, 2)}
+        edges = {(0, 1): 0.9, (1, 2): 0.8, (0, 2): 0.1, (2, 3): 0.7, (1, 3): 0.2}
+        edges[(0, 2)] = value
+        graph = ExprGraph(nodes, edges, n_slots=2)
+        for read in (lambda: prune_and_acyclify(graph), lambda: longest_path(graph, vocab)):
+            with pytest.raises(NonFinite, match=re.escape(f"edge (0, 2): weight {value}")) as exc:
+                read()
+            assert exc.value.index == 2
+
+
+BAD_VALUES =st.sampled_from([np.nan, np.inf, -np.inf])
 
 
 @st.composite

@@ -97,33 +97,53 @@ class TestVocabLayout:
             vocab.symbol_of(-1)
 
     def test_validation_rejects_duplicates(self):
-        with pytest.raises(VocabMiss):
-            TokenVocab(
-                ["a", "a", NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
-                [ROLE_VISIBLE] * 2 + [ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS],
-            )
+        with pytest.raises(VocabMiss, match="duplicate"):
+            TokenVocab(["a", "a", NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL])
 
     def test_validation_rejects_bad_tail(self):
-        with pytest.raises(VocabMiss):
-            TokenVocab(
-                ["a", END_SYMBOL, NONE_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
-                [ROLE_VISIBLE, ROLE_END, ROLE_NONE, ROLE_SOS, ROLE_EOS],
-            )
-
-    def test_validation_rejects_role_count(self):
-        with pytest.raises(VocabMiss, match="symbol and role counts differ"):
-            TokenVocab(["a", "b"], [ROLE_VISIBLE])
+        with pytest.raises(VocabMiss, match="must end in"):
+            TokenVocab(["a", END_SYMBOL, NONE_SYMBOL, SOS_SYMBOL, EOS_SYMBOL])
 
     def test_validation_requires_specials(self):
         with pytest.raises(VocabMiss):
-            TokenVocab(["a"], [ROLE_VISIBLE])
+            TokenVocab(["a"])
 
-    def test_structural_role_needs_group_count(self):
-        with pytest.raises(VocabMiss):
-            TokenVocab(
-                ["\\nosuch", NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
-                [ROLE_HSE, ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS],
-            )
+    def test_roles_follow_symbols(self):
+        v = TokenVocab(["\\nosuch", "\\sqrt", "^", "x", NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL,
+                        EOS_SYMBOL])
+        assert v.roles == [ROLE_VISIBLE, ROLE_HSE, ROLE_IRS, ROLE_VISIBLE,
+                           ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS]
+        assert v.group_table == (0, 1, 1, 0, 0, 0, 0, 0)
+        with pytest.raises(VocabMiss, match="not a structural symbol"):
+            v.group_count(v.id_of("\\nosuch"))
+        with pytest.raises(VocabMiss, match="out of range"):
+            v.group_count(len(v))
+
+    def test_structural_role_needs_group_count(self, tmp_path):
+        """A file that marks a symbol with no group count structural is
+        refused at its line."""
+        path = tmp_path / "v.tsv"
+        path.write_text("\\nosuch\thse\n<none>\tnone\n}\tend\n<sos>\tsos\n<eos>\teos\n")
+        with pytest.raises(VocabMiss, match=r"line 1: symbol '\\\\nosuch' has role 'visible'"):
+            TokenVocab.load(path)
+
+    @pytest.mark.parametrize("symbol, role, want", [
+        ("\\sqrt", ROLE_VISIBLE, ROLE_HSE),
+        ("^", ROLE_VISIBLE, ROLE_IRS),
+        ("\\frac", ROLE_IRS, ROLE_HSE),
+        ("x", ROLE_END, ROLE_VISIBLE),
+        (END_SYMBOL, ROLE_VISIBLE, ROLE_END),
+    ])
+    def test_load_refuses_contradicting_role(self, vocab, tmp_path, symbol, role, want):
+        path = tmp_path / "v.tsv"
+        vocab.save(path)
+        lines = path.read_text().splitlines()
+        lineno = vocab.id_of(symbol) + 1
+        lines[lineno - 1] = f"{symbol}\t{role}"
+        path.write_text("\n".join(lines) + "\n")
+        msg = f"line {lineno}: symbol {symbol!r} has role {want!r}, not {role!r}"
+        with pytest.raises(VocabMiss, match=re.escape(msg)):
+            TokenVocab.load(path)
 
     def test_save_load_roundtrip(self, vocab, tmp_path):
         path = tmp_path / "v.tsv"
@@ -331,17 +351,12 @@ class TestParse:
         assert parse_latex(emit_latex(seq, vocab), vocab) == seq
 
     def test_multichar_visible_greedy(self):
-        v = TokenVocab(
-            ["1", "12", "2", NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
-            [ROLE_VISIBLE] * 3 + [ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS],
-        )
+        v = TokenVocab(["1", "12", "2", NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL])
         assert syms(v, parse_latex("121", v)) == ["12", "1"]
 
     def test_overlapping_multichar_longest_match(self):
-        v = TokenVocab(
-            ["a", "ab", "abc", "b", "c", NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
-            [ROLE_VISIBLE] * 5 + [ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS],
-        )
+        v = TokenVocab(["a", "ab", "abc", "b", "c",
+                        NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL])
         assert syms(v, parse_latex("abcab", v)) == ["abc", "ab"]
         assert syms(v, parse_latex("aabca", v)) == ["a", "abc", "a"]
         assert syms(v, parse_latex("abb c", v)) == ["ab", "b", "c"]
@@ -394,10 +409,7 @@ class TestTokenize:
         vocabulary, it splits."""
         assert tokens._tokenize("x <sos>", None) == ["x", "<", "s", "o", "s", ">"]
         assert tokens._tokenize("x <sos>", vocab) == ["x", "<sos>"]
-        v = TokenVocab(
-            ["\\{", "\\}", "x", NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL],
-            [ROLE_VISIBLE] * 3 + [ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS],
-        )
+        v = TokenVocab(["\\{", "\\}", "x", NONE_SYMBOL, END_SYMBOL, SOS_SYMBOL, EOS_SYMBOL])
         assert tokens._tokenize("\\{ x \\}", v) == ["\\{", "x", "\\}"]
         assert syms(v, parse_latex("\\{ x \\}", v)) == ["\\{", "x", "\\}"]
         with pytest.raises(UnknownControlSequence):
@@ -448,7 +460,7 @@ def pending_step(lo, hi, cid, vocab):
     (a \\sqrt owes one or two), or None for an END that closes nothing."""
     if cid == vocab.end_id:
         return None if hi == 0 else (max(lo - 1, 0), hi - 1)
-    g = vocab.group_count(cid) if vocab.is_structural(cid) else 0
+    g = vocab.group_table[cid]
     return lo + g, hi + (2 if vocab.symbol_of(cid) == "\\sqrt" else g)
 
 
@@ -475,8 +487,7 @@ def scan_group_structure(seq, vocab):
             stack[-1][1] -= 1
             if stack[-1][1] == 0:
                 stack.pop()
-        elif vocab.is_structural(cid):
-            g = vocab.group_count(cid)
+        elif g := vocab.group_table[cid]:
             if sym == "\\sqrt" and not closable(pos + 1, sum(f[1] for f in stack) + 1):
                 g = 2
             counts[pos] = g
@@ -549,7 +560,7 @@ class TestGroupCountsLinear:
         """Repairing, resolving, emitting and laying out a 5,000-deep \\sqrt
         nesting reads each token's group count and interval step a bounded
         number of times, not once per enclosing \\sqrt."""
-        vocab = TokenVocab(default_vocab().symbols, default_vocab().roles)
+        vocab = TokenVocab(default_vocab().symbols)
         seq = parse_latex("\\sqrt { " * 5000 + "x" + " }" * 5000, vocab)
         assert parse_latex(emit_latex(seq, vocab), vocab) == seq
 
