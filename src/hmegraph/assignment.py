@@ -26,14 +26,13 @@ import numpy as np
 from .errors import (
     EvenKernel,
     Infeasible,
-    NodeCountMismatch,
     NonFinite,
     ShapeMismatch,
     StepMismatch,
-    check_finite,
-    check_shape,
+    as_array,
+    as_scalar,
 )
-from .tokens import TokenVocab, group_structure, gt_targets
+from .tokens import TokenVocab, _walk, gt_targets
 
 BLOCK_COST = 1e6
 
@@ -51,22 +50,22 @@ def estimate_positions(
 
     Raises:
         VocabMiss: a label id outside the vocabulary.
-        ShapeMismatch: `attn` is not 3-d, or its maps have no cells.
+        ShapeMismatch: `attn` is not a real 3-d array, or its maps have no
+            cells; or the label is not a sequence of integers.
         StepMismatch: fewer attention slices than label tokens.
         NonFinite: `attn` holds NaN or infinity.
     """
     vocab.check_ids(label)
-    check_shape(attn, (None, None, None), "attention stack")
+    attn = as_array(attn, (None, None, None), "attention stack")
     if attn.shape[1] * attn.shape[2] == 0:
         raise ShapeMismatch(f"attention maps of shape {attn.shape[1:]} have no cells")
     if attn.shape[0] < len(label):
         raise StepMismatch(
             f"{attn.shape[0]} attention steps for {len(label)} label tokens"
         )
-    check_finite(attn, "attention stack")
-    n, (h, w) = len(label), attn.shape[1:]
+    n, (h, w), k = len(label), attn.shape[1:], vocab.num_predictable
     flat = attn[:n].reshape(n, h * w).argmax(axis=1).tolist()
-    return [divmod(f, w) for f, cid in zip(flat, label) if vocab.is_predictable(cid)]
+    return [divmod(f, w) for f, cid in zip(flat, label) if cid < k]  # ids are checked >= 0
 
 
 def build_cost(
@@ -93,37 +92,27 @@ def build_cost(
         VocabMiss: a label id outside the vocabulary.
         EvenKernel: km is not an integer, or is even or < 1 (the window
             must center on a cell).
-        ShapeMismatch: P is not (channels, H, W) with the vocabulary's
-            channel count, positions do not line up with the label, a
-            position is not a (row, column) pair of integers, or one lies
-            outside the H x W grid.
+        ShapeMismatch: P is not a real (channels, H, W) array with the
+            vocabulary's channel count; positions are not an (L, 2) array
+            of integers, one per predictable token, or one lies outside the
+            H x W grid; or the label is not a sequence of integers.
         NonFinite: P holds NaN or infinity.
     """
     vocab.check_ids(label)
     if not isinstance(km, (int, np.integer)) or km < 1 or km % 2 == 0:
         raise EvenKernel(f"window size must be an odd positive integer, got {km!r}")
-    check_shape(P, (vocab.grid_classes, None, None), "grid")
-    check_finite(P, "grid")
-    pred = [cid for cid in label if vocab.is_predictable(cid)]
-    if len(pred) != len(positions):
-        raise ShapeMismatch(
-            f"{len(positions)} positions for {len(pred)} predictable tokens"
-        )
+    P = as_array(P, (vocab.grid_classes, None, None), "grid")
+    pred = [cid for cid in label if cid < vocab.num_predictable]  # ids are checked >= 0
+    span = as_array(positions, (len(pred), 2), "positions", kinds="iu")
     n, half = len(pred), km // 2
-    try:  # the safe cast refuses a fraction, string or object; the reshape, a non-pair
-        span = np.array(positions, dtype=None if n else np.intp)
-        span = span.astype(np.intp, casting="safe").reshape(n, 2, 1)
-    except (TypeError, ValueError):
-        bad = next((p for p in positions if not _is_int_pair(p)), positions)
-        raise ShapeMismatch(f"position {bad!r} is not a (row, column) pair of integers") from None
     h, w = P.shape[1:]
-    for r, c in positions:
+    for r, c in span.tolist():
         if not (0 <= r < h and 0 <= c < w):
             raise ShapeMismatch(f"position {(r, c)} outside the {h}x{w} grid")
     # Each token's km row and km column indices, clamped to the grid.  A
     # clamped index lands on the window's border cell, so the clipped
     # window is covered and repeats write that cell's own value again.
-    span = span + np.arange(-half, half + 1)
+    span = span.astype(np.intp).reshape(n, 2, 1) + np.arange(-half, half + 1)
     rows = np.minimum(np.maximum(span[:, 0], 0), h - 1)[:, :, None]
     cols = np.minimum(np.maximum(span[:, 1], 0), w - 1)[:, None, :]
     cost = np.full((n, h * w), BLOCK_COST)
@@ -131,12 +120,6 @@ def build_cost(
         P[np.array(pred, dtype=np.intp)[:, None, None], rows, cols].astype(np.float64) - 1.0
     )
     return cost
-
-
-def _is_int_pair(p) -> bool:
-    """Whether `p` is a tuple or list of two integers; read only to name a fault."""
-    return (isinstance(p, (tuple, list)) and len(p) == 2
-            and all(isinstance(x, (int, np.integer)) for x in p))
 
 
 def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -163,13 +146,13 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
         (row, column) pairs sorted by row.
 
     Raises:
-        ShapeMismatch: `cost` is not 2-d.
+        ShapeMismatch: `cost` is not a real 2-d array.
         Infeasible: more rows than columns.
         NonFinite: `cost` holds NaN or infinity.
     """
     from scipy.optimize import linear_sum_assignment  # slow; only matching needs it
 
-    check_shape(cost, (None, None), "cost matrix")
+    cost = as_array(cost, (None, None), "cost matrix", finite=False)
     n_rows, n_cols = cost.shape
     if cost.size:
         # One scan checks and compresses: NaN spreads through both
@@ -177,7 +160,7 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
         lo = cost.min(axis=0)
         top = cost.max()
         if not (np.isfinite(top) and np.isfinite(lo.min())):
-            check_finite(cost, "cost matrix")
+            as_array(cost, None, "cost matrix")  # names the first NaN or infinity
     if n_rows > n_cols:
         raise Infeasible(f"{n_rows} rows cannot injectively map to {n_cols} columns")
     if n_rows == 0:
@@ -259,37 +242,33 @@ def make_targets(
 
     Raises:
         VocabMiss: a label id outside the vocabulary.
-        ShapeMismatch: an assignment item is not a (row, cell) pair, the
-            assignment does not cover the label's predictable tokens once
-            each, the grid size is not two integers >= 0, a cell
-            index is not an integer or lies outside the grid, or two
-            tokens share a cell.
+        ShapeMismatch: the assignment is not an (L, 2) array of integers
+            or does not cover the label's predictable tokens once each, the
+            grid size is not two integers >= 0, a cell index lies outside
+            the grid, two tokens share a cell, or the label is not a
+            sequence of integers.
         IllNested: the label's groups do not nest.
         EmptyInput: an empty label.
     """
     vocab.check_ids(label)
-    pred = [cid for cid in label if vocab.is_predictable(cid)]
-    try:
-        grid = np.full((height, width), vocab.none_id, dtype=np.int64)
-    except (TypeError, ValueError):
-        raise ShapeMismatch(f"grid size {height!r}x{width!r} is not two integers >= 0") from None
-    try:  # unpacking, comparing and indexing refuse an item that is not two integers
-        pairs = sorted(assignment)
-        if (rows := [l for l, _ in pairs]) != list(range(len(pred))):
-            raise ShapeMismatch(f"assignment rows {rows} are not 0..{len(pred) - 1} once each")
-        pred_cells = []
-        for (_, flat), cid in zip(pairs, pred):
-            if not 0 <= flat < height * width:
-                raise ShapeMismatch(f"cell index {flat} outside {height}x{width} grid")
-            r, c = divmod(flat, width)
-            grid[r, c] = cid
-            pred_cells.append((r, c))
-    except (TypeError, ValueError, IndexError):
-        bad = next((p for p in assignment if not _is_int_pair(p)), assignment)
-        raise ShapeMismatch(f"assignment pair {bad!r} is not (row, cell index)") from None
+    height, width = as_array((height, width), (2,), "grid size", kinds="iu").tolist()
+    if min(height, width) < 0:
+        raise ShapeMismatch(f"grid size {height}x{width} is negative")
+    pred = [cid for cid in label if cid < vocab.num_predictable]  # ids are checked >= 0
+    grid = np.full((height, width), vocab.none_id, dtype=np.int64)
+    pairs = sorted(as_array(assignment, (None, 2), "assignment", kinds="iu").tolist())
+    if (rows := [l for l, _ in pairs]) != list(range(len(pred))):
+        raise ShapeMismatch(f"assignment rows {rows} are not 0..{len(pred) - 1} once each")
+    pred_cells = []
+    for (_, flat), cid in zip(pairs, pred):
+        if not 0 <= flat < height * width:
+            raise ShapeMismatch(f"cell index {flat} outside {height}x{width} grid")
+        r, c = divmod(flat, width)
+        grid[r, c] = cid
+        pred_cells.append((r, c))
     if len(set(pred_cells)) < len(pred_cells):
         raise ShapeMismatch(f"two tokens assigned to cell {max(pred_cells, key=pred_cells.count)}")
-    _, parents = group_structure(label, vocab)
+    _, parents, _ = _walk(label, vocab)  # no spelling, and no second range check
     placed = iter(pred_cells)
     cells: list[tuple[int, int]] = []
     for owner in parents:  # an END shares its owner's cell
@@ -302,23 +281,22 @@ def loss_vat(P: np.ndarray, target_grid: np.ndarray) -> float:
     """Mean negative log-likelihood of the target class at every cell.
 
     Raises:
-        ShapeMismatch: the target grid is not an integer (H, W) array, or
-            its shape or class range disagrees with P.
+        ShapeMismatch: the target grid is not an integer (H, W) array, P
+            is not a real array, or their shapes or the class range
+            disagree.
         NonFinite: NaN or infinity at a target cell, or a zero-probability
             target (infinite loss, index None).
     """
-    check_shape(target_grid, (None, None), "target grid")
-    if not np.issubdtype(target_grid.dtype, np.integer):
-        raise ShapeMismatch(f"target grid holds {target_grid.dtype}, not class ids")
-    check_shape(P, (None, *target_grid.shape), "grid")
-    if target_grid.min() < 0 or target_grid.max() >= P.shape[0]:
+    target_grid = as_array(target_grid, (None, None), "target grid", kinds="iu")
+    P = as_array(P, (None, *target_grid.shape), "grid", finite=False)
+    if target_grid.size and (target_grid.min() < 0 or target_grid.max() >= P.shape[0]):
         raise ShapeMismatch("target grid holds class ids outside the grid channels")
     h, w = target_grid.shape
     picked = P[target_grid, np.arange(h)[:, None], np.arange(w)[None, :]]
     with np.errstate(divide="ignore", invalid="ignore"):
         loss = float(np.mean(-np.log(picked.astype(np.float64))))
     if not np.isfinite(loss):
-        check_finite(P, "grid")
+        as_array(P, None, "grid")  # names the first NaN or infinity
         raise NonFinite("cell loss is not finite")
     return loss
 
@@ -350,33 +328,26 @@ def loss_pgd(
     :func:`hmegraph.tokens.gt_targets`.
 
     Raises:
-        ShapeMismatch: an array is not 2-d, target lists differ in length,
-            or a target is not an integer or falls outside its range.
+        ShapeMismatch: an array is not a real 2-d array, the targets are
+            not three integer lists of one length, or a target falls
+            outside its range.
         NodeCountMismatch: row counts disagree with the node count.
         NonFinite: NaN or infinity in an input, or a zero-probability
             target (infinite loss, index None).
     """
-    self_t, left_t, right_t = targets
-    n = len(self_t)
+    t = as_array(targets, (3, None), "targets", kinds="iu")
+    n = t.shape[1]
     if n == 0:
         raise ShapeMismatch("need at least one node")
-    if not (len(left_t) == len(right_t) == n):
-        raise ShapeMismatch("target lists differ in length")
-    check_shape(self_probs, (n, None), "correction rows", NodeCountMismatch)
-    check_finite(self_probs, "correction rows")
-    for name, m in (("left", left), ("right", right)):
-        check_shape(m, (n + 2, n + 2), f"{name} neighbor scores", NodeCountMismatch)
-        check_finite(m, f"{name} neighbor scores")
-    if max(self_t) >= self_probs.shape[1] or min(self_t) < 0:
+    self_probs = as_array(self_probs, (n, None), "correction rows", counts=(0,))
+    left = as_array(left, (n + 2, n + 2), "left neighbor scores", counts=(0, 1))
+    right = as_array(right, (n + 2, n + 2), "right neighbor scores", counts=(0, 1))
+    if t[0].max() >= self_probs.shape[1] or t[0].min() < 0:
         raise ShapeMismatch("self target outside correction classes")
-    if not all(0 <= t < n + 2 for t in left_t + right_t):
+    if t[1:].min() < 0 or t[1:].max() >= n + 2:
         raise ShapeMismatch("neighbor target outside node range")
     rows = np.arange(n)
-    try:
-        picked = self_probs[rows, self_t], left[rows + 1, left_t], right[rows + 1, right_t]
-    except IndexError:  # in range, so not all integers
-        bad = next(ts for ts in targets if np.asarray(ts).dtype.kind not in "iu")
-        raise ShapeMismatch(f"targets {bad} are not all integers") from None
+    picked = self_probs[rows, t[0]], left[rows + 1, t[1]], right[rows + 1, t[2]]
     with np.errstate(divide="ignore", invalid="ignore"):
         s, lt, rt = (float(np.mean(-np.log(p.astype(np.float64)))) for p in picked)
     if not (np.isfinite(s) and np.isfinite(lt) and np.isfinite(rt)):
@@ -385,5 +356,10 @@ def loss_pgd(
 
 
 def loss_total(vat: float, pgd: PgdLoss, lam: float = 0.5) -> float:
-    """Combined objective: the cell loss plus `lam` times the node loss."""
-    return float(vat + lam * pgd.total)
+    """Combined objective: the cell loss plus `lam` times the node loss.
+
+    Raises:
+        ShapeMismatch: `vat` or `lam` is not a real number.
+        NonFinite: `vat` or `lam` is NaN or infinite.
+    """
+    return float(as_scalar(vat, "vat") + as_scalar(lam, "lam") * pgd.total)

@@ -48,13 +48,13 @@ import numpy as np
 from .errors import (
     CycleDetected,
     NodeCountMismatch,
-    NonFinite,
     NonStochasticRow,
     NoPath,
-    check_finite,
-    check_shape,
+    as_array,
+    as_scalar,
 )
-from .tokens import TokenVocab, emit_latex, repair_groups
+from . import tokens
+from .tokens import TokenVocab
 
 ROW_SUM_TOL = 1e-4
 
@@ -113,8 +113,8 @@ def vat_extract(P: np.ndarray, vocab: TokenVocab) -> list[Node]:
     decides, so probabilities and logits extract the same nodes.
 
     Raises:
-        ShapeMismatch: P is not (channels, H, W) with the vocabulary's
-            channel count.
+        ShapeMismatch: P is not a real (channels, H, W) array with the
+            vocabulary's channel count.
         NonFinite: P holds NaN or infinity.
     """
     return list(map(Node, *_extract(P, vocab)))
@@ -122,8 +122,7 @@ def vat_extract(P: np.ndarray, vocab: TokenVocab) -> list[Node]:
 
 def _extract(P: np.ndarray, vocab: TokenVocab) -> tuple[list[int], list[int], list[int]]:
     """:func:`vat_extract` as flat lists: class ids, rows, columns."""
-    check_shape(P, (vocab.grid_classes, None, None), "grid")
-    check_finite(P, "grid")
+    P = as_array(P, (vocab.grid_classes, None, None), "grid")
     none = vocab.none_id
     if none == 0:  # no symbol channel: every cell is blank
         return [], [], []
@@ -141,17 +140,19 @@ def expand_imaginary(nodes: list[Node], vocab: TokenVocab) -> list[Node]:
     nodes are unexpanded: their positions and parents are not read.
 
     Raises:
+        ShapeMismatch: a class id is not an integer.
         VocabMiss: a node's class id is outside the vocabulary.
     """
     cids, rows, cols, *_ = [*zip(*nodes)] or [()] * 3
+    vocab.check_ids(cids)
     cids, rows, cols, parents = _expand(cids, rows, cols, vocab)
     return list(map(Node, cids, rows, cols, range(1, len(cids) + 1), parents))
 
 
 def _expand(cids, rows, cols, vocab: TokenVocab):
-    """:func:`expand_imaginary` on flat lists: returns the class ids, rows,
-    columns and parents of the expanded nodes, entry i at position i+1."""
-    vocab.check_ids(cids)
+    """:func:`expand_imaginary` on flat lists of range-checked class ids:
+    returns the class ids, rows, columns and parents of the expanded
+    nodes, entry i at position i+1."""
     groups, end = vocab.group_table, vocab.end_id
     out_c, out_r, out_k, out_p = [], [], [], []
     for cid, row, col in zip(cids, rows, cols):
@@ -179,7 +180,7 @@ def apply_corrections(
     nodes it implied.  Surviving nodes keep their positions.
 
     Raises:
-        ShapeMismatch: rows are not 2-d, or their width differs from the
+        ShapeMismatch: the rows are not a real 2-d array as wide as the
             correction classes.
         NodeCountMismatch: row count differs from the node count.
         NonFinite: a row holds NaN or infinity.
@@ -191,9 +192,8 @@ def apply_corrections(
 def _correct(rows, cols, parents, self_probs: np.ndarray, vocab: TokenVocab):
     """:func:`apply_corrections` on flat lists: returns i+1 -> Node for
     each surviving node i, at position i+1, the only nodes it builds."""
-    check_shape(self_probs, (None, vocab.correction_classes), "correction rows")
-    check_shape(self_probs, (len(rows), None), "correction rows", NodeCountMismatch)
-    check_finite(self_probs, "correction rows")
+    self_probs = as_array(self_probs, (len(rows), vocab.correction_classes), "correction rows",
+                          counts=(0,))
     none = vocab.none_id
     deleted: set[int] = set()
     kept: dict[int, Node] = {}
@@ -215,9 +215,11 @@ def _edge_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Checked inputs of :func:`build_graph` as arrays over graph positions.
 
-    Returns the float64 weight of every i -> j and the mask of admissible
-    edges, those between the positions of `index_map` and the virtual
-    ends.  Raises as :func:`build_graph` documents.
+    `left` is a 2-d array already, and the caller has checked its type;
+    the alphas and `right` are checked here.  Returns the float64 weight of
+    every i -> j and the mask of admissible edges, those between the
+    positions of `index_map` and the virtual ends.  Raises as
+    :func:`build_graph` documents.
 
     A valid pair of neighbor matrices passes on one row-sum pass and one
     minimum, which NaN and infinities fail.  Any other pair is diagnosed
@@ -227,18 +229,16 @@ def _edge_weights(
     A NaN sum from finite entries needs entries of both signs, so the
     negative entry sends it to the row search.
     """
-    for name, alpha in (("alpha_l2r", alpha_l2r), ("alpha_r2l", alpha_r2l)):
-        if not math.isfinite(alpha):
-            raise NonFinite(f"{name} is {alpha}, not a finite weight")
-    check_shape(left, (None, None), "left neighbor scores")
+    alpha_l2r = as_scalar(alpha_l2r, "alpha_l2r")
+    alpha_r2l = as_scalar(alpha_r2l, "alpha_r2l")
     n = max(len(left) - 2, 0)
+    right = as_array(right, (None, None), "right neighbor scores", finite=False)
     if not _stochastic(left, right, n):
-        with np.errstate(invalid="ignore"):  # inf - inf in a sum: check_finite names it
+        with np.errstate(invalid="ignore"):  # inf - inf in a sum: the gate names it
             for name, m in (("left", left), ("right", right)):
-                check_shape(m, (n + 2, n + 2), f"{name} neighbor scores", NodeCountMismatch)
                 sums = m.sum(axis=1)
-                if not np.isfinite(sums).all():
-                    check_finite(m, f"{name} neighbor scores")
+                as_array(m, (n + 2, n + 2), f"{name} neighbor scores", counts=(0, 1),
+                         finite=not np.isfinite(sums).all())
                 if np.abs(sums - 1.0).max() > ROW_SUM_TOL or m.min() < -ROW_SUM_TOL:
                     off = (np.abs(sums - 1.0) > ROW_SUM_TOL) | np.any(m < -ROW_SUM_TOL, axis=1)
                     bad = int(np.argmax(off))  # the first True
@@ -247,8 +247,8 @@ def _edge_weights(
         if not 1 <= i <= n:
             raise NodeCountMismatch(f"node position {i} outside 1..{n}")
     # float64 before scaling, so each weight rounds as the scalar formula would.
-    weights = alpha_l2r * right.astype(np.float64)
-    weights += alpha_r2l * left.T.astype(np.float64)
+    weights = np.multiply(right, alpha_l2r, dtype=np.float64)
+    weights += np.multiply(left.T, alpha_r2l, dtype=np.float64)
     src = np.zeros(n + 2, dtype=bool)
     src[list(index_map)] = True
     dst = src.copy()
@@ -293,13 +293,15 @@ def build_graph(
     depend on it.
 
     Raises:
-        ShapeMismatch: a matrix is not 2-d.
+        ShapeMismatch: a matrix is not a real 2-d array, or an alpha is
+            not a real number.
         NodeCountMismatch: matrices not equal and square (N+2) with N >= 0,
             or node positions out of range.
         NonFinite: a score or an alpha is NaN or infinite.
         NonStochasticRow: a score row is not a probability distribution.
     """
     index_map = {node.index: node for node in nodes}
+    left = as_array(left, (None, None), "left neighbor scores", finite=False)
     weights, valid = _edge_weights(index_map, left, right, alpha_l2r, alpha_r2l)
     r, c = np.nonzero(valid)  # row-major
     edges = dict(zip(zip(r.tolist(), c.tolist()), weights[r, c].tolist()))
@@ -336,13 +338,15 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     kept edges' order (by source, then target) follow the dict's order.
 
     Raises:
+        ShapeMismatch: an edge weight is not a real number (naming the
+            edge), or `epsilon` is not.
         NodeCountMismatch: an edge end is neither the start, the end, nor
             a node's position within 1..n_slots.
         NonFinite: an edge weight is NaN or infinite, or `epsilon` is NaN.
             An infinite `epsilon` makes every edge weak.
         NoPath: the end was unreachable before pruning started.
     """
-    _check_edge_ends(graph)
+    _check_graph(graph)
     n = graph.n_slots + 2
     weights = np.zeros((n, n))
     valid = np.zeros((n, n), dtype=bool)
@@ -352,19 +356,18 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     return ExprGraph(dict(graph.nodes), _prune(weights, valid, epsilon)[0], graph.n_slots)
 
 
-def _check_edge_ends(graph: ExprGraph) -> None:
-    """Name the first edge with an end that is not the start, the end, or
-    a node's position within 1..n_slots; then the first edge whose weight
-    is NaN or infinite, with its place in the edges' order as the index."""
+def _check_graph(graph: ExprGraph) -> None:
+    """The gate of both graph readers.  Names the first edge with an end
+    that is not the start, the end, or a node's position within
+    1..n_slots; then, in one vectorised pass over the weights, the first
+    edge whose weight is not a real number, or is NaN or infinite, with
+    its place in the edges' order as the index."""
     ends = {0, graph.eos, *(v for v in graph.nodes if 1 <= v <= graph.n_slots)}
     if not ends.issuperset(itertools.chain.from_iterable(graph.edges)):
         bad = next(e for e in graph.edges if not ends.issuperset(e))
         raise NodeCountMismatch(f"edge {bad}: an end is not 0, {graph.eos} or a node position")
-    finite = np.isfinite(np.fromiter(graph.edges.values(), np.float64, len(graph.edges)))
-    if not finite.all():
-        index = int(np.argmin(finite))  # the first False
-        bad = next(itertools.islice(graph.edges, index, None))
-        raise NonFinite(f"edge {bad}: weight {graph.edges[bad]}", index)
+    as_array(list(graph.edges.values()), (None,), "edge weights",
+             name=lambda i: f"edge {next(itertools.islice(graph.edges, i, None))}: weight")
 
 
 def _rows(n: int, src: np.ndarray, values: np.ndarray) -> list[list[int]]:
@@ -384,10 +387,10 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float):
     not reach the end; then one search over both finds the path whose weak
     edges are kept, as :func:`prune_and_acyclify` argues.  Returns the kept
     edges as a dict by source and then target, as successor and weight
-    lists, and the last DFS postorder.  A NaN `epsilon` raises NonFinite.
+    lists, and the last DFS postorder.  `epsilon` goes through the gate: a
+    NaN raises NonFinite, and an infinity makes every edge weak.
     """
-    if math.isnan(epsilon):
-        raise NonFinite("epsilon is nan, not a weight threshold")
+    epsilon = as_scalar(epsilon, "epsilon", inf=True)
     n = len(weights)
     below = weights < epsilon
     live = _rows(n, *np.nonzero(valid & ~below))  # row-major
@@ -526,13 +529,17 @@ def longest_path(graph: ExprGraph, vocab: TokenVocab) -> PathResult:
     closes groups left open at the end.
 
     Raises:
+        ShapeMismatch: an edge weight is not a real number (naming the
+            edge), or a node's class id is not an integer.
         NodeCountMismatch: an edge end is neither the start, the end, nor
             a node's position within 1..n_slots.
         NonFinite: an edge weight is NaN or infinite.
         CycleDetected: the graph is not acyclic.
         NoPath: no start-to-end path exists.
+        VocabMiss: a node's class id is outside the vocabulary.
     """
-    _check_edge_ends(graph)
+    _check_graph(graph)
+    vocab.check_ids([node.class_id for node in graph.nodes.values()])
     succ: list[list[int]] = [[] for _ in range(graph.n_slots + 2)]
     wts: list[list[float]] = [[] for _ in succ]
     for (s, d), w in graph.edges.items():
@@ -545,8 +552,9 @@ def longest_path(graph: ExprGraph, vocab: TokenVocab) -> PathResult:
 
 
 def _best_path(nodes, succ, wts, order, vocab: TokenVocab) -> PathResult:
-    """:func:`longest_path` on successor and weight lists.  Walking the DFS
-    postorder `order` backwards relaxes a vertex after all its predecessors."""
+    """:func:`longest_path` on successor and weight lists, over nodes whose
+    class ids are range-checked.  Walking the DFS postorder `order`
+    backwards relaxes a vertex after all its predecessors."""
     n = len(succ)
     dist = [0.0] + [-math.inf] * (n - 1)
     pred = [n] * n  # n: no predecessor yet, larger than any position
@@ -567,7 +575,7 @@ def _best_path(nodes, succ, wts, order, vocab: TokenVocab) -> PathResult:
         path.append(pred[path[-1]])
     path.reverse()
     seq = [nodes[i].class_id for i in path[1:-1]]
-    latex = emit_latex(repair_groups(seq, vocab), vocab)
+    latex = " ".join(tokens._walk(tokens._repair(seq, vocab), vocab, [])[2])
     return PathResult(path, dist[end], latex)
 
 
@@ -591,8 +599,9 @@ def decode_with_graph(
     Python objects; the path search runs on pruning's successor lists.
 
     Raises:
-        ShapeMismatch: an input has the wrong rank, or the wrong grid
-            channel or correction class count.
+        ShapeMismatch: an array is not real (numbers, not objects, text or
+            complex values) or has the wrong rank, grid channel or
+            correction class count; or a weight is not a real number.
         NodeCountMismatch: score matrices disagree with the node count the
             grid implies (correction rows N, neighbor matrices N+2).
         NonFinite: an input holds NaN or infinity, an alpha is not finite,
@@ -603,7 +612,7 @@ def decode_with_graph(
     cids, rows, cols, parents = _expand(*_extract(P, vocab), vocab)
     n = len(cids)
     # _edge_weights holds `right` to the shape of `left`.
-    check_shape(left, (n + 2, n + 2), "left neighbor scores", NodeCountMismatch)
+    left = as_array(left, (n + 2, n + 2), "left neighbor scores", counts=(0, 1), finite=False)
     kept = _correct(rows, cols, parents, self_probs, vocab)
     weights, valid = _edge_weights(kept, left, right, alpha_l2r, alpha_r2l)
     edges, live, wts, order = _prune(weights, valid, epsilon)

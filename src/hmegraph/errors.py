@@ -1,18 +1,41 @@
-"""Exception types shared across the package, and the array-argument checks.
+"""Exception types shared across the package, and the one input gate.
 
 Every domain failure raises a subclass of :class:`HmeGraphError` so callers
 can catch one base type at API boundaries (the CLI maps them to exit code 1).
-Plain I/O failures are left to the builtin ``OSError``.
 
-Array arguments go through :func:`check_shape` and :func:`check_finite`, so
-a fault raises one class wherever it is found: a wrong rank or axis size
-raises :class:`ShapeMismatch`; a size that disagrees with a node count,
-:class:`NodeCountMismatch` (a ShapeMismatch); NaN or infinity,
-:class:`NonFinite`, whose ``index`` is the first bad value's row-major flat
-position (an edge's place in the edge order for a graph's weights; None
-for a scalar parameter, or for a loss that is not finite from finite
-inputs).
+Every exported function checks each argument once, at entry, through
+:func:`as_array` for an array, :func:`as_ints` for a sequence of integers
+(class ids, a path of graph positions), and :func:`as_scalar` for a
+number, a string or a path, so a fault raises one class wherever it is
+found:
+
+- a wrong element type, dtype or argument type (a list of strings for a
+  grid, ``"0.5"`` for a threshold, None for a LaTeX string):
+  :class:`ShapeMismatch`, naming the dtype or type;
+- a wrong rank or axis size: :class:`ShapeMismatch`; a size that disagrees
+  with a node count, :class:`NodeCountMismatch` (a ShapeMismatch);
+- NaN or infinity: :class:`NonFinite`, whose ``index`` is the first bad
+  value's row-major flat position (an edge's place in the edge order for a
+  graph's weights; None for a scalar, or for a loss that is not finite
+  from finite inputs).
+
+A list or tuple where an array is expected is read as numpy reads it, so
+it meets the same outcome as that array.  Three faults stay builtin:
+
+- a wrong number of arguments: ``TypeError``, from the call itself;
+- a failure of the file system: ``OSError``;
+- an argument that should be one of the package's own objects (a
+  :class:`~hmegraph.tokens.TokenVocab`, a list of
+  :class:`~hmegraph.decode.Node`, a :class:`~hmegraph.synth.NoiseSpec`, a
+  :class:`~hmegraph.assignment.PgdLoss`) but is something else, or is one
+  built with fields of the wrong type: it is read by attribute and fails
+  where it is first read.  An :class:`~hmegraph.decode.ExprGraph`'s edges
+  are the exception: both graph readers check that every end is the
+  start, the end or a node's position, and that every weight is a finite
+  real number.
 """
+
+import numbers
 
 import numpy as np
 
@@ -129,7 +152,7 @@ class TooLarge(HmeGraphError):
 # --- array arguments -------------------------------------------------------
 
 class ShapeMismatch(HmeGraphError):
-    """An array argument has the wrong rank, axis size or element type."""
+    """An argument has the wrong type, element type, rank or axis size."""
 
 
 class NodeCountMismatch(ShapeMismatch):
@@ -137,30 +160,112 @@ class NodeCountMismatch(ShapeMismatch):
 
 
 class NonFinite(HmeGraphError):
-    """An array argument, or a loss result, is NaN or infinite."""
+    """An argument, or a loss result, is NaN or infinite."""
 
     def __init__(self, message: str, index: int | None = None):
         self.index = index
         super().__init__(message)
 
 
-def check_shape(a, shape: tuple, what: str, error: type = ShapeMismatch) -> None:
-    """Require one axis of `a` per entry of `shape`, each of that size.
+_KINDS = {"fiub": "real numbers", "iu": "integers", "U": "text"}
+_SUM_SIZE = 1 << 16  # a 24x160 training grid is above, a 14x56 decode grid below
 
-    A None entry matches any size.  A wrong rank raises ShapeMismatch; a
-    wrong size raises `error`, NodeCountMismatch for axes that count nodes.
+
+def as_array(a, shape, what: str, *, counts=(), kinds: str = "fiub", finite: bool = True,
+             name=None) -> np.ndarray:
+    """`a` as a checked numpy array: `a` itself when it is a valid ndarray.
+
+    - Conversion: ``np.asarray``, so a list or tuple reads as numpy reads
+      it, and a ragged one is refused.  ``[]``, which numpy reads as 1-d
+      float64, is empty at whatever rank `shape` asks for, as ``intp``
+      when floats are refused: it holds no value of the wrong kind.
+    - Kind: the dtype's kind must be one of `kinds`, real float, integer
+      or bool by default (``"iu"``: integers; ``"U"``: text).
+    - Shape: one axis per entry of `shape`, each of that size; a None
+      entry matches any size, and a None `shape` any shape.  The axes
+      listed in `counts` count nodes: when only they are off, the error is
+      NodeCountMismatch.
+    - Finiteness, unless `finite` is false (for a caller whose own scan
+      of the array already proves it): NonFinite at the first NaN or
+      infinity in row-major order, with that flat index.  A large array
+      is read once, for its total (``np.einsum``, single-threaded and with
+      no temporary): NaN or infinity makes the total non-finite, so only a
+      non-finite total, or one that overflowed from finite values, scans
+      for the first bad value.
+
+    `name`, for a 1-d argument, maps an element's index to its name, as
+    ``"edge (0, 2): weight"``: a fault at one element then names it.
+
+    Raises:
+        ShapeMismatch: a ragged nesting, a refused dtype (naming it, or
+            naming the element whose type it is), a wrong rank, or a wrong
+            axis size.
+        NodeCountMismatch: only axes in `counts` have the wrong size.
+        NonFinite: NaN or infinity, when `finite`.
     """
-    got = a.shape if isinstance(a, np.ndarray) else np.shape(a)
-    if len(got) != len(shape):
-        raise ShapeMismatch(f"{what} must be {len(shape)}-d, got shape {got}")
-    for n, want in zip(got, shape):
-        if want is not None and n != want:
-            raise error(f"{what} has shape {got}, expected {shape} (None: any size)")
+    try:
+        arr = np.asarray(a)
+    except ValueError:
+        raise ShapeMismatch(f"{what} is ragged: its rows differ in length or depth") from None
+    if (kind := arr.dtype.kind) not in kinds:
+        if arr.size and name:  # name the first element whose own kind is refused
+            i, v = next(((i, v) for i, v in enumerate(a) if np.asarray(v).dtype.kind not in kinds),
+                        (0, a))
+            raise ShapeMismatch(f"{name(i)} {v!r} is {type(v).__name__}: {what} must be "
+                                f"{_KINDS[kinds]}")
+        if arr.size:
+            raise ShapeMismatch(f"{what} holds {arr.dtype}, not {_KINDS[kinds]}")
+        arr = arr.astype(np.intp)
+    if shape is not None and arr.shape != shape:
+        if arr.shape == (0,) and len(shape) > 1:
+            arr = arr.reshape(0, *(n or 0 for n in shape[1:]))
+        if arr.ndim != len(shape):
+            raise ShapeMismatch(f"{what} must be {len(shape)}-d, got shape {arr.shape}")
+        for n, want in zip(arr.shape, shape):
+            if want is not None and want != n:
+                bad = {i for i, want in enumerate(shape) if want not in (None, arr.shape[i])}
+                raise (NodeCountMismatch if bad <= set(counts) else ShapeMismatch)(
+                    f"{what} has shape {arr.shape}, expected {shape} (None: any size)")
+    # Over _SUM_SIZE values one total reads the array faster than isfinite does
+    # (measured on both grids above): NaN or infinity makes the total non-finite,
+    # and only then is the array scanned.
+    if finite and kind == "f" and not np.isfinite(
+            np.einsum(arr, range(arr.ndim), []) if arr.size > _SUM_SIZE else arr).all():
+        if not (ok := np.isfinite(arr).reshape(-1)).all():  # not a total that overflowed
+            index = int(np.argmin(ok))  # the first False
+            value = arr.reshape(-1)[index]
+            raise NonFinite(f"{name(index)} {value}" if name else
+                            f"{what}: {value} at flat index {index}", index)
+    return arr
 
 
-def check_finite(a, what: str) -> None:
-    """Raise NonFinite at the first NaN or infinity of `a`, in row-major order."""
-    finite = np.isfinite(a)
-    if not finite.all():
-        index = int(np.argmin(finite.reshape(-1)))  # the first False
-        raise NonFinite(f"{what}: {np.ravel(a)[index]} at flat index {index}", index)
+def as_ints(seq, what: str) -> list:
+    """`seq` as a list of ints, checked as :func:`as_array` checks a 1-d
+    integer array.  A list of Python ints, as the package's own functions
+    pass, comes back as itself: one pass over the element types replaces
+    the conversion."""
+    if type(seq) is list and set(map(type, seq)) <= {int}:
+        return seq
+    return as_array(seq, (None,), what, kinds="iu").tolist()
+
+
+def as_scalar(x, what: str, kind=numbers.Real, inf: bool = False):
+    """`x`, checked to be an instance of `kind`, a class or a union of them.
+
+    A real number (`kind` numbers.Real) comes back as a float, and must be
+    finite: NaN raises NonFinite, and so does an infinity unless `inf`.  An
+    integer (`kind` numbers.Integral) comes back as an int.  Any other kind,
+    such as str or a vocabulary, comes back as it is.
+
+    Raises:
+        ShapeMismatch: `x` is not a `kind`, naming its type.
+        NonFinite: a real `x` that is NaN, or infinite unless `inf`.
+    """
+    if not (type(x) is float and kind is numbers.Real or isinstance(x, kind)):
+        kinds = getattr(kind, "__name__", kind)  # a class, or a union's own spelling
+        raise ShapeMismatch(f"{what} is {type(x).__name__} {x!r}, not {kinds}")
+    if kind is not numbers.Real:
+        return int(x) if kind is numbers.Integral else x
+    if (x := float(x)) - x and (x != x or not inf):  # x - x is 0 unless NaN or infinite
+        raise NonFinite(f"{what} is {x}, not a finite number")
+    return x

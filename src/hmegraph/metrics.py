@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .errors import EmptyInput, HmeGraphError, LengthMismatch
+from .errors import EmptyInput, HmeGraphError, LengthMismatch, as_array, as_ints
 from .tokens import TokenVocab, parse_latex
 
 # Sentinel distance for predictions that do not parse; larger than any real
@@ -17,7 +17,11 @@ def token_edit_distance(a: list[int], b: list[int]) -> int:
 
     Insertions, deletions, and substitutions all cost 1.  Runs in O(len(a)
     * len(b)) with a two-row table.
+
+    Raises:
+        ShapeMismatch: `a` or `b` is not a sequence of integers.
     """
+    a, b = as_ints(a, "sequence a"), as_ints(b, "sequence b")
     if len(a) < len(b):
         a, b = b, a
     prev = list(range(len(b) + 1))
@@ -52,9 +56,13 @@ def evaluate(preds: list[str], refs: list[str], vocab: TokenVocab) -> EvalReport
     threshold.  References must parse; their errors propagate.
 
     Raises:
+        ShapeMismatch: predictions or references are not a sequence of
+            strings.
         LengthMismatch: pred and ref counts differ.
         EmptyInput: nothing to score.
     """
+    preds = as_array(preds, (None,), "predictions", kinds="U").tolist()
+    refs = as_array(refs, (None,), "references", kinds="U").tolist()
     if len(preds) != len(refs):
         raise LengthMismatch(f"{len(preds)} predictions for {len(refs)} references")
     if not refs:

@@ -15,6 +15,7 @@ small bounds and share no code with the production paths they check.
 from __future__ import annotations
 
 import itertools
+import numbers
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -22,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CycleDetected, GridTooSmall, IllNested, Infeasible, NoPath, TooLarge
+from .errors import as_array, as_ints, as_scalar
 from .tokens import (
     ROLE_VISIBLE,
     TokenVocab,
@@ -80,8 +82,11 @@ def gen_expression(seed: int, max_depth: int = 2, vocab: TokenVocab | None = Non
     and super/subscripts, recursing at most `max_depth` levels.  Atoms come
     from `vocab`'s single-character visible symbols when given, else from a
     builtin alphabet.  Output is spaced and fully braced.
+
+    Raises:
+        ShapeMismatch: `seed` or `max_depth` is not an integer.
     """
-    rng = random.Random(seed)
+    rng = random.Random(as_scalar(seed, "seed", numbers.Integral))
     if vocab is None:
         atoms = list(_ATOMS)
     else:
@@ -110,7 +115,7 @@ def gen_expression(seed: int, max_depth: int = 2, vocab: TokenVocab | None = Non
             return f"{rng.choice(atoms)} ^ {{ {expr(depth - 1)} }}"
         return f"{rng.choice(atoms)} _ {{ {expr(depth - 1)} }}"
 
-    return expr(max_depth)
+    return expr(as_scalar(max_depth, "max_depth", numbers.Integral))
 
 
 # --- spatial layout ---------------------------------------------------------
@@ -171,11 +176,18 @@ def layout_and_render(
     classes so the configured noise is recoverable by construction.
 
     Raises:
-        GridTooSmall: grid cannot hold the laid-out expression.
-        IllNested: a structural instance whose parsed group count cannot be
-            re-expanded from grid output (an indexed root).
+        ShapeMismatch: `seq` is not a sequence of integers, `grid_dims` not
+            two integers, or `seed` not an integer.
+        VocabMiss: an id outside the vocabulary.
+        GridTooSmall: grid cannot hold the laid-out expression, or a side
+            is negative.
+        IllNested: the sequence is not well nested, or a structural instance
+            has a parsed group count that grid output cannot re-expand (an
+            indexed root).
     """
-    h, w = grid_dims
+    h, w = as_array(grid_dims, (2,), "grid size", kinds="iu").tolist()
+    if min(h, w) < 0:
+        raise GridTooSmall(f"grid {h}x{w} has a negative side")
     counts, parents = group_structure(seq, vocab)
     for pos, g in counts.items():
         if g != vocab.group_table[seq[pos]]:
@@ -183,7 +195,7 @@ def layout_and_render(
                 f"{vocab.symbols[seq[pos]]!r} instance takes {g} groups; "
                 f"grid output re-expands it with {vocab.group_table[seq[pos]]}"
             )
-    rng = random.Random(seed)
+    rng = random.Random(as_scalar(seed, "seed", numbers.Integral))
 
     raw = _place(seq, counts, vocab)
     if raw:
@@ -307,7 +319,14 @@ def teacher_matrices(
     a detector extracts, and these rows hit the targets of
     :func:`hmegraph.tokens.gt_targets` exactly, so every node loss term is
     zero against them.
+
+    Raises:
+        ShapeMismatch: `seq` is not a sequence of integers.
+        VocabMiss: an id outside the vocabulary.
+        IllNested: `seq` is not a well-nested canonical sequence.
+        EmptyInput: an empty sequence.
     """
+    group_structure(seq, vocab)  # a canonical sequence: ids that correction rows hold
     self_t, left_t, right_t = gt_targets(seq)
     n = len(seq)
     self_probs = np.zeros((n, vocab.correction_classes), dtype=np.float32)
@@ -329,7 +348,8 @@ def make_sample(
     noise: NoiseSpec = NoiseSpec(),
     seed: int = 0,
 ) -> SynthSample:
-    """Parse `latex` and lay it out; the usual entry point."""
+    """Parse `latex` and lay it out; the usual entry point.  Raises as
+    :func:`parse_latex` and :func:`layout_and_render` do."""
     seq = parse_latex(latex, vocab)
     sample = layout_and_render(seq, grid_dims, vocab, noise=noise, seed=seed)
     sample.latex = latex
@@ -422,9 +442,12 @@ def oracle_hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     lexicographically smallest column tuple.
 
     Raises:
+        ShapeMismatch: `cost` is not a real 2-d array.
+        NonFinite: `cost` holds NaN or infinity.
         TooLarge: beyond the stated bounds.
         Infeasible: more rows than columns.
     """
+    cost = as_array(cost, (None, None), "cost matrix")
     n_rows, n_cols = cost.shape
     if n_rows > 7 or n_cols > 9:
         raise TooLarge(f"{n_rows}x{n_cols} exceeds the 7x9 oracle bound")
@@ -488,10 +511,13 @@ def oracle_prune(graph, epsilon: float = 0.5) -> dict[tuple[int, int], float]:
     Bounds: at most 12 real nodes.
 
     Raises:
+        ShapeMismatch: `epsilon` is not a real number.
+        NonFinite: `epsilon` is NaN.
         TooLarge: beyond the bound.
         NoPath: the end is unreachable before pruning.
         CycleDetected: a cycle with no removable edge.
     """
+    epsilon = as_scalar(epsilon, "epsilon", inf=True)
     if len(graph.nodes) > 12:
         raise TooLarge(f"{len(graph.nodes)} nodes exceed the 12-node oracle bound")
     edges = dict(graph.edges)
@@ -560,8 +586,10 @@ def oracle_edit(a: list[int], b: list[int]) -> int:
     Bounds: sequences of at most 12 tokens.
 
     Raises:
+        ShapeMismatch: `a` or `b` is not a sequence of integers.
         TooLarge: beyond the bound.
     """
+    a, b = as_ints(a, "sequence a"), as_ints(b, "sequence b")
     if len(a) > 12 or len(b) > 12:
         raise TooLarge("sequences exceed the 12-token oracle bound")
     table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]

@@ -16,11 +16,12 @@ Graphs export as Graphviz DOT for visual inspection.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
-from .errors import BadMagic, DimOverflow, TruncatedPayload, check_finite
+from .errors import BadMagic, DimOverflow, TruncatedPayload, as_array, as_ints, as_scalar
 
 MAGIC = b"NAMT"
 VERSION = 1
@@ -36,26 +37,26 @@ def write_tensor(tensor: np.ndarray, path) -> None:
     little-endian float32.
 
     Raises:
+        ShapeMismatch: `tensor` is not a real array, or `path` not a path.
         DimOverflow: rank outside 1..8, or a dimension at or above 2**20.
-        NonFinite: NaN or infinity in the data; ``index`` is its flat
-            position.
+        NonFinite: NaN or infinity in the data, as stored in float32;
+            ``index`` is its flat position.
         OSError: on filesystem failure.
     """
-    rank = np.asarray(tensor).ndim  # before ascontiguousarray promotes 0-d to 1-d
-    if rank == 0 or rank > _MAX_NDIM:
-        raise DimOverflow(f"rank {rank} outside supported range 1..{_MAX_NDIM}")
-    arr = np.ascontiguousarray(tensor, dtype=np.dtype("<f4"))
-    for d in arr.shape:
+    tensor = as_array(tensor, None, "tensor", finite=False)
+    if tensor.ndim == 0 or tensor.ndim > _MAX_NDIM:
+        raise DimOverflow(f"rank {tensor.ndim} outside supported range 1..{_MAX_NDIM}")
+    for d in tensor.shape:
         if d >= MAX_DIM:
             raise DimOverflow(f"dimension {d} exceeds {MAX_DIM - 1}")
-    check_finite(arr, "tensor")
+    arr = as_array(np.ascontiguousarray(tensor, dtype=np.dtype("<f4")), None, "tensor")
     header = (
         MAGIC
         + struct.pack("<II", VERSION, arr.ndim)
         + struct.pack(f"<{arr.ndim}I", *arr.shape)
         + struct.pack("<I", DTYPE_F32)
     )
-    with open(path, "wb") as fh:
+    with open(as_scalar(path, "path", str | os.PathLike), "wb") as fh:
         fh.write(header)
         fh.write(arr.tobytes())
 
@@ -66,6 +67,7 @@ def read_tensor(path) -> np.ndarray:
     Returns a float32 array in native memory order.
 
     Raises:
+        ShapeMismatch: `path` is not a path.
         BadMagic: wrong magic, version, or dtype code.
         DimOverflow: header dimension at or above 2**20.
         TruncatedPayload: file shorter (or longer) than the header declares.
@@ -73,7 +75,7 @@ def read_tensor(path) -> np.ndarray:
             position.
         OSError: on filesystem failure.
     """
-    with open(path, "rb") as fh:
+    with open(as_scalar(path, "path", str | os.PathLike), "rb") as fh:
         blob = fh.read()
     if len(blob) < 4 or blob[:4] != MAGIC:
         raise BadMagic(f"{path}: not a tensor container")
@@ -101,7 +103,7 @@ def read_tensor(path) -> np.ndarray:
     if len(blob) != expected:
         raise TruncatedPayload(f"{path}: expected {expected} bytes, found {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4", offset=need, count=count)
-    check_finite(flat, f"{path}: payload")
+    as_array(flat, None, f"{path}: payload")
     return flat.reshape(dims).astype(np.float32)
 
 
@@ -113,7 +115,12 @@ def export_dot(graph, vocab, highlight: tuple | list = ()) -> str:
     Node labels read ``symbol@(row,col)``; backslash symbols are escaped for
     the DOT string grammar.  Edge labels carry weights to three decimals.
     Consecutive pairs from `highlight` (a winning path) are drawn bold.
+
+    Raises:
+        ShapeMismatch: `highlight` is not a sequence of integers.
+        VocabMiss: a node's class id is outside the vocabulary.
     """
+    highlight = as_ints(highlight, "highlight")
     bold = {(highlight[k], highlight[k + 1]) for k in range(len(highlight) - 1)}
 
     def esc(s: str) -> str:

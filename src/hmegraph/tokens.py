@@ -38,6 +38,9 @@ from .errors import (
     UnbalancedBraces,
     UnknownControlSequence,
     VocabMiss,
+    as_array,
+    as_ints,
+    as_scalar,
 )
 
 # Token roles as stored in vocabulary files.
@@ -114,17 +117,23 @@ class TokenVocab:
     ``a = 1, h = 2``, any other class its group count for both.
 
     Raises:
-        VocabMiss: a duplicate symbol, or a tail other than
-            ``<none> } <sos> <eos>``.
+        ShapeMismatch: `symbols` is not a 1-d sequence of strings.
+        VocabMiss: a duplicate symbol, a tail other than
+            ``<none> } <sos> <eos>``, or a predictable symbol that the
+            tokenizer cannot read back from emitted LaTeX: an empty one,
+            one holding whitespace, or a brace.
     """
 
     def __init__(self, symbols):
-        self.symbols = list(symbols)
+        self.symbols = as_array(symbols, (None,), "vocabulary symbols", kinds="U").tolist()
         self._index = {s: i for i, s in enumerate(self.symbols)}
         if len(self._index) != len(self.symbols):
             raise VocabMiss("duplicate symbol in vocabulary")
         if self.symbols[-4:] != list(_RESERVED):
             raise VocabMiss(f"vocabulary must end in {list(_RESERVED)}, got {self.symbols[-4:]}")
+        for sym in self.symbols[:-4]:
+            if sym.split() != [sym] or sym == "{":  # "}" is END's, so a duplicate above
+                raise VocabMiss(f"symbol {sym!r} cannot be read back: empty, spaced or a brace")
         k = self.num_predictable = len(self.symbols) - 4
         self.none_id, self.end_id, self.sos_id, self.eos_id = k, k + 1, k + 2, k + 3
         self.grid_classes, self.correction_classes = k + 1, k + 2
@@ -156,24 +165,16 @@ class TokenVocab:
             raise VocabMiss(f"class id {class_id} out of range 0..{len(self.symbols) - 1}")
         return self.symbols[class_id]
 
-    def role_of(self, class_id: int) -> str:
-        self.symbol_of(class_id)
-        return self.roles[class_id]
-
     def check_ids(self, ids) -> None:
-        """Raise VocabMiss for the first of `ids` outside the vocabulary."""
-        if len(ids) and (min(ids) < 0 or max(ids) >= len(self.symbols)):
+        """Raise ShapeMismatch unless `ids` is a 1-d sequence of integers,
+        and VocabMiss for the first of them outside the vocabulary."""
+        ids = as_ints(ids, "class ids")
+        if ids and (min(ids) < 0 or max(ids) >= len(self.symbols)):
             for cid in ids:
                 self.symbol_of(cid)
 
     def is_predictable(self, class_id: int) -> bool:
         return 0 <= class_id < self.num_predictable
-
-    def group_count(self, class_id: int) -> int:
-        """Index-less argument-group count of a structural class."""
-        if self.is_predictable(class_id) and (g := self.group_table[class_id]):
-            return g
-        raise VocabMiss(f"{self.symbol_of(class_id)!r} is not a structural symbol")
 
     # --- persistence ------------------------------------------------------
 
@@ -227,6 +228,7 @@ def build_vocab(corpus: list[str]) -> TokenVocab:
         corpus: non-empty list of LaTeX label strings.
 
     Raises:
+        ShapeMismatch: `corpus` is not a 1-d sequence of strings.
         EmptyCorpus: on an empty list.
         UnbalancedBraces: when a label's braces or \\sqrt index brackets do
             not balance.
@@ -234,6 +236,7 @@ def build_vocab(corpus: list[str]) -> TokenVocab:
             argument group.
         UnknownControlSequence: when a backslash is not followed by letters.
     """
+    corpus = as_array(corpus, (None,), "corpus", kinds="U").tolist()
     if not corpus:
         raise EmptyCorpus("vocabulary build needs at least one label")
     draft = _vocab_over({t for label in corpus for t in _tokenize(label, None)} - {"{", "}"})
@@ -295,13 +298,14 @@ def parse_latex(s: str, vocab: TokenVocab) -> list[int]:
     Nesting depth is bounded only by memory, not by the interpreter stack.
 
     Raises:
+        ShapeMismatch: `s` is not a string.
         UnbalancedBraces: stray or unclosed braces.
         DanglingGroup: a structural token missing an argument group.
         VocabMiss: a token absent from the vocabulary, or a reserved
             symbol (``<none>``, ``<sos>``, ``<eos>``), which no label holds.
         UnknownControlSequence: malformed backslash token.
     """
-    toks = _tokenize(s, vocab)
+    toks = _tokenize(as_scalar(s, "LaTeX", str), vocab)
     groups, end, none, sqrt = vocab.group_table, vocab.end_id, vocab.none_id, vocab.sqrt_id
     toks.append(None)  # the input end
     out: list[int] = []
@@ -363,6 +367,7 @@ def group_structure(seq: list[int], vocab: TokenVocab) -> tuple[dict[int, int], 
     it, so the work is linear in the sequence length.
 
     Raises:
+        ShapeMismatch: `seq` is not a 1-d sequence of integers.
         IllNested: the sequence closes groups it never opened, leaves groups
             open, contains tokens that cannot appear in canonical form, or
             holds a ``]`` at the top level of a \\sqrt index, which LaTeX
@@ -370,6 +375,7 @@ def group_structure(seq: list[int], vocab: TokenVocab) -> tuple[dict[int, int], 
             order is named, and only the ``]`` sets ``position``.
         VocabMiss: an id outside the vocabulary.
     """
+    vocab.check_ids(seq)
     return _walk(seq, vocab)[:2]
 
 
@@ -382,27 +388,29 @@ def emit_latex(seq: list[int], vocab: TokenVocab) -> str:
     (see :func:`group_structure`, whose walk spells each token).
 
     Raises:
+        ShapeMismatch: `seq` is not a 1-d sequence of integers.
         IllNested: an END with no open group, groups left open at the end,
             a token that cannot appear in canonical form, or a ``]`` at the
             top level of a \\sqrt index, which would parse back as the end
             of the index (:func:`repair_groups` drops such a ``]``).
         VocabMiss: an id outside the vocabulary.
     """
-    return " ".join(_walk(seq, vocab)[2])
-
-
-def _walk(seq: list[int], vocab: TokenVocab, strays: list[int] | None = None):
-    """The forward walk behind :func:`group_structure` and
-    :func:`emit_latex`: returns ``counts``, ``parents`` and the LaTeX of
-    each token in order, and raises as they document.  Given a `strays`
-    list, a ``]`` at the top level of a \\sqrt index is not a fault: its
-    position is appended there and the walk goes on without it."""
     vocab.check_ids(seq)
+    return " ".join(_walk(seq, vocab, [])[2])
+
+
+def _walk(seq: list[int], vocab: TokenVocab, parts=None, strays=None):
+    """The forward walk behind :func:`group_structure` and
+    :func:`emit_latex` over a range-checked sequence: returns ``counts``,
+    ``parents`` and `parts`, to which it appends the LaTeX of each token in
+    order when `parts` is a list, and raises as they document.  Given a
+    `strays` list, a ``]`` at the top level of a \\sqrt index is not a
+    fault: its position is appended there and the walk goes on without
+    it."""
     groups, end, none, sqrt = vocab.group_table, vocab.end_id, vocab.none_id, vocab.sqrt_id
     symbols, bracket = vocab.symbols, vocab.bracket_id
     counts: dict[int, int] = {}
     parents: list[int | None] = [None] * len(seq)
-    parts: list[str] = []
     stack: list[list[int]] = []  # [owner position, groups left]
     pending = 0  # the groups left summed over `stack`: ENDs still owed
     closes = None
@@ -416,7 +424,8 @@ def _walk(seq: list[int], vocab: TokenVocab, strays: list[int] | None = None):
             frame[1] -= 1
             if not frame[1]:
                 stack.pop()
-            parts.append(("] {" if seq[frame[0]] == sqrt else "} {") if frame[1] else "}")
+            if parts is not None:
+                parts.append(("] {" if seq[frame[0]] == sqrt else "} {") if frame[1] else "}")
         elif g := groups[cid]:
             if cid == sqrt:
                 if closes is None:
@@ -426,7 +435,8 @@ def _walk(seq: list[int], vocab: TokenVocab, strays: list[int] | None = None):
             counts[pos] = g
             stack.append([pos, g])
             pending += g
-            parts.append(symbols[cid] + (" [" if cid == sqrt and g == 2 else " {"))
+            if parts is not None:
+                parts.append(symbols[cid] + (" [" if cid == sqrt and g == 2 else " {"))
         elif cid >= none:  # none, <sos> or <eos>
             raise IllNested(f"{symbols[cid]!r} cannot appear in canonical form")
         elif cid == bracket and stack and stack[-1][1] == 2 and seq[stack[-1][0]] == sqrt:
@@ -434,7 +444,7 @@ def _walk(seq: list[int], vocab: TokenVocab, strays: list[int] | None = None):
                 raise IllNested(f"']' at position {pos} would end the index of the \\sqrt at "
                                 f"position {stack[-1][0]}", pos)
             strays.append(pos)
-        else:
+        elif parts is not None:
             parts.append(symbols[cid])
     if stack:
         raise IllNested("group left open at sequence end")
@@ -486,9 +496,15 @@ def repair_groups(seq: list[int], vocab: TokenVocab) -> list[int]:
     and END ids.
 
     Raises:
+        ShapeMismatch: `seq` is not a 1-d sequence of integers.
         VocabMiss: an id outside the vocabulary.
     """
     vocab.check_ids(seq)
+    return _repair(seq, vocab)
+
+
+def _repair(seq: list[int], vocab: TokenVocab) -> list[int]:
+    """:func:`repair_groups` of a range-checked sequence."""
     step = vocab.step_table
     lo = hi = 0
     out: list[int] = []
@@ -501,7 +517,7 @@ def repair_groups(seq: list[int], vocab: TokenVocab) -> list[int]:
     if vocab.sqrt_id in out and vocab.bracket_id in out:
         strays: list[int] = []
         try:
-            _walk(out, vocab, strays)
+            _walk(out, vocab, None, strays)
         except IllNested:  # a fault no repair mends; the strays before it still go
             pass
         drop = set(strays)
@@ -520,12 +536,13 @@ def gt_targets(seq: list[int]) -> tuple[list[int], list[int], list[int]]:
         (self_targets, left_targets, right_targets), each of length L.
 
     Raises:
+        ShapeMismatch: `seq` is not a 1-d sequence of integers.
         EmptyInput: an empty sequence, which has no nodes to supervise.
     """
-    if not seq:
+    self_targets = list(as_ints(seq, "token sequence"))
+    if not self_targets:
         raise EmptyInput("empty token sequence has no targets")
-    n = len(seq)
-    self_targets = list(seq)
+    n = len(self_targets)
     left_targets = list(range(0, n))
     right_targets = list(range(2, n + 2))
     return self_targets, left_targets, right_targets

@@ -86,7 +86,7 @@ def test_1_parser_round_trip():
     structural = {
         cid
         for cid in range(VOCAB.num_predictable)
-        if VOCAB.role_of(cid) in (ROLE_HSE, ROLE_IRS)
+        if VOCAB.roles[cid] in (ROLE_HSE, ROLE_IRS)
     }
     for cid in sorted(structural - seen):
         problems.append(f"structural symbol never exercised: {VOCAB.symbol_of(cid)}")

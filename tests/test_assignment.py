@@ -40,7 +40,7 @@ from hmegraph import (
 )
 from hmegraph import assignment
 from hmegraph.assignment import BLOCK_COST
-from hmegraph.errors import check_finite
+from hmegraph.errors import as_array
 
 
 @pytest.fixture(scope="module")
@@ -151,15 +151,20 @@ class TestBuildCost:
         # A fractional position is refused, never truncated to a cell.
         v = small_vocab
         P = np.ones((v.grid_classes, 3, 4))
-        with pytest.raises(ShapeMismatch, match=re.escape("position (1.5, 2) is not")):
+        with pytest.raises(ShapeMismatch, match=re.escape("positions holds float64, not integers")):
             build_cost(P, [(0, 0), (1.5, 2)], parse_latex("a b", v), v, km=3)
 
     @pytest.mark.parametrize("bad", [(1, 2, 3), ("a", 2), (1,), 7, (1.0, 2)])
     def test_malformed_position_named(self, small_vocab, bad):
+        """The gate names the fault of the positions as numpy reads them:
+        ragged rows, or the dtype that is not integers."""
         v = small_vocab
         P = np.ones((v.grid_classes, 3, 4))
-        msg = f"position {bad!r} is not a (row, column) pair of integers"
-        with pytest.raises(ShapeMismatch, match=re.escape(msg)):
+        msg = {(1, 2, 3): "positions is ragged: its rows differ in length or depth",
+               ("a", 2): "positions holds <U21, not integers",
+               (1.0, 2): "positions holds float64, not integers"}.get(
+                   bad, "positions is ragged: its rows differ in length or depth")
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(msg)}$"):
             build_cost(P, [(0, 0), bad], parse_latex("a b", v), v, km=3)
 
     @pytest.mark.parametrize("km", [3.0, "3", None])
@@ -286,7 +291,7 @@ class TestHungarian:
             cost[:, 2:5] = [[0.5, 0.25, 1.0], [0.0, 0.75, 0.5], [0.25, 0.25, 0.0]]
         cost[cell] = value
         with pytest.raises(NonFinite) as want:
-            check_finite(cost, "cost matrix")
+            as_array(cost, None, "cost matrix")
         with pytest.raises(NonFinite) as got:
             hungarian(cost)
         assert got.value.index == want.value.index == cell[0] * 12 + cell[1]
@@ -428,12 +433,16 @@ class TestMakeTargets:
 
     def test_malformed_input_named(self, vocab):
         seq = parse_latex("x + y", vocab)
-        for bad in [(1, 1.5), (1,), (1, 2, 3), (1, "a"), 7]:
-            msg = f"assignment pair {bad!r} is not (row, cell index)"
-            with pytest.raises(ShapeMismatch, match=re.escape(msg)):
+        ragged = "assignment is ragged: its rows differ in length or depth"
+        for bad, msg in [((1, 1.5), "assignment holds float64, not integers"), ((1,), ragged),
+                         ((1, 2, 3), ragged), ((1, "a"), "assignment holds <U21, not integers"),
+                         (7, ragged)]:
+            with pytest.raises(ShapeMismatch, match=f"^{re.escape(msg)}$"):
                 make_targets([(0, 0), bad, (2, 2)], seq, vocab, 2, 4)
-        for h, w in ((-1, 4), (2.5, 4), (2, None)):
-            with pytest.raises(ShapeMismatch, match=re.escape(f"grid size {h!r}x{w!r} is not")):
+        for h, w, msg in ((-1, 4, "grid size -1x4 is negative"),
+                          (2.5, 4, "grid size holds float64, not integers"),
+                          (2, None, "grid size holds object, not integers")):
+            with pytest.raises(ShapeMismatch, match=f"^{re.escape(msg)}$"):
                 make_targets([(0, 0), (1, 1), (2, 2)], seq, vocab, h, w)
         # numpy integers, as hungarian's columns were before tolist().
         pairs = [(np.int64(l), np.int64(c)) for l, c in [(0, 3), (1, 4), (2, 5)]]
@@ -464,6 +473,23 @@ class TestLabelIdsChecked:
             build_cost(np.zeros((vocab.grid_classes, 3, 4)), [], label, vocab)
         with pytest.raises(VocabMiss, match="class id 999"):
             make_targets([(0, 0)], [999], vocab, 3, 4)
+
+    def test_label_checked_once_and_never_spelled(self, vocab, monkeypatch):
+        """Each training entry point range-checks its label once, and
+        `make_targets` resolves the groups in one walk that spells nothing."""
+        seq = parse_latex("\\frac { x } { \\sqrt { y } } + 2", vocab)
+        sample = make_sample("\\frac { x } { \\sqrt { y } } + 2", vocab, (6, 12))
+        checks, walks = [], []
+        check_ids, walk = vocab.check_ids, assignment._walk
+        monkeypatch.setattr(vocab, "check_ids", lambda ids: checks.append(1) or check_ids(ids))
+        monkeypatch.setattr(assignment, "_walk", lambda *a: walks.append(a[2:]) or walk(*a))
+        positions = estimate_positions(sample.attn, seq, vocab)
+        assert len(checks) == 1
+        cost = build_cost(sample.probs, positions, seq, vocab)
+        assert len(checks) == 2
+        target = make_targets(hungarian(cost), seq, vocab, 6, 12)
+        assert len(checks) == 3 and walks == [()]
+        assert target.cells == sample.cells
 
 
 class TestLosses:
@@ -555,9 +581,9 @@ class TestLosses:
         with pytest.raises(ShapeMismatch, match="self target"):
             loss_pgd(sp, left, right, ([-1] * 3, bad[1], bad[2]))
         floats = [bad[0][0], 1.0, bad[0][2]]
-        with pytest.raises(ShapeMismatch, match=re.escape(f"targets {floats} are not all")):
+        with pytest.raises(ShapeMismatch, match=re.escape("targets holds float64, not integers")):
             loss_pgd(sp, left, right, (floats, bad[1], bad[2]))
-        with pytest.raises(ShapeMismatch, match=re.escape("targets [2.5, 3, 4] are not all")):
+        with pytest.raises(ShapeMismatch, match=re.escape("targets holds float64, not integers")):
             loss_pgd(sp, left, right, (bad[0], bad[1], [2.5, 3, 4]))
         numpy_ints = tuple([np.int64(t) for t in ts] for ts in bad)
         assert loss_pgd(sp, left, right, numpy_ints) == loss_pgd(sp, left, right, bad)

@@ -360,9 +360,9 @@ class TestExitCodes:
         assert "error: gave up after 50 attempts; 0 of 1 fit" in err
 
     @pytest.mark.parametrize("flags, message", [
-        (["--alpha-l2r", "nan"], "error: alpha_l2r is nan, not a finite weight"),
-        (["--alpha-r2l", "inf"], "error: alpha_r2l is inf, not a finite weight"),
-        (["--epsilon", "nan"], "error: epsilon is nan, not a weight threshold"),
+        (["--alpha-l2r", "nan"], "error: alpha_l2r is nan, not a finite number"),
+        (["--alpha-r2l", "inf"], "error: alpha_r2l is inf, not a finite number"),
+        (["--epsilon", "nan"], "error: epsilon is nan, not a finite number"),
     ])
     def test_decode_non_finite_weight_is_one(self, gen_dir, capsys, flags, message):
         code, out, err = run_cli(capsys, "decode", *decode_flags(gen_dir), *flags)

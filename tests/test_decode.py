@@ -47,7 +47,7 @@ from hmegraph import (
 )
 from hmegraph import decode, tokens
 from hmegraph.decode import ExprGraph, Node
-from hmegraph.errors import check_finite, check_shape
+from hmegraph.errors import as_array
 from hmegraph.tokens import (
     END_SYMBOL,
     EOS_SYMBOL,
@@ -385,10 +385,11 @@ class TestBuildGraph:
         n = max(len(left) - 2, 0)
         with np.errstate(invalid="ignore"):
             for name, m in (("left", left), ("right", right)):
-                check_shape(m, (n + 2, n + 2), f"{name} neighbor scores", NodeCountMismatch)
+                as_array(m, (n + 2, n + 2), f"{name} neighbor scores", counts=(0, 1),
+                         finite=False)
                 sums = m.sum(axis=1)
                 if not np.isfinite(sums).all():
-                    check_finite(m, f"{name} neighbor scores")
+                    as_array(m, None, f"{name} neighbor scores")
                 if np.abs(sums - 1.0).max() > decode.ROW_SUM_TOL or m.min() < -decode.ROW_SUM_TOL:
                     off = (np.abs(sums - 1.0) > decode.ROW_SUM_TOL) | np.any(
                         m < -decode.ROW_SUM_TOL, axis=1)
@@ -780,7 +781,7 @@ class TestDecodePruneMatchesAdapter:
         def refuse(*args, **kwargs):
             raise AssertionError("dict-based stage on the decode path")
 
-        for name in ("build_graph", "prune_and_acyclify", "longest_path", "_check_edge_ends"):
+        for name in ("build_graph", "prune_and_acyclify", "longest_path", "_check_graph"):
             monkeypatch.setattr(decode, name, refuse)
         passes = count_calls(monkeypatch, "_find_cycle")
         profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
@@ -833,7 +834,7 @@ class TestDecodePruneMatchesAdapter:
     def test_decode_uses_vocab_tables(self, vocab, monkeypatch):
         """Decoding reads class roles and group counts from the vocabulary's
         tables after one range check per sequence, never through the
-        per-id checked lookups."""
+        per-id checked lookup."""
         profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
                     NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
         samples = list(bench_samples(vocab, profiles, 100, 90000))
@@ -842,8 +843,7 @@ class TestDecodePruneMatchesAdapter:
         def refuse(*args, **kwargs):
             raise AssertionError("per-id vocabulary lookup on the decode path")
 
-        for name in ("role_of", "symbol_of", "group_count"):
-            monkeypatch.setattr(TokenVocab, name, refuse)
+        monkeypatch.setattr(TokenVocab, "symbol_of", refuse)
         decoded = [decode_with_graph(s.probs, s.self_probs, s.left, s.right, vocab)[0].latex
                    for s in samples]
         assert decoded[::5] == quiet

@@ -1,6 +1,8 @@
-"""Error classes and the array-argument checks behind every entry point."""
+"""Error classes and the input gate behind every entry point."""
 
 import inspect
+import math
+import numbers
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from hmegraph.errors import (
     NodeCountMismatch,
     NonFinite,
     ShapeMismatch,
-    check_finite,
-    check_shape,
+    as_array,
+    as_scalar,
 )
 
 
@@ -26,33 +28,43 @@ def test_every_error_class_is_exported():
     assert defined <= set(hmegraph.__all__)
     for name in hmegraph.__all__:
         assert hasattr(hmegraph, name), name
-    assert "check_shape" not in hmegraph.__all__
-    assert "check_finite" not in hmegraph.__all__
+    assert "as_array" not in hmegraph.__all__
+    assert "as_scalar" not in hmegraph.__all__
 
 
 def test_check_shape_classes():
+    """A wrong rank is never a count; a wrong size is a count only when
+    every wrong axis counts nodes."""
     a = np.zeros((3, 4))
-    check_shape(a, (3, None), "a")
+    as_array(a, (3, None), "a")
     with pytest.raises(ShapeMismatch) as exc:
-        check_shape(a, (3, 4, None), "a", NodeCountMismatch)
-    assert type(exc.value) is ShapeMismatch  # a wrong rank is never a count
+        as_array(a, (3, 4, None), "a", counts=(0, 1, 2))
+    assert type(exc.value) is ShapeMismatch
     with pytest.raises(ShapeMismatch) as exc:
-        check_shape(a, (None, 5), "a")
+        as_array(a, (None, 5), "a")
     assert type(exc.value) is ShapeMismatch
     with pytest.raises(NodeCountMismatch):
-        check_shape(a, (2, None), "a", NodeCountMismatch)
+        as_array(a, (2, None), "a", counts=(0,))
+    with pytest.raises(ShapeMismatch) as exc:  # the width is off too, and is not a count
+        as_array(a, (2, 5), "a", counts=(0,))
+    assert type(exc.value) is ShapeMismatch
 
 
 def test_check_finite_reports_first_row_major_index():
-    check_finite(np.arange(6, dtype=np.float32), "a")
+    as_array(np.arange(6, dtype=np.float32), (None,), "a")
     a = np.zeros((2, 3))
     a[1, 0], a[0, 2] = -np.inf, np.nan
     with pytest.raises(NonFinite) as exc:
-        check_finite(a, "a")
+        as_array(a, (2, 3), "a")
     assert exc.value.index == 2
+    assert str(exc.value) == "a: nan at flat index 2"
     with pytest.raises(NonFinite) as exc:
-        check_finite(a.T, "a")  # row-major over the view, not memory order
+        as_array(a.T, None, "a")  # row-major over the view, not memory order
     assert exc.value.index == 1
+    with pytest.raises(NonFinite) as exc:
+        as_array([[0.0, 1.0], [math.inf, 0.0]], (2, 2), "a")  # a list, as its array
+    assert exc.value.index == 2
+    assert as_array(a, (2, 3), "a", finite=False) is a  # the caller proves finiteness
 
 
 @pytest.mark.parametrize("value, shape, message", [
@@ -71,8 +83,95 @@ def test_check_shape_reads_any_array_like(value, shape, message):
     """Lists, tuples and scalars are measured as numpy measures them, and
     give the same messages as an array of that shape."""
     if message is None:
-        check_shape(value, shape, "a")
+        assert np.array_equal(as_array(value, shape, "a"), np.asarray(value))
         return
     with pytest.raises(ShapeMismatch) as exc:
-        check_shape(value, shape, "a")
+        as_array(value, shape, "a")
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value, kinds, message", [
+    (np.zeros(2, dtype=complex), "fiub", "a holds complex128, not real numbers"),
+    (np.array(["x"]), "fiub", "a holds <U1, not real numbers"),
+    (np.array([1, None], dtype=object), "fiub", "a holds object, not real numbers"),
+    ([1.5, 2], "iu", "a holds float64, not integers"),
+    ([True, False], "iu", "a holds bool, not integers"),
+    ([1, 2], "U", "a holds int64, not text"),
+    ([[1, 2], [3]], "fiub", "a is ragged: its rows differ in length or depth"),
+    (None, "fiub", "a holds object, not real numbers"),
+])
+def test_refused_kind_is_named(value, kinds, message):
+    with pytest.raises(ShapeMismatch) as exc:
+        as_array(value, None, "a", kinds=kinds)
+    assert str(exc.value) == message
+
+
+def test_valid_array_is_not_copied():
+    """An array that passes comes back as itself, views included."""
+    grid = np.ones((4, 6), dtype=np.float32)
+    for a in (grid, grid[:, ::2], grid.T, np.arange(5), np.zeros(3, dtype=bool)):
+        assert as_array(a, None, "a") is a
+
+
+def test_empty_list_takes_the_wanted_rank():
+    """`[]` has no rank numpy can know; it is empty at whatever rank and
+    integer kind the caller asks for."""
+    got = as_array([], (None, 2), "pairs", kinds="iu")
+    assert got.shape == (0, 2) and got.dtype == np.intp
+    assert as_array([], (None,), "ids", kinds="iu").dtype == np.intp
+    with pytest.raises(ShapeMismatch):
+        as_array([], (3, 2), "pairs", kinds="iu")
+
+
+def test_named_element():
+    """With `name`, a fault at one element names it, as the graph readers
+    name an edge."""
+    def name(i):
+        return f"item {'abc'[i]}:"
+
+    with pytest.raises(ShapeMismatch, match=r"^item b: '0\.9' is str: w must be real numbers$"):
+        as_array([0.5, "0.9", 1.0], (None,), "w", name=name)
+    with pytest.raises(ShapeMismatch, match=r"^item a: None is NoneType"):
+        as_array([None, 0.25, 1.0], (None,), "w", name=name)
+    with pytest.raises(ShapeMismatch, match="^w is ragged"):  # no element to name
+        as_array([0.5, 0.25, [1, 2]], (None,), "w", name=name)
+    with pytest.raises(NonFinite, match=r"^item c: inf$") as exc:
+        as_array([0.5, 0.25, math.inf], (None,), "w", name=name)
+    assert exc.value.index == 2
+
+
+@pytest.mark.parametrize("value, kind, want", [
+    (0.5, numbers.Real, 0.5),
+    (np.float32(0.25), numbers.Real, 0.25),
+    (3, numbers.Real, 3.0),
+    (True, numbers.Real, 1.0),
+    (np.int64(4), numbers.Integral, 4),
+    ("x", str, "x"),
+])
+def test_scalar_passes(value, kind, want):
+    got = as_scalar(value, "s", kind)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("value, kind, message", [
+    ("0.5", numbers.Real, "s is str '0.5', not Real"),
+    (None, numbers.Real, "s is NoneType None, not Real"),
+    (1 + 2j, numbers.Real, "s is complex (1+2j), not Real"),
+    (np.array(0.5), numbers.Real, "s is ndarray array(0.5), not Real"),
+    (2.5, numbers.Integral, "s is float 2.5, not Integral"),
+    (5, str | bytes, "s is int 5, not str | bytes"),
+])
+def test_scalar_type_named(value, kind, message):
+    with pytest.raises(ShapeMismatch) as exc:
+        as_scalar(value, "s", kind)
+    assert str(exc.value) == message
+
+
+def test_scalar_finiteness():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFinite, match=f"^s is {value}") as exc:
+            as_scalar(value, "s")
+        assert exc.value.index is None
+    assert as_scalar(math.inf, "s", inf=True) == math.inf
+    with pytest.raises(NonFinite):
+        as_scalar(np.float64("nan"), "s", inf=True)

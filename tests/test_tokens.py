@@ -81,13 +81,6 @@ class TestVocabLayout:
             assert vocab.roles[vocab.id_of(sym)] == ROLE_HSE
         assert vocab.roles[vocab.id_of("x")] == ROLE_VISIBLE
 
-    def test_group_counts(self, vocab):
-        assert vocab.group_count(vocab.id_of("\\frac")) == 2
-        assert vocab.group_count(vocab.id_of("\\sqrt")) == 1
-        assert vocab.group_count(vocab.id_of("^")) == 1
-        with pytest.raises(VocabMiss):
-            vocab.group_count(vocab.id_of("x"))
-
     def test_id_lookup_errors(self, vocab):
         with pytest.raises(VocabMiss):
             vocab.id_of("\\nosuchthing")
@@ -114,10 +107,6 @@ class TestVocabLayout:
         assert v.roles == [ROLE_VISIBLE, ROLE_HSE, ROLE_IRS, ROLE_VISIBLE,
                            ROLE_NONE, ROLE_END, ROLE_SOS, ROLE_EOS]
         assert v.group_table == (0, 1, 1, 0, 0, 0, 0, 0)
-        with pytest.raises(VocabMiss, match="not a structural symbol"):
-            v.group_count(v.id_of("\\nosuch"))
-        with pytest.raises(VocabMiss, match="out of range"):
-            v.group_count(len(v))
 
     def test_structural_role_needs_group_count(self, tmp_path):
         """A file that marks a symbol with no group count structural is
@@ -710,3 +699,34 @@ def test_generated_expressions_emit_verbatim(seed):
     vocab = default_vocab()
     s = gen_expression(seed)
     assert emit_latex(parse_latex(s, vocab), vocab) == s
+
+
+_SYMBOL = st.one_of(
+    st.sampled_from(["\\frac", "\\sqrt", "^", "_", "\\limits", "\\dot", "[", "]", "x", "12"]),
+    st.text(alphabet="ab1{}[]\\^_ \t", max_size=3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(symbols=st.lists(_SYMBOL, min_size=1, max_size=8, unique=True),
+       picks=st.lists(st.integers(0, 63), max_size=24))
+def test_accepted_vocabulary_round_trips(symbols, picks):
+    """A vocabulary refuses every symbol that emitted LaTeX cannot carry
+    back: over random symbols, whatever the constructor accepts emits every
+    repaired sequence of predictable and END ids as LaTeX that parses back
+    to it."""
+    try:
+        vocab = tokens._vocab_over(symbols)
+    except VocabMiss as err:
+        assert any(s.split() != [s] or s in ("{", "}") for s in symbols), err
+        return
+    ids = [*range(vocab.num_predictable), vocab.end_id]
+    seq = repair_groups([ids[p % len(ids)] for p in picks], vocab)
+    assert parse_latex(emit_latex(seq, vocab), vocab) == seq
+
+
+@pytest.mark.parametrize("symbol", ["{", "", "a b", " x", "x\t", "\n"])
+def test_unreadable_symbol_refused(symbol):
+    message = f"symbol {symbol!r} cannot be read back: empty, spaced or a brace"
+    with pytest.raises(VocabMiss, match=f"^{re.escape(message)}$"):
+        tokens._vocab_over([symbol, "x"])
