@@ -30,6 +30,7 @@ from .errors import (
     ShapeMismatch,
     StepMismatch,
     as_array,
+    as_pairs,
     as_scalar,
 )
 from .tokens import TokenVocab, _walk, gt_targets
@@ -256,7 +257,7 @@ def make_targets(
         raise ShapeMismatch(f"grid size {height}x{width} is negative")
     pred = [cid for cid in label if cid < vocab.num_predictable]  # ids are checked >= 0
     grid = np.full((height, width), vocab.none_id, dtype=np.int64)
-    pairs = sorted(as_array(assignment, (None, 2), "assignment", kinds="iu").tolist())
+    pairs = sorted(as_pairs(assignment, "assignment"))
     if (rows := [l for l, _ in pairs]) != list(range(len(pred))):
         raise ShapeMismatch(f"assignment rows {rows} are not 0..{len(pred) - 1} once each")
     pred_cells = []

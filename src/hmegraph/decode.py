@@ -18,8 +18,10 @@ can be inspected:
    docstring argues why one path search decides every weak edge.
    It prunes a weight matrix and edge mask, copied from the edge dict;
    :func:`decode_with_graph` hands over the matrix it scored, and builds
-   a dict only of the kept edges.  Weak edges are ranked only when strong
-   edges alone miss the end.
+   a dict only of the kept edges.  Weak edges are read only when strong
+   edges alone miss the end, and then a weak row is sorted only when the
+   path search takes an edge from it; one depth-first search, resumed
+   after each removal, breaks every cycle.
 5. :func:`longest_path` picks the maximum-weight start-to-end path and
    renders it back to LaTeX; a decode runs its core on pruning's lists.
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple
@@ -51,6 +53,7 @@ from .errors import (
     NonStochasticRow,
     NoPath,
     as_array,
+    as_pairs,
     as_scalar,
 )
 from . import tokens
@@ -327,19 +330,23 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     it would hold the weak edges kept before r, each of which lay on every
     path left, so P's edges below r, and otherwise only ranks above r,
     which together cost less than 2 ** (M - r); it would be cheaper than
-    P.  One search finds P (see :func:`_find_path`).  When strong edges
-    alone connect start to end, a plain search finds the path first, and
-    the weak edges are never even ranked.  The cycle phase keeps the path
-    found as a witness: a removal off it leaves the end reachable, so only
-    a removal on it searches for a new one.
+    P.  One search finds P (see :func:`_find_path`), and it orders only
+    the weak edges it reads.  When strong edges alone connect start to
+    end, a plain search finds the path first, and no weak edge is read.
+
+    The cycle phase is one depth-first search that resumes after each
+    removal (see :func:`_acyclic_order`).  It keeps the path found as a
+    witness: a removal off it leaves the end reachable, so only a removal
+    on it searches for a new one.
 
     The edges are copied into the weight matrix and edge mask that
     :func:`decode_with_graph` prunes, so neither the decisions nor the
     kept edges' order (by source, then target) follow the dict's order.
 
     Raises:
-        ShapeMismatch: an edge weight is not a real number (naming the
-            edge), or `epsilon` is not.
+        ShapeMismatch: an edge key is not a pair of integers, or an edge
+            weight is not a real number (naming the edge), or `epsilon` is
+            not.
         NodeCountMismatch: an edge end is neither the start, the end, nor
             a node's position within 1..n_slots.
         NonFinite: an edge weight is NaN or infinite, or `epsilon` is NaN.
@@ -357,13 +364,17 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
 
 
 def _check_graph(graph: ExprGraph) -> None:
-    """The gate of both graph readers.  Names the first edge with an end
-    that is not the start, the end, or a node's position within
-    1..n_slots; then, in one vectorised pass over the weights, the first
-    edge whose weight is not a real number, or is NaN or infinite, with
-    its place in the edges' order as the index."""
+    """The gate of every graph reader.  Names the first edge key that is
+    not a pair of integers; then the first edge with an end that is not
+    the start, the end, or a node's position within 1..n_slots; then, in
+    one vectorised pass over the weights, the first edge whose weight is
+    not a real number, or is NaN or infinite, with its place in the edges'
+    order as the index.  Keys that are tuples of two Python ints are
+    checked by passes over their types and lengths, with no conversion."""
+    keys = list(graph.edges)
+    pairs = as_pairs(keys, "edge keys", name=lambda i: f"edge key {keys[i]!r}")
     ends = {0, graph.eos, *(v for v in graph.nodes if 1 <= v <= graph.n_slots)}
-    if not ends.issuperset(itertools.chain.from_iterable(graph.edges)):
+    if not ends.issuperset(itertools.chain.from_iterable(pairs)):
         bad = next(e for e in graph.edges if not ends.issuperset(e))
         raise NodeCountMismatch(f"edge {bad}: an end is not 0, {graph.eos} or a node position")
     as_array(list(graph.edges.values()), (None,), "edge weights",
@@ -382,62 +393,64 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float):
 
     `weights[s, d]` is the float64 weight of s -> d, an edge exactly where
     the bool mask `valid` holds.  Strong edges, those not below `epsilon`,
-    become successor lists in ascending order.  Weak edges are ranked in
-    ascending ``(weight, src, dst)`` order only when strong edges alone do
-    not reach the end; then one search over both finds the path whose weak
-    edges are kept, as :func:`prune_and_acyclify` argues.  Returns the kept
+    become successor lists in ascending order.  Only when they do not
+    reach the end does one search over them and the weak edges find the
+    path whose weak edges are kept, as :func:`prune_and_acyclify` argues;
+    it reads the weak edges from a key matrix, their weights with -inf
+    elsewhere, and ranks only the rows it takes an edge from.  Then one
+    resumable depth-first search breaks every cycle.  Returns the kept
     edges as a dict by source and then target, as successor and weight
-    lists, and the last DFS postorder.  `epsilon` goes through the gate: a
-    NaN raises NonFinite, and an infinity makes every edge weak.
+    lists, and that search's postorder.  `epsilon` goes through the gate:
+    a NaN raises NonFinite, and an infinity makes every edge weak.
     """
     epsilon = as_scalar(epsilon, "epsilon", inf=True)
-    n = len(weights)
     below = weights < epsilon
-    live = _rows(n, *np.nonzero(valid & ~below))  # row-major
+    live = _rows(len(weights), *np.nonzero(valid & ~below))  # row-major
     witness = _find_path(live)
     if witness is None:
-        src, dst = np.nonzero(valid & below)  # row-major
-        # A stable sort by weight leaves ties in (src, dst) order; reversed,
-        # position 0 holds the highest rank.
-        by_rank = np.argsort(weights[src, dst], kind="stable")[::-1]
-        pos = np.full((n, n), len(by_rank))
-        pos[src[by_rank], dst[by_rank]] = np.arange(len(by_rank))
-        witness = _find_path(live, pos, dst[by_rank].tolist())
+        witness = _find_path(live, np.where(valid & below, weights, -math.inf))
         if witness is None:
             raise NoPath("virtual end unreachable before pruning")
         for s, d in witness:
             if d not in live[s]:  # a weak edge
                 insort(live[s], d)
 
-    cycle, order = _find_cycle(live)
-    while cycle is not None:
+    def cut(cycle):
+        # The lightest cycle edge whose removal keeps the end reachable.
+        # One always is: a simple path of `live` edges cannot hold a whole
+        # cycle, so some cycle edge lies off the witness.
+        nonlocal witness
         for _, (s, d) in sorted((weights.item(e), e) for e in cycle):
             live[s].remove(d)
             if (s, d) not in witness:
-                break
+                return s, d
             found = _find_path(live)
             if found is not None:
                 witness = found
-                break
+                return s, d
             insort(live[s], d)
-        # Always breaks: a simple path of `live` edges cannot hold a whole cycle.
-        cycle, order = _find_cycle(live)
+
+    order = _acyclic_order(live, cut)
     edges = {(s, d): weights.item(s, d) for s, out in enumerate(live) for d in out}
     ends = list(itertools.accumulate(map(len, live), initial=0))
     flat = list(edges.values())  # by source: row s is flat[ends[s]:ends[s + 1]]
     return edges, live, [flat[i:j] for i, j in zip(ends, ends[1:])], order
 
 
-def _find_path(live, pos=None, dst=None) -> set[tuple[int, int]] | None:
+def _find_path(live, key=None) -> set[tuple[int, int]] | None:
     """A start-to-end path over the kept edges `live`, and over weak edges
-    when `pos` is given; None when the end (the last vertex) is unreachable.
+    when `key` is given; None when the end (the last vertex) is unreachable.
 
-    Weak edge s -> d has position ``pos[s, d]``, 0 for the highest rank,
-    and target ``dst[pos[s, d]]``; a pair with no weak edge holds
-    ``len(dst)``.  The search reaches what kept edges reach, then takes
-    weak edges in Prim's order (1957): the best one out of the vertices
-    reached so far.  A reached vertex offers only its best weak edge, and
-    sorts the rest of its row only when that edge is taken.
+    ``key[s, d]`` is the weight of weak edge s -> d, and -inf where there
+    is none; weak edges rank in ``(weight, src, dst)`` order.  The search
+    reaches what kept edges reach, then takes weak edges in Prim's order
+    (1957): the highest-ranked one out of the vertices reached so far, from
+    a heap of ``(-weight, -src, -dst)``.  A reached vertex offers only its
+    best weak edge, found for every row at once by one argmax over the
+    reversed rows (a tie goes to the larger target), and sorts the rest of
+    its row, by one stable argsort of the negated reversed row, only when
+    that edge is taken.  So no vertex's row is read twice, and a row the
+    search never takes from is never sorted.
 
     This order finds the cheapest path of :func:`prune_and_acyclify`.
     Take a vertex v and the highest rank b that the lowest weak edge of a
@@ -450,9 +463,15 @@ def _find_path(live, pos=None, dst=None) -> set[tuple[int, int]] | None:
     keeps the same order.  By induction on reaching order and on rank,
     each part is the cheapest.  Returns the path's edges.
     """
-    end, none = len(live) - 1, len(dst or ())
+    end = len(live) - 1
+    if key is None:
+        best_w = [math.inf] * len(live)  # no weak edge offered
+    else:
+        rev = key[:, ::-1]  # reversed rows: argmax takes the last of tied weights
+        j = rev.argmax(axis=1)
+        best_w = (-rev[np.arange(len(live)), j]).tolist()
+        best_d = (j - end).tolist()  # the best target, negated
     pred = [-1] * len(live)  # -1: not reached yet
-    first = [none] * len(live) if pos is None else pos.min(axis=1).tolist()
     pred[0] = 0
     reached, heap, rest = [0], [], {}
     while True:
@@ -461,18 +480,19 @@ def _find_path(live, pos=None, dst=None) -> set[tuple[int, int]] | None:
                 if pred[x] < 0:
                     pred[x] = u
                     reached.append(x)
-            if first[u] < none:
-                heappush(heap, (first[u], u))
+            if best_w[u] < math.inf:
+                heappush(heap, (best_w[u], -u, best_d[u]))
         if pred[end] >= 0:
             break
         while heap:
-            p, u = heappop(heap)
+            _, u, v = heappop(heap)
+            u, v = -u, -v
             if u not in rest:  # u's best weak edge: sort the rest of its row
-                row = pos[u]
-                rest[u] = iter(np.sort(row[row < none])[1:].tolist())
-            if (q := next(rest[u], None)) is not None:
-                heappush(heap, (q, u))
-            v = dst[p]
+                neg = -key[u][::-1]
+                by_key = neg.argsort(kind="stable")[1:]
+                rest[u] = zip(neg[by_key].tolist(), (by_key - end).tolist())
+            if (q := next(rest[u], None)) is not None and q[0] < math.inf:  # a weak edge
+                heappush(heap, (q[0], -u, q[1]))
             if pred[v] < 0:
                 pred[v] = u
                 reached = [v]
@@ -486,11 +506,21 @@ def _find_path(live, pos=None, dst=None) -> set[tuple[int, int]] | None:
     return path
 
 
-def _find_cycle(succ: list[list[int]]):
-    """First directed cycle found by DFS over ascending vertices, as edges,
-    or None; and the pass's postorder, whose reverse is a topological order
-    when there is no cycle (Tarjan 1976).  Pruning keeps successor lists
-    sorted.  Iterative so deep graphs cannot exhaust the interpreter stack.
+def _acyclic_order(succ: list[list[int]], cut) -> list[int]:
+    """Postorder of one depth-first search over ascending vertices and
+    successors, whose reverse is a topological order (Tarjan 1976).
+
+    Each cycle the search meets goes to `cut` as its edges, the back edge
+    first: `cut` removes one of them, (s, d), from `succ` and returns it,
+    or raises.  The search then resumes instead of starting again: the
+    frames above s return to unseen, and s goes on from the successor
+    after d, found by bisection, so `succ`'s lists must be ascending when
+    `cut` returns.  A finished vertex cannot reach a vertex on the stack,
+    or that edge would have closed an earlier cycle, so it stays finished,
+    and the search meets the cycles that a fresh search after each removal
+    would meet, in the same order.  The cycle's start is found by walking
+    down from the top of the stack.  Iterative so deep graphs cannot
+    exhaust the interpreter stack.
     """
     color = [0] * len(succ)  # 0 unseen, 1 on the stack, 2 done
     order: list[int] = []
@@ -503,9 +533,16 @@ def _find_cycle(succ: list[list[int]]):
             u, it = stack[-1]
             for v in it:
                 if color[v] == 1:
-                    on_stack = [frame[0] for frame in stack]
-                    tail = on_stack[on_stack.index(v):]
-                    return [(u, v), *zip(tail, tail[1:])], order
+                    k = len(stack) - 1
+                    while stack[k][0] != v:
+                        k -= 1
+                    on_cycle = [frame[0] for frame in stack[k:]]
+                    s, d = cut([(u, v), *zip(on_cycle, on_cycle[1:])])
+                    while stack[-1][0] != s:
+                        color[stack.pop()[0]] = 0
+                    out = succ[s]
+                    stack[-1] = (s, iter(out[bisect_left(out, d):]))
+                    break
                 if color[v] == 0:
                     color[v] = 1
                     stack.append((v, iter(succ[v])))
@@ -514,7 +551,7 @@ def _find_cycle(succ: list[list[int]]):
                 color[u] = 2
                 order.append(u)
                 stack.pop()
-    return None, order
+    return order
 
 
 def longest_path(graph: ExprGraph, vocab: TokenVocab) -> PathResult:
@@ -529,8 +566,9 @@ def longest_path(graph: ExprGraph, vocab: TokenVocab) -> PathResult:
     closes groups left open at the end.
 
     Raises:
-        ShapeMismatch: an edge weight is not a real number (naming the
-            edge), or a node's class id is not an integer.
+        ShapeMismatch: an edge key is not a pair of integers, an edge
+            weight is not a real number (naming the edge), or a node's
+            class id is not an integer.
         NodeCountMismatch: an edge end is neither the start, the end, nor
             a node's position within 1..n_slots.
         NonFinite: an edge weight is NaN or infinite.
@@ -545,10 +583,11 @@ def longest_path(graph: ExprGraph, vocab: TokenVocab) -> PathResult:
     for (s, d), w in graph.edges.items():
         succ[s].append(d)
         wts[s].append(w)
-    cycle, order = _find_cycle(succ)
-    if cycle is not None:
+
+    def refuse(cycle):
         raise CycleDetected("expression graph still holds a cycle")
-    return _best_path(graph.nodes, succ, wts, order, vocab)
+
+    return _best_path(graph.nodes, succ, wts, _acyclic_order(succ, refuse), vocab)
 
 
 def _best_path(nodes, succ, wts, order, vocab: TokenVocab) -> PathResult:

@@ -5,9 +5,10 @@ can catch one base type at API boundaries (the CLI maps them to exit code 1).
 
 Every exported function checks each argument once, at entry, through
 :func:`as_array` for an array, :func:`as_ints` for a sequence of integers
-(class ids, a path of graph positions), and :func:`as_scalar` for a
-number, a string or a path, so a fault raises one class wherever it is
-found:
+(class ids, a path of graph positions), :func:`as_pairs` for a sequence of
+integer pairs (an assignment, a graph's edge keys), and :func:`as_scalar`
+for a number, a string or a path, so a fault raises one class wherever it
+is found:
 
 - a wrong element type, dtype or argument type (a list of strings for a
   grid, ``"0.5"`` for a threshold, None for a LaTeX string):
@@ -30,11 +31,13 @@ it meets the same outcome as that array.  Three faults stay builtin:
   :class:`~hmegraph.assignment.PgdLoss`) but is something else, or is one
   built with fields of the wrong type: it is read by attribute and fails
   where it is first read.  An :class:`~hmegraph.decode.ExprGraph`'s edges
-  are the exception: both graph readers check that every end is the
-  start, the end or a node's position, and that every weight is a finite
-  real number.
+  are the exception: every reader of a graph (``longest_path``,
+  ``prune_and_acyclify``, ``export_dot``) checks that every key is a pair
+  of integers, that every end is the start, the end or a node's position,
+  and that every weight is a finite real number.
 """
 
+import itertools
 import numbers
 
 import numpy as np
@@ -247,6 +250,24 @@ def as_ints(seq, what: str) -> list:
     if type(seq) is list and set(map(type, seq)) <= {int}:
         return seq
     return as_array(seq, (None,), what, kinds="iu").tolist()
+
+
+def as_pairs(seq, what: str, name=None) -> list:
+    """`seq` as a list of integer pairs, checked as :func:`as_array` checks
+    an (n, 2) integer array.  A list of 2-tuples of Python ints, as
+    ``hungarian`` returns and a graph's edge keys are, comes back as
+    itself: passes over the types and lengths replace the conversion.
+
+    `name` maps an element's index to its name, as ``"edge key (0, 1.0)"``;
+    with it, each element is checked on its own as a 1-d array of two
+    integers, so a fault names the element.
+    """
+    if (type(seq) is list and set(map(type, seq)) <= {tuple} and set(map(len, seq)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(seq))) <= {int}):
+        return seq
+    if name is None:
+        return as_array(seq, (None, 2), what, kinds="iu").tolist()
+    return [as_array(pair, (2,), name(i), kinds="iu").tolist() for i, pair in enumerate(seq)]
 
 
 def as_scalar(x, what: str, kind=numbers.Real, inf: bool = False):

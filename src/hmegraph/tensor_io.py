@@ -21,6 +21,7 @@ import struct
 
 import numpy as np
 
+from .decode import _check_graph
 from .errors import BadMagic, DimOverflow, TruncatedPayload, as_array, as_ints, as_scalar
 
 MAGIC = b"NAMT"
@@ -117,9 +118,15 @@ def export_dot(graph, vocab, highlight: tuple | list = ()) -> str:
     Consecutive pairs from `highlight` (a winning path) are drawn bold.
 
     Raises:
-        ShapeMismatch: `highlight` is not a sequence of integers.
+        ShapeMismatch: `highlight` is not a sequence of integers, an edge
+            key is not a pair of integers, or an edge weight is not a real
+            number (naming the edge).
+        NodeCountMismatch: an edge end is neither the start, the end, nor
+            a node's position within 1..n_slots.
+        NonFinite: an edge weight is NaN or infinite.
         VocabMiss: a node's class id is outside the vocabulary.
     """
+    _check_graph(graph)
     highlight = as_ints(highlight, "highlight")
     bold = {(highlight[k], highlight[k + 1]) for k in range(len(highlight) - 1)}
 

@@ -41,6 +41,12 @@ def graph(weight=0.9):
     return ExprGraph(nodes, edges, n_slots=2)
 
 
+def keyed(key):
+    """graph() with one more edge, under `key`."""
+    g = graph()
+    return ExprGraph(g.nodes, {**g.edges, key: 0.5}, g.n_slots)
+
+
 def nodes():
     return hmegraph.expand_imaginary(hmegraph.vat_extract(SAMPLE.probs, VOCAB), VOCAB)
 
@@ -354,9 +360,15 @@ def test_strategy_meets_the_contract(name, arg, label, tmp_path):
     lambda: hmegraph.make_sample(LABEL, VOCAB, grid_dims="10x24"),
     lambda: hmegraph.gt_targets("abc"),
     lambda: hmegraph.longest_path(graph("0.9"), VOCAB),
+    lambda: hmegraph.longest_path(keyed((2, 1.0)), VOCAB),
+    lambda: hmegraph.prune_and_acyclify(keyed((2, 1.0))),
+    lambda: hmegraph.longest_path(keyed((0, 1, 2)), VOCAB),
+    lambda: hmegraph.prune_and_acyclify(keyed((0, 1, 2))),
+    lambda: hmegraph.export_dot(graph("0.9"), VOCAB),
 ], ids=["object P", "complex P", "str epsilon", "None alpha", "complex cost", "str cost",
         "float id", "str id", "None latex", "str tensor", "str grid", "str label",
-        "str weight"])
+        "str weight", "float key path", "float key prune", "triple key path",
+        "triple key prune", "str weight dot"])
 def test_named_fault(call):
     """Each of these once raised a builtin error or was accepted."""
     with pytest.raises(HmeGraphError):

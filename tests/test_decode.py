@@ -1,9 +1,11 @@
 """Graph decoding: extraction, expansion, corrections, pruning, best path."""
 
+import heapq
 import math
 import random
 import re
 import warnings
+from bisect import insort
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from hmegraph import (
     emit_latex,
     estimate_positions,
     expand_imaginary,
+    export_dot,
     gen_expression,
     group_structure,
     gt_targets,
@@ -492,6 +495,32 @@ def test_bad_edge_end_named(vocab, stage, n_slots, bad, w):
         stage(*args)
 
 
+
+GRAPH_READERS = {
+    "prune_and_acyclify": lambda graph, vocab: prune_and_acyclify(graph),
+    "longest_path": lambda graph, vocab: longest_path(graph, vocab),
+    "export_dot": lambda graph, vocab: export_dot(graph, vocab),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(GRAPH_READERS))
+@pytest.mark.parametrize("key", [(2, 1.0), (0, 1, 2), (1,), 5, "ab", (None, 2)],
+                         ids=["float_end", "triple", "single", "int", "str", "none_end"])
+def test_bad_edge_key_named(vocab, reader, key):
+    """An edge key that is not a pair of integers raises ShapeMismatch
+    naming the key in every graph reader, even when each of its ends is a
+    valid position.  A key of numpy integers reads as the pair of ints it
+    equals."""
+    nodes = {1: Node(0, 0, 0, index=1), 2: Node(0, 0, 1, index=2)}
+    edges = {(0, 1): 0.9, (1, 2): 0.8, (2, 3): 0.7}
+    read = GRAPH_READERS[reader]
+    with pytest.raises(ShapeMismatch, match=re.escape(f"edge key {key!r}")) as exc:
+        read(ExprGraph(nodes, {**edges, key: 0.5}, 2), vocab)
+    assert type(exc.value) is ShapeMismatch
+    numpy_keys = {(np.int64(s), np.int64(d)): w for (s, d), w in edges.items()}
+    want = read(ExprGraph(nodes, edges, 2), vocab)
+    assert read(ExprGraph(nodes, numpy_keys, 2), vocab) == want
+
 def dyadic_stochastic(rng, n):
     """Rows of eighths: exact sums, and many ties between weights."""
     m = np.zeros((n, n))
@@ -649,10 +678,10 @@ class TestPruneMatchesOracle:
     def test_worst_case_search_gate(self, vocab, monkeypatch):
         """With no strong edge, and so no cycle to break, a decode makes
         exactly two path searches however many weak edges it keeps: one
-        over strong edges, one over all.  It reads at most N + 2 weak rows.
-        The inputs: a chain of weak edges and uniform rows over N = 40 to
-        320 nodes, and an 87-node temperature sample that still decodes to
-        its label."""
+        over strong edges, one over all.  It reads at most N + 2 rows of
+        the weak key matrix one at a time.  The inputs: a chain of weak
+        edges and uniform rows over N = 40 to 320 nodes, and an 87-node
+        temperature sample that still decodes to its label."""
         searches = count_calls(monkeypatch, "_find_path")
         find_path, rows_read = decode._find_path, [0]
 
@@ -661,8 +690,8 @@ class TestPruneMatchesOracle:
                 rows_read[0] += isinstance(key, int)  # one vertex's row
                 return super().__getitem__(key)
 
-        def counted(live, pos=None, dst=None):
-            return find_path(live, None if pos is None else pos.view(CountedRows), dst)
+        def counted(live, key=None):
+            return find_path(live, None if key is None else key.view(CountedRows))
 
         monkeypatch.setattr(decode, "_find_path", counted)
 
@@ -693,6 +722,196 @@ class TestPruneMatchesOracle:
         assert n == 87
         result = gate(n, sample.probs, sample.self_probs, sample.left, sample.right)
         assert result.latex == latex
+
+
+def frozen_prune(weights, valid, epsilon):
+    """`decode._prune` as it stood before weak rows were ranked only where
+    the path search reads them and before the cycle phase resumed its
+    search: a reference the rewrite must match edge for edge.  Returns
+    the kept edges, successor and weight lists, and the postorder of the
+    last depth-first pass."""
+    n = len(weights)
+    below = weights < epsilon
+
+    def rows(src, values):
+        bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+        values = values.tolist()
+        return [values[i:j] for i, j in zip(bounds, bounds[1:])]
+
+    def find_path(live, pos=None, dst=None):
+        end, none = len(live) - 1, len(dst or ())
+        pred = [-1] * len(live)
+        first = [none] * len(live) if pos is None else pos.min(axis=1).tolist()
+        pred[0] = 0
+        reached, heap, rest = [0], [], {}
+        while True:
+            for u in reached:
+                for x in live[u]:
+                    if pred[x] < 0:
+                        pred[x] = u
+                        reached.append(x)
+                if first[u] < none:
+                    heapq.heappush(heap, (first[u], u))
+            if pred[end] >= 0:
+                break
+            while heap:
+                p, u = heapq.heappop(heap)
+                if u not in rest:
+                    row = pos[u]
+                    rest[u] = iter(np.sort(row[row < none])[1:].tolist())
+                if (q := next(rest[u], None)) is not None:
+                    heapq.heappush(heap, (q, u))
+                v = dst[p]
+                if pred[v] < 0:
+                    pred[v] = u
+                    reached = [v]
+                    break
+            else:
+                return None
+        path, v = set(), end
+        while v:
+            path.add((pred[v], v))
+            v = pred[v]
+        return path
+
+    def find_cycle(succ):
+        color = [0] * len(succ)
+        order = []
+        for start in range(len(succ)):
+            if color[start]:
+                continue
+            color[start] = 1
+            stack = [(start, iter(succ[start]))]
+            while stack:
+                u, it = stack[-1]
+                for v in it:
+                    if color[v] == 1:
+                        on_stack = [frame[0] for frame in stack]
+                        tail = on_stack[on_stack.index(v):]
+                        return [(u, v), *zip(tail, tail[1:])], order
+                    if color[v] == 0:
+                        color[v] = 1
+                        stack.append((v, iter(succ[v])))
+                        break
+                else:
+                    color[u] = 2
+                    order.append(u)
+                    stack.pop()
+        return None, order
+
+    live = rows(*np.nonzero(valid & ~below))
+    witness = find_path(live)
+    if witness is None:
+        src, dst = np.nonzero(valid & below)
+        by_rank = np.argsort(weights[src, dst], kind="stable")[::-1]
+        pos = np.full((n, n), len(by_rank))
+        pos[src[by_rank], dst[by_rank]] = np.arange(len(by_rank))
+        witness = find_path(live, pos, dst[by_rank].tolist())
+        if witness is None:
+            raise NoPath("virtual end unreachable before pruning")
+        for s, d in witness:
+            if d not in live[s]:
+                insort(live[s], d)
+    cycle, order = find_cycle(live)
+    while cycle is not None:
+        for _, (s, d) in sorted((weights.item(e), e) for e in cycle):
+            live[s].remove(d)
+            if (s, d) not in witness:
+                break
+            found = find_path(live)
+            if found is not None:
+                witness = found
+                break
+            insort(live[s], d)
+        cycle, order = find_cycle(live)
+    edges = {(s, d): weights.item(s, d) for s, out in enumerate(live) for d in out}
+    return edges, live, [[weights.item(s, d) for d in out] for s, out in enumerate(live)], order
+
+
+def random_weight_matrix(rng):
+    """A weight matrix and edge mask over up to 30 nodes plus start and
+    end, as `_prune` takes them, and the positions holding a node: weights
+    in eighths, so that weak edges tie, at a density that leaves some ends
+    unreachable, some reached by weak edges only and many graphs with
+    cycles.  `rng` is a numpy Generator."""
+    n = int(rng.integers(1, 31))
+    alive = rng.random(n + 2) < 0.85
+    alive[[0, n + 1]] = True
+    valid = (rng.random((n + 2, n + 2)) < rng.uniform(0.05, 0.5)) & alive[:, None] & alive
+    valid[:, 0] = valid[n + 1] = valid[0, n + 1] = False
+    np.fill_diagonal(valid, False)
+    weights = np.where(valid, rng.integers(0, 9, (n + 2, n + 2)) / 8.0, 0.0)
+    return weights, valid, np.flatnonzero(alive[1:-1]) + 1
+
+
+def strong_cycle_chain(n, back=0.8):
+    """`_prune` inputs for a chain 0 -> 1 -> ... -> n + 1 of strong edges
+    (0.9) with a strong edge back from each node to the one before it
+    (`back`), so n - 1 two-cycles."""
+    weights = np.zeros((n + 2, n + 2))
+    for i in range(n + 1):
+        weights[i, i + 1] = 0.9
+    for i in range(1, n):
+        weights[i + 1, i] = back
+    return weights, weights > 0
+
+
+class TestCyclePhase:
+    def test_matches_frozen_prune(self, vocab):
+        """On 20,000 random graphs the kept edges, in order and weight, the
+        successor lists and the best path match the reference's; the
+        postorders may differ, and the best path does not read it."""
+        rng = np.random.default_rng(20261019)
+        x = vocab.id_of("x")
+        seen = {"nopath": 0, "weak_kept": 0, "cycle_broken": 0, "strong_reaches_end": 0}
+        for trial in range(20000):
+            weights, valid, nodes = random_weight_matrix(rng)
+            eps = float(rng.choice([0.25, 0.5, 0.75]))
+            try:
+                want = frozen_prune(weights, valid, eps)
+            except NoPath:
+                with pytest.raises(NoPath):
+                    decode._prune(weights, valid, eps)
+                seen["nopath"] += 1
+                continue
+            got = decode._prune(weights, valid, eps)
+            assert [(e, repr(w)) for e, w in got[0].items()] == [
+                (e, repr(w)) for e, w in want[0].items()], f"trial {trial}"
+            assert got[1:3] == want[1:3], f"trial {trial}"
+            nodes = {i: Node(x, 0, i, index=i) for i in nodes.tolist()}
+            got_path, want_path = (decode._best_path(nodes, *side[1:], vocab)
+                                   for side in (got, want))
+            assert (got_path.path, repr(got_path.weight), got_path.latex) == (
+                want_path.path, repr(want_path.weight), want_path.latex), f"trial {trial}"
+            # A weak edge is kept exactly when strong edges alone miss the end.
+            weak_kept = any(w < eps for w in got[0].values())
+            seen["weak_kept"] += weak_kept
+            seen["strong_reaches_end"] += not weak_kept
+            strong = zip(*np.nonzero(valid & (weights >= eps)))
+            seen["cycle_broken"] += any(e not in got[0] for e in strong)
+        assert min(seen.values()) >= 1000, seen
+
+    @pytest.mark.parametrize("back", [0.8, 0.95])
+    def test_linear_frames_on_cycle_chain(self, vocab, monkeypatch, back):
+        """On a chain of N - 1 strong two-cycles, N = 40 to 640, the cycle
+        phase pushes at most 2 (V + E) depth-first frames over a whole
+        prune, where a search restarted after each removal pushed about
+        N ** 2 / 2.  The chain keeps exactly its forward edges, whether
+        the back edges are the lighter (each removal off the witness) or
+        the heavier (each removal tried on it first)."""
+        frames = [0]
+
+        def counted_iter(successors):
+            frames[0] += 1
+            return iter(successors)
+
+        monkeypatch.setattr(decode, "iter", counted_iter, raising=False)
+        for n in (40, 80, 160, 320, 640):
+            weights, valid = strong_cycle_chain(n, back)
+            frames[0] = 0
+            edges = decode._prune(weights, valid, 0.5)[0]
+            assert list(edges) == [(i, i + 1) for i in range(n + 1)]
+            assert frames[0] <= 2 * ((n + 2) + int(valid.sum())), (n, frames[0])
 
 
 def dense_decode_inputs(rng, vocab):
@@ -775,27 +994,42 @@ class TestDecodePruneMatchesAdapter:
         """Decoding the benchmark's default profiles never builds the dense
         edge dict nor prunes through it, takes the path from pruning's
         lists without `longest_path` or a second edge-end check, and makes
-        one depth-first pass per removed cycle edge, plus the one that
-        finds no cycle."""
+        one depth-first search, which meets exactly one cycle per removed
+        cycle edge."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("dict-based stage on the decode path")
 
         for name in ("build_graph", "prune_and_acyclify", "longest_path", "_check_graph"):
             monkeypatch.setattr(decode, name, refuse)
-        passes = count_calls(monkeypatch, "_find_cycle")
+        searches, cycles, cuts = [], [], []
+        acyclic_order = decode._acyclic_order
+
+        def recorded(succ, cut):
+            searches.append(succ)
+
+            def counted(cycle):
+                cycles.append(cycle)
+                cuts.append(cut(cycle))
+                return cuts[-1]
+
+            return acyclic_order(succ, counted)
+
+        monkeypatch.setattr(decode, "_acyclic_order", recorded)
         profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
                     NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
         removed_total = 0
         for k, sample in enumerate(bench_samples(vocab, profiles, 100, 80000)):
-            passes.clear()
+            for seen in (searches, cycles, cuts):
+                seen.clear()
             result, pruned = decode_with_graph(sample.probs, sample.self_probs,
                                                sample.left, sample.right, vocab)
             # Every cycle edge missing from the kept edges was removed by
-            # the cycle phase, which removes one edge per cycle it finds.
-            cycles = [cycle for cycle, _ in passes if cycle is not None]
+            # the cycle phase, which removes one edge per cycle it meets.
             removed = {e for cycle in cycles for e in cycle} - pruned.edges.keys()
-            assert len(passes) == len(removed) + 1, f"sample {k}"
+            assert len(searches) == 1, f"sample {k}"
+            assert len(cycles) == len(removed) == len(set(cuts)), f"sample {k}"
+            assert set(cuts) == removed, f"sample {k}"
             removed_total += len(removed)
             if k % 5 == 0:  # quiet
                 assert result.latex == emit_latex(sample.seq, vocab)
