@@ -495,7 +495,6 @@ def test_bad_edge_end_named(vocab, stage, n_slots, bad, w):
         stage(*args)
 
 
-
 GRAPH_READERS = {
     "prune_and_acyclify": lambda graph, vocab: prune_and_acyclify(graph),
     "longest_path": lambda graph, vocab: longest_path(graph, vocab),
@@ -509,8 +508,8 @@ GRAPH_READERS = {
 def test_bad_edge_key_named(vocab, reader, key):
     """An edge key that is not a pair of integers raises ShapeMismatch
     naming the key in every graph reader, even when each of its ends is a
-    valid position.  A key of numpy integers reads as the pair of ints it
-    equals."""
+    valid position.  Keys of numpy integers read as the pairs of ints they
+    equal, to the same result."""
     nodes = {1: Node(0, 0, 0, index=1), 2: Node(0, 0, 1, index=2)}
     edges = {(0, 1): 0.9, (1, 2): 0.8, (2, 3): 0.7}
     read = GRAPH_READERS[reader]
@@ -520,6 +519,7 @@ def test_bad_edge_key_named(vocab, reader, key):
     numpy_keys = {(np.int64(s), np.int64(d)): w for (s, d), w in edges.items()}
     want = read(ExprGraph(nodes, edges, 2), vocab)
     assert read(ExprGraph(nodes, numpy_keys, 2), vocab) == want
+
 
 def dyadic_stochastic(rng, n):
     """Rows of eighths: exact sums, and many ties between weights."""
@@ -859,8 +859,8 @@ def strong_cycle_chain(n, back=0.8):
 class TestCyclePhase:
     def test_matches_frozen_prune(self, vocab):
         """On 20,000 random graphs the kept edges, in order and weight, the
-        successor lists and the best path match the reference's; the
-        postorders may differ, and the best path does not read it."""
+        successor lists and the best path match the reference's.  The
+        postorders may differ: the best path does not depend on them."""
         rng = np.random.default_rng(20261019)
         x = vocab.id_of("x")
         seen = {"nopath": 0, "weak_kept": 0, "cycle_broken": 0, "strong_reaches_end": 0}
