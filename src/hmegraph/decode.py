@@ -16,19 +16,21 @@ can be inspected:
    the two neighbor heads, then :func:`prune_and_acyclify` removes weak
    edges and breaks cycles, never disconnecting start from end; its
    docstring argues why one path search decides every weak edge.
-   It prunes a weight matrix and edge mask, copied from the edge dict;
-   :func:`decode_with_graph` hands over the matrix it scored, and builds
-   a dict only of the kept edges.  Weak edges are read only when strong
-   edges alone miss the end, and then a weak row is sorted only when the
-   path search takes an edge from it; one depth-first search, resumed
-   after each removal, breaks every cycle.
+   Pruning runs on a weight matrix and an edge mask.  Weak edges are read
+   only when strong edges alone miss the end, and then a weak row is
+   sorted only when the path search takes an edge from it; one
+   depth-first search, resumed after each removal, breaks every cycle.
+   It gives the kept edges as one dict of weights, with successor lists
+   and that search's postorder.
 5. :func:`longest_path` picks the maximum-weight start-to-end path and
-   renders it back to LaTeX; a decode runs its core on pruning's lists.
+   renders it back to LaTeX, reading each weight from the edge dict.
 
-Each of steps 1-3 is a thin wrapper that builds :class:`Node` objects
-from a private core on flat lists of class ids, rows, columns and
-parents.  :func:`decode_with_graph` runs those cores directly, so it
-builds a Node only for a node that survives corrections.
+Steps 1-3 build :class:`Node` objects, each from a private core on flat
+lists of class ids, rows, columns and parents.  :func:`decode_with_graph`
+runs those cores, prunes the weight matrix it scored, and runs the path
+search on pruning's successor lists and kept-edge dict: it builds a Node
+only for a node that survives corrections, and a dict entry only for a
+kept edge.
 
 Node indices are stable throughout: after expansion, node i sits at graph
 position i+1, the virtual start at 0, the virtual end at N+1.  Score
@@ -339,7 +341,7 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     witness: a removal off it leaves the end reachable, so only a removal
     on it searches for a new one.
 
-    The edges are copied into the weight matrix and edge mask that
+    The edges are written into a weight matrix and an edge mask, the form
     :func:`decode_with_graph` prunes, so neither the decisions nor the
     kept edges' order (by source, then target) follow the dict's order.
 
@@ -347,8 +349,8 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
         ShapeMismatch: an edge key is not a pair of integers, or an edge
             weight is not a real number (naming the edge), or `epsilon` is
             not.
-        NodeCountMismatch: an edge end is neither the start, the end, nor
-            a node's position within 1..n_slots.
+        NodeCountMismatch: n_slots is negative, or an edge end is neither
+            the start, the end, nor a node's position within 1..n_slots.
         NonFinite: an edge weight is NaN or infinite, or `epsilon` is NaN.
             An infinite `epsilon` makes every edge weak.
         NoPath: the end was unreachable before pruning started.
@@ -363,14 +365,18 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     return ExprGraph(dict(graph.nodes), _prune(weights, valid, epsilon)[0], graph.n_slots)
 
 
-def _check_graph(graph: ExprGraph) -> None:
-    """The gate of every graph reader.  Names the first edge key that is
-    not a pair of integers; then the first edge with an end that is not
-    the start, the end, or a node's position within 1..n_slots; then, in
-    one vectorised pass over the weights, the first edge whose weight is
-    not a real number, or is NaN or infinite, with its place in the edges'
-    order as the index.  Keys that are tuples of two Python ints are
-    checked by passes over their types and lengths, with no conversion."""
+def _check_graph(graph: ExprGraph) -> list:
+    """The gate of every graph reader.  Refuses a negative n_slots; then
+    names the first edge key that is not a pair of integers; then the
+    first edge with an end that is not the start, the end, or a node's
+    position within 1..n_slots; then, in one vectorised pass over the
+    weights, the first edge whose weight is not a real number, or is NaN
+    or infinite, with its place in the edges' order as the index.  Keys
+    that are tuples of two Python ints are checked by passes over their
+    types and lengths, with no conversion.  Returns the keys, in the
+    edges' order, as pairs of Python ints."""
+    if graph.n_slots < 0:
+        raise NodeCountMismatch(f"n_slots is {graph.n_slots}, below 0")
     keys = list(graph.edges)
     pairs = as_pairs(keys, "edge keys", name=lambda i: f"edge key {keys[i]!r}")
     ends = {0, graph.eos, *(v for v in graph.nodes if 1 <= v <= graph.n_slots)}
@@ -379,6 +385,7 @@ def _check_graph(graph: ExprGraph) -> None:
         raise NodeCountMismatch(f"edge {bad}: an end is not 0, {graph.eos} or a node position")
     as_array(list(graph.edges.values()), (None,), "edge weights",
              name=lambda i: f"edge {next(itertools.islice(graph.edges, i, None))}: weight")
+    return pairs
 
 
 def _rows(n: int, src: np.ndarray, values: np.ndarray) -> list[list[int]]:
@@ -399,7 +406,7 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float):
     it reads the weak edges from a key matrix, their weights with -inf
     elsewhere, and ranks only the rows it takes an edge from.  Then one
     resumable depth-first search breaks every cycle.  Returns the kept
-    edges as a dict by source and then target, as successor and weight
+    edges as a dict of weights, by source and then target, the successor
     lists, and that search's postorder.  `epsilon` goes through the gate:
     a NaN raises NonFinite, and an infinity makes every edge weak.
     """
@@ -431,10 +438,7 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float):
             insort(live[s], d)
 
     order = _acyclic_order(live, cut)
-    edges = {(s, d): weights.item(s, d) for s, out in enumerate(live) for d in out}
-    ends = list(itertools.accumulate(map(len, live), initial=0))
-    flat = list(edges.values())  # by source: row s is flat[ends[s]:ends[s + 1]]
-    return edges, live, [flat[i:j] for i, j in zip(ends, ends[1:])], order
+    return {(s, d): weights.item(s, d) for s, out in enumerate(live) for d in out}, live, order
 
 
 def _find_path(live, key=None) -> set[tuple[int, int]] | None:
@@ -560,40 +564,42 @@ def longest_path(graph: ExprGraph, vocab: TokenVocab) -> PathResult:
     Runs in O(V + E) over the reverse postorder of a depth-first search,
     which also finds any cycle.  When two predecessors give a node the same
     distance, the smaller graph position wins, whatever order they are
-    relaxed in, so the edges' order cannot change the result.  The winning
-    node sequence renders to LaTeX, every path: :func:`repair_groups`
-    drops unopened ENDs and any ``]`` that would end a \\sqrt index, and
-    closes groups left open at the end.
+    relaxed in, so the edges' order cannot change the result.  The search
+    runs on successor lists built from the checked edge keys, as Python
+    ints, and reads each weight from ``graph.edges``.  The winning node
+    sequence renders to LaTeX, every path over classes that have a
+    spelling: :func:`repair_groups` drops unopened ENDs and any ``]`` that
+    would end a \\sqrt index, and closes groups left open at the end.
 
     Raises:
         ShapeMismatch: an edge key is not a pair of integers, an edge
             weight is not a real number (naming the edge), or a node's
             class id is not an integer.
-        NodeCountMismatch: an edge end is neither the start, the end, nor
-            a node's position within 1..n_slots.
+        NodeCountMismatch: n_slots is negative, or an edge end is neither
+            the start, the end, nor a node's position within 1..n_slots.
         NonFinite: an edge weight is NaN or infinite.
         CycleDetected: the graph is not acyclic.
         NoPath: no start-to-end path exists.
         VocabMiss: a node's class id is outside the vocabulary.
+        IllNested: the path holds a node of a reserved class (``<none>``,
+            ``<sos>`` or ``<eos>``), which no LaTeX spells.
     """
-    _check_graph(graph)
-    vocab.check_ids([node.class_id for node in graph.nodes.values()])
     succ: list[list[int]] = [[] for _ in range(graph.n_slots + 2)]
-    wts: list[list[float]] = [[] for _ in succ]
-    for (s, d), w in graph.edges.items():
+    for s, d in _check_graph(graph):
         succ[s].append(d)
-        wts[s].append(w)
+    vocab.check_ids([node.class_id for node in graph.nodes.values()])
 
     def refuse(cycle):
         raise CycleDetected("expression graph still holds a cycle")
 
-    return _best_path(graph.nodes, succ, wts, _acyclic_order(succ, refuse), vocab)
+    return _best_path(graph.nodes, succ, graph.edges, _acyclic_order(succ, refuse), vocab)
 
 
-def _best_path(nodes, succ, wts, order, vocab: TokenVocab) -> PathResult:
-    """:func:`longest_path` on successor and weight lists, over nodes whose
-    class ids are range-checked.  Walking the DFS postorder `order`
-    backwards relaxes a vertex after all its predecessors."""
+def _best_path(nodes, succ, edges, order, vocab: TokenVocab) -> PathResult:
+    """:func:`longest_path` on successor lists `succ` and the edge dict
+    `edges`, where each weight is read, over nodes whose class ids are
+    range-checked.  Walking the DFS postorder `order` backwards relaxes a
+    vertex after all its predecessors."""
     n = len(succ)
     dist = [0.0] + [-math.inf] * (n - 1)
     pred = [n] * n  # n: no predecessor yet, larger than any position
@@ -601,8 +607,8 @@ def _best_path(nodes, succ, wts, order, vocab: TokenVocab) -> PathResult:
         du = dist[u]
         if du == -math.inf:
             continue
-        for v, w in zip(succ[u], wts[u]):
-            cand = du + w
+        for v in succ[u]:
+            cand = du + edges[u, v]
             if cand > dist[v] or (cand == dist[v] and u < pred[v]):
                 dist[v] = cand
                 pred[v] = u
@@ -635,7 +641,8 @@ def decode_with_graph(
     steps 1-3 give.  But extraction, expansion and corrections run on flat
     lists, and the weight matrix and edge mask go straight into the
     pruning core, so only the surviving nodes and the kept edges become
-    Python objects; the path search runs on pruning's successor lists.
+    Python objects; the path search runs on pruning's successor lists and
+    reads weights from the kept-edge dict that the graph returns.
 
     Raises:
         ShapeMismatch: an array is not real (numbers, not objects, text or
@@ -654,5 +661,5 @@ def decode_with_graph(
     left = as_array(left, (n + 2, n + 2), "left neighbor scores", counts=(0, 1), finite=False)
     kept = _correct(rows, cols, parents, self_probs, vocab)
     weights, valid = _edge_weights(kept, left, right, alpha_l2r, alpha_r2l)
-    edges, live, wts, order = _prune(weights, valid, epsilon)
-    return _best_path(kept, live, wts, order, vocab), ExprGraph(kept, edges, n)
+    edges, live, order = _prune(weights, valid, epsilon)
+    return _best_path(kept, live, edges, order, vocab), ExprGraph(kept, edges, n)

@@ -31,10 +31,11 @@ it meets the same outcome as that array.  Three faults stay builtin:
   :class:`~hmegraph.assignment.PgdLoss`) but is something else, or is one
   built with fields of the wrong type: it is read by attribute and fails
   where it is first read.  An :class:`~hmegraph.decode.ExprGraph`'s edges
-  are the exception: every reader of a graph (``longest_path``,
-  ``prune_and_acyclify``, ``export_dot``) checks that every key is a pair
-  of integers, that every end is the start, the end or a node's position,
-  and that every weight is a finite real number.
+  and ``n_slots`` are the exception: every reader of a graph
+  (``longest_path``, ``prune_and_acyclify``, ``export_dot``) checks that
+  ``n_slots`` is not negative, that every key is a pair of integers, that
+  every end is the start, the end or a node's position, and that every
+  weight is a finite real number.
 """
 
 import itertools

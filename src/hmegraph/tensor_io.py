@@ -121,8 +121,8 @@ def export_dot(graph, vocab, highlight: tuple | list = ()) -> str:
         ShapeMismatch: `highlight` is not a sequence of integers, an edge
             key is not a pair of integers, or an edge weight is not a real
             number (naming the edge).
-        NodeCountMismatch: an edge end is neither the start, the end, nor
-            a node's position within 1..n_slots.
+        NodeCountMismatch: n_slots is negative, or an edge end is neither
+            the start, the end, nor a node's position within 1..n_slots.
         NonFinite: an edge weight is NaN or infinite.
         VocabMiss: a node's class id is outside the vocabulary.
     """

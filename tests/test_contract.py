@@ -365,12 +365,16 @@ def test_strategy_meets_the_contract(name, arg, label, tmp_path):
     lambda: hmegraph.longest_path(keyed((0, 1, 2)), VOCAB),
     lambda: hmegraph.prune_and_acyclify(keyed((0, 1, 2))),
     lambda: hmegraph.export_dot(graph("0.9"), VOCAB),
+    lambda: hmegraph.longest_path(
+        ExprGraph({1: Node(VOCAB.id_of("<sos>"), 0, 0, 1)}, {(0, 1): 0.9, (1, 2): 0.9}, 1), VOCAB),
 ], ids=["object P", "complex P", "str epsilon", "None alpha", "complex cost", "str cost",
         "float id", "str id", "None latex", "str tensor", "str grid", "str label",
         "str weight", "float key path", "float key prune", "triple key path",
-        "triple key prune", "str weight dot"])
+        "triple key prune", "str weight dot", "reserved class path"])
 def test_named_fault(call):
-    """Each of these once raised a builtin error or was accepted."""
+    """Each of these once raised a builtin error, was accepted, or raised
+    a fault its docstring did not name (a path through a reserved class,
+    which has no LaTeX spelling: IllNested)."""
     with pytest.raises(HmeGraphError):
         call()
 

@@ -1,6 +1,7 @@
 """Graph decoding: extraction, expansion, corrections, pruning, best path."""
 
 import heapq
+import json
 import math
 import random
 import re
@@ -503,6 +504,16 @@ GRAPH_READERS = {
 
 
 @pytest.mark.parametrize("reader", sorted(GRAPH_READERS))
+@pytest.mark.parametrize("n_slots, edges", [(-5, {}), (-2, {(0, -1): 0.9}), (-1, {})],
+                         ids=["empty", "edge_to_end", "end_is_start"])
+def test_negative_n_slots_named(vocab, reader, n_slots, edges):
+    """A negative n_slots, which would put the end at or before the start,
+    raises NodeCountMismatch naming it in every graph reader."""
+    with pytest.raises(NodeCountMismatch, match=re.escape(f"n_slots is {n_slots}")):
+        GRAPH_READERS[reader](ExprGraph({}, edges, n_slots), vocab)
+
+
+@pytest.mark.parametrize("reader", sorted(GRAPH_READERS))
 @pytest.mark.parametrize("key", [(2, 1.0), (0, 1, 2), (1,), 5, "ab", (None, 2)],
                          ids=["float_end", "triple", "single", "int", "str", "none_end"])
 def test_bad_edge_key_named(vocab, reader, key):
@@ -519,6 +530,19 @@ def test_bad_edge_key_named(vocab, reader, key):
     numpy_keys = {(np.int64(s), np.int64(d)): w for (s, d), w in edges.items()}
     want = read(ExprGraph(nodes, edges, 2), vocab)
     assert read(ExprGraph(nodes, numpy_keys, 2), vocab) == want
+
+
+def test_numpy_keyed_path_is_ints(vocab):
+    """A graph keyed by numpy integers gives a path of Python ints, which
+    serializes as JSON; an equality check on the path cannot tell an
+    ``np.int64`` entry from an int."""
+    nodes = {1: Node(0, 0, 0, index=1), 2: Node(0, 0, 1, index=2)}
+    edges = {(0, 1): 0.9, (1, 2): 0.8, (2, 3): 0.7, (0, 2): 0.2}
+    for int_type in (np.int64, np.int32, np.uint8):
+        keyed = {(int_type(s), int_type(d)): w for (s, d), w in edges.items()}
+        result = longest_path(ExprGraph(nodes, keyed, 2), vocab)
+        assert [type(v) for v in result.path] == [int] * 4, int_type
+        assert json.loads(json.dumps(result.path)) == [0, 1, 2, 3]
 
 
 def dyadic_stochastic(rng, n):
@@ -874,21 +898,21 @@ class TestCyclePhase:
                     decode._prune(weights, valid, eps)
                 seen["nopath"] += 1
                 continue
-            got = decode._prune(weights, valid, eps)
-            assert [(e, repr(w)) for e, w in got[0].items()] == [
+            edges, live, order = decode._prune(weights, valid, eps)
+            assert [(e, repr(w)) for e, w in edges.items()] == [
                 (e, repr(w)) for e, w in want[0].items()], f"trial {trial}"
-            assert got[1:3] == want[1:3], f"trial {trial}"
+            assert live == want[1], f"trial {trial}"
             nodes = {i: Node(x, 0, i, index=i) for i in nodes.tolist()}
-            got_path, want_path = (decode._best_path(nodes, *side[1:], vocab)
-                                   for side in (got, want))
+            got_path = decode._best_path(nodes, live, edges, order, vocab)
+            want_path = decode._best_path(nodes, want[1], want[0], want[3], vocab)
             assert (got_path.path, repr(got_path.weight), got_path.latex) == (
                 want_path.path, repr(want_path.weight), want_path.latex), f"trial {trial}"
             # A weak edge is kept exactly when strong edges alone miss the end.
-            weak_kept = any(w < eps for w in got[0].values())
+            weak_kept = any(w < eps for w in edges.values())
             seen["weak_kept"] += weak_kept
             seen["strong_reaches_end"] += not weak_kept
             strong = zip(*np.nonzero(valid & (weights >= eps)))
-            seen["cycle_broken"] += any(e not in got[0] for e in strong)
+            seen["cycle_broken"] += any(e not in edges for e in strong)
         assert min(seen.values()) >= 1000, seen
 
     @pytest.mark.parametrize("back", [0.8, 0.95])

@@ -109,6 +109,11 @@ class TestLayout:
         with pytest.raises(GridTooSmall):
             make_sample("\\frac { \\frac { a } { b } } { c }", vocab, (3, 3))
 
+    @pytest.mark.parametrize("dims", [(-1, 10), (3, -2)])
+    def test_negative_grid_side(self, vocab, dims):
+        with pytest.raises(GridTooSmall, match="negative side"):
+            make_sample("x + y", vocab, dims)
+
     @pytest.mark.parametrize("depth", [1000, 5000])
     @pytest.mark.parametrize("head,tail", [("\\frac { ", " } { y }"), ("x ^ { ", " }"),
                                            ("\\sqrt { ", " }")])
