@@ -285,8 +285,9 @@ def loss_vat(P: np.ndarray, target_grid: np.ndarray) -> float:
         ShapeMismatch: the target grid is not an integer (H, W) array, P
             is not a real array, or their shapes or the class range
             disagree.
-        NonFinite: NaN or infinity at a target cell, or a zero-probability
-            target (infinite loss, index None).
+        NonFinite: NaN or infinity at a target cell, naming the first by
+            its flat index in P (a NaN elsewhere in P is never read); or a
+            zero-probability target (infinite loss, index None).
     """
     target_grid = as_array(target_grid, (None, None), "target grid", kinds="iu")
     P = as_array(P, (None, *target_grid.shape), "grid", finite=False)
@@ -297,7 +298,12 @@ def loss_vat(P: np.ndarray, target_grid: np.ndarray) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         loss = float(np.mean(-np.log(picked.astype(np.float64))))
     if not np.isfinite(loss):
-        as_array(P, None, "grid")  # names the first NaN or infinity
+        # Name the first NaN or infinity the loss read, by its flat index in P.
+        bad = ~np.isfinite(picked)
+        if bad.any():
+            flat = (target_grid * h + np.arange(h)[:, None]) * w + np.arange(w)
+            index = int(flat[bad].min())
+            raise NonFinite(f"grid: {P.flat[index]} at flat index {index}", index)
         raise NonFinite("cell loss is not finite")
     return loss
 

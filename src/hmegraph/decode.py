@@ -7,7 +7,11 @@ can be inspected:
    classification grid as a node, in raster order.  A cell is blank when
    its none channel beats every symbol channel strictly, so blank cells
    are found by one reduction over the symbol channels, and the argmax is
-   taken only over the cells that remain.
+   taken only over the cells that remain.  On a probability grid that
+   reduction is an unsigned maximum of the bits, which also proves the
+   grid finite, so the grid is read once.  A grid of logits, whose values
+   are signed, fails that proof on the none channel, is scanned, and is
+   reduced as floats; it extracts the same nodes.
 2. :func:`expand_imaginary` appends the invisible group-end nodes that
    structural symbols imply; a grid can never predict them directly.
 3. :func:`apply_corrections` re-labels every node from a per-node
@@ -57,6 +61,8 @@ from .errors import (
     as_array,
     as_pairs,
     as_scalar,
+    nonnegative_max,
+    scan_finite,
 )
 from . import tokens
 from .tokens import TokenVocab
@@ -115,7 +121,13 @@ def vat_extract(P: np.ndarray, vocab: TokenVocab) -> list[Node]:
     resolves to the lowest class id.  The none class is the last channel,
     so a symbol that ties it wins the cell: a cell is blank only when its
     none value is strictly above every symbol value.  Only the argmax
-    decides, so probabilities and logits extract the same nodes.
+    decides, so probabilities and logits extract the same nodes.  A grid
+    of values from +0.0 up is read once: one unsigned maximum of the none
+    channel's bits, then one of the symbol channels', proves it finite
+    and gives every cell's symbol maximum (see
+    :func:`~hmegraph.errors.nonnegative_max`).  Any other float grid, such
+    as logits, is scanned for NaN and infinities first; an integer grid
+    never is.
 
     Raises:
         ShapeMismatch: P is not a real (channels, H, W) array with the
@@ -127,11 +139,18 @@ def vat_extract(P: np.ndarray, vocab: TokenVocab) -> list[Node]:
 
 def _extract(P: np.ndarray, vocab: TokenVocab) -> tuple[list[int], list[int], list[int]]:
     """:func:`vat_extract` as flat lists: class ids, rows, columns."""
-    P = as_array(P, (vocab.grid_classes, None, None), "grid")
+    P = as_array(P, (vocab.grid_classes, None, None), "grid", finite=False)
     none = vocab.none_id
+    top = None
+    if nonnegative_max(P[none]) is not None:  # a grid of logits fails here, on 1/C of it
+        top = nonnegative_max(P[:none], axis=0)  # the symbol channels' maximum, if finite
+    if top is None and P.dtype.kind == "f":
+        scan_finite(P, "grid")  # names the first NaN or infinity; logits pass
     if none == 0:  # no symbol channel: every cell is blank
         return [], [], []
-    rows, cols = np.nonzero(P[:none].max(axis=0) >= P[none])  # raster order
+    if top is None:
+        top = P[:none].max(axis=0)
+    rows, cols = np.nonzero(top >= P[none])  # raster order
     cids = P[:none, rows, cols].argmax(axis=0)
     return cids.tolist(), rows.tolist(), cols.tolist()
 

@@ -18,7 +18,11 @@ is found:
 - NaN or infinity: :class:`NonFinite`, whose ``index`` is the first bad
   value's row-major flat position (an edge's place in the edge order for a
   graph's weights; None for a scalar, or for a loss that is not finite
-  from finite inputs).
+  from finite inputs).  A native float array of values from +0.0 up is
+  proven finite by one unsigned maximum of its bits,
+  :func:`nonnegative_max`, which grid extraction also reads as the symbol
+  channels' maximum; any other float array is scanned by
+  :func:`scan_finite`.
 
 A list or tuple where an array is expected is read as numpy reads it, so
 it meets the same outcome as that array.  Three faults stay builtin:
@@ -172,7 +176,42 @@ class NonFinite(HmeGraphError):
 
 
 _KINDS = {"fiub": "real numbers", "iu": "integers", "U": "text"}
-_SUM_SIZE = 1 << 16  # a 24x160 training grid is above, a 14x56 decode grid below
+# Each native IEEE 754 float dtype, its unsigned integer of the same width,
+# and the bit pattern of +inf in that integer.
+_BITS = {np.dtype(f): (np.dtype(u), np.array(np.inf, f).view(u)[()])
+         for f, u in (("f2", "u2"), ("f4", "u4"), ("f8", "u8"))}
+
+
+def nonnegative_max(arr: np.ndarray, axis=None):
+    """``arr.max(axis)`` when every value of `arr` is finite and not below
+    +0.0, and None when one is not, or when `arr` is not a native float16,
+    float32 or float64 array.
+
+    It is read once, as unsigned integers.  From +0.0 up to +inf, an IEEE
+    754 float's bit pattern orders as its value does (IEEE 754-2019,
+    5.10), and every other value (-0.0, a negative number, NaN of either
+    sign) has a pattern above that of +inf.  So a maximum pattern below
+    +inf's proves every value finite and not below +0.0, and it is the
+    pattern of the values' maximum.  An empty array, or an empty reduction,
+    gives +0.0.
+    """
+    if (bits := _BITS.get(arr.dtype)) is None:
+        return None
+    top = arr.view(bits[0]).max(axis=axis, initial=0)
+    if (top if axis is None else top.max(initial=0)) >= bits[1]:
+        return None
+    return top.view(arr.dtype)
+
+
+def scan_finite(arr: np.ndarray, what: str, name=None) -> None:
+    """Raise NonFinite at the first NaN or infinity of `arr` in row-major
+    order, with that flat index, named as :func:`as_array` names it; return
+    when every value is finite."""
+    if not (ok := np.isfinite(arr).reshape(-1)).all():
+        index = int(np.argmin(ok))  # the first False
+        value = arr.reshape(-1)[index]
+        raise NonFinite(f"{name(index)} {value}" if name else
+                        f"{what}: {value} at flat index {index}", index)
 
 
 def as_array(a, shape, what: str, *, counts=(), kinds: str = "fiub", finite: bool = True,
@@ -191,11 +230,12 @@ def as_array(a, shape, what: str, *, counts=(), kinds: str = "fiub", finite: boo
       NodeCountMismatch.
     - Finiteness, unless `finite` is false (for a caller whose own scan
       of the array already proves it): NonFinite at the first NaN or
-      infinity in row-major order, with that flat index.  A large array
-      is read once, for its total (``np.einsum``, single-threaded and with
-      no temporary): NaN or infinity makes the total non-finite, so only a
-      non-finite total, or one that overflowed from finite values, scans
-      for the first bad value.
+      infinity in row-major order, with that flat index.  A native
+      float16, float32 or float64 array of values from +0.0 up, as
+      probabilities and attention weights are, passes on one read, its
+      :func:`nonnegative_max`; any other float array (a negative value,
+      -0.0, NaN, an infinity, a non-native byte order or another float
+      dtype) is scanned by :func:`scan_finite`.
 
     `name`, for a 1-d argument, maps an element's index to its name, as
     ``"edge (0, 2): weight"``: a fault at one element then names it.
@@ -230,16 +270,8 @@ def as_array(a, shape, what: str, *, counts=(), kinds: str = "fiub", finite: boo
                 bad = {i for i, want in enumerate(shape) if want not in (None, arr.shape[i])}
                 raise (NodeCountMismatch if bad <= set(counts) else ShapeMismatch)(
                     f"{what} has shape {arr.shape}, expected {shape} (None: any size)")
-    # Over _SUM_SIZE values one total reads the array faster than isfinite does
-    # (measured on both grids above): NaN or infinity makes the total non-finite,
-    # and only then is the array scanned.
-    if finite and kind == "f" and not np.isfinite(
-            np.einsum(arr, range(arr.ndim), []) if arr.size > _SUM_SIZE else arr).all():
-        if not (ok := np.isfinite(arr).reshape(-1)).all():  # not a total that overflowed
-            index = int(np.argmin(ok))  # the first False
-            value = arr.reshape(-1)[index]
-            raise NonFinite(f"{name(index)} {value}" if name else
-                            f"{what}: {value} at flat index {index}", index)
+    if finite and kind == "f" and nonnegative_max(arr) is None:
+        scan_finite(arr, what, name)
     return arr
 
 

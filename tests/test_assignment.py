@@ -517,6 +517,29 @@ class TestLosses:
         with pytest.raises(NonFinite):
             loss_vat(P, grid)
 
+    def test_vat_names_only_what_it_reads(self):
+        """A NaN at a cell's other classes is never read: the loss ignores
+        it, and a fault names the first bad value the loss read, by its
+        flat index in P, or is a zero-probability target."""
+        grid = np.array([[0, 1], [2, 0]])
+        P = np.full((3, 2, 2), 1.0 / 3.0)
+        P[1, 1, 1] = np.nan  # flat index 7, not a target value
+        assert loss_vat(P, grid) == pytest.approx(math.log(3))
+        P[0, 0, 0] = 0.0  # a zero-probability target
+        with pytest.raises(NonFinite) as exc:
+            loss_vat(P, grid)
+        assert (str(exc.value), exc.value.index) == ("cell loss is not finite", None)
+        P[0, 0, 0] = 1.0 / 3.0
+        P[2, 1, 0], P[0, 1, 1] = np.inf, np.nan  # read, at flat indices 10 and 3
+        with pytest.raises(NonFinite) as exc:
+            loss_vat(P, grid)
+        assert (str(exc.value), exc.value.index) == ("grid: nan at flat index 3", 3)
+        P[0, 1, 1] = 1.0 / 3.0
+        P[1, 0, 0] = np.nan  # flat index 4, unread, before the read infinity
+        with pytest.raises(NonFinite) as exc:
+            loss_vat(P, grid)
+        assert (str(exc.value), exc.value.index) == ("grid: inf at flat index 10", 10)
+
     def test_vat_shape_errors(self, vocab):
         P = np.ones((vocab.grid_classes, 2, 2))
         with pytest.raises(ShapeMismatch):

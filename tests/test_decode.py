@@ -47,9 +47,10 @@ from hmegraph import (
     oracle_prune,
     parse_latex,
     prune_and_acyclify,
+    teacher_matrices,
     vat_extract,
 )
-from hmegraph import decode, tokens
+from hmegraph import decode, errors, tokens
 from hmegraph.decode import ExprGraph, Node
 from hmegraph.errors import as_array
 from hmegraph.tokens import (
@@ -181,18 +182,34 @@ def loop_vat_extract(P, vocab):
 
 @st.composite
 def extraction_grids(draw):
-    """Grids in three dtypes with argmax ties, blank cells and empty axes."""
+    """Grids in four dtypes with argmax ties, blank cells and empty axes.
+    Values are integers (ties in most cells), signed normal draws, or
+    non-negative draws, which pass on one read; a float grid may hold -0.0
+    or subnormals, and any grid may be byte-swapped or a strided view."""
     vocab = default_vocab()
     h, w = draw(st.integers(0, 3)), draw(st.integers(0, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dtype = draw(st.sampled_from([np.float32, np.float64, np.int64]))
-    if draw(st.booleans()):
-        P = rng.integers(0, 3, (vocab.grid_classes, h, w))  # ties in most cells
-    else:
-        P = rng.normal(size=(vocab.grid_classes, h, w))
+    dtype = draw(st.sampled_from([np.float16, np.float32, np.float64, np.int64]))
+    shape = (vocab.grid_classes, h, w)
+    P = draw(st.sampled_from([
+        lambda: rng.integers(0, 3, shape), lambda: rng.normal(size=shape), lambda: rng.random(shape),
+    ]))()
     blank = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
     P[vocab.none_id][blank] = 3
-    return P.astype(dtype)
+    P = P.astype(dtype)
+    if dtype is not np.int64:
+        cells = rng.random(shape) < 0.3
+        planted = draw(st.sampled_from([None, "-0.0", "subnormal"]))
+        if planted == "-0.0":
+            P[cells] = -0.0
+        elif planted == "subnormal":  # ordered by their bits as by their values
+            P[cells] = np.finfo(dtype).smallest_subnormal * rng.integers(1, 4, cells.sum())
+    form = draw(st.sampled_from(["contiguous", "byte-swapped", "strided"]))
+    if form == "byte-swapped":
+        return P.astype(P.dtype.newbyteorder())
+    if form == "strided":
+        return np.repeat(P, 2, axis=2)[:, :, ::-2]  # reversed columns, stride -2
+    return P
 
 
 @settings(max_examples=200, deadline=None)
@@ -1510,6 +1527,76 @@ class TestNonFiniteWeights:
             with pytest.raises(NonFinite, match=re.escape(f"edge (0, 2): weight {value}")) as exc:
                 read()
             assert exc.value.index == 2
+
+
+class TestGridFiniteness:
+    """A probability grid is proven finite by unsigned maxima, the none
+    channel's and then the symbol channels', and is never scanned; any
+    other float grid is scanned once, and a fault is named at its first
+    place in row-major order, whichever read finds it."""
+
+    def scans(self, monkeypatch):
+        """Every call of the scan, from the gate or from extraction."""
+        found = [count_calls(monkeypatch, "scan_finite", module) for module in (errors, decode)]
+        return lambda: sum(map(len, found))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channels", [("symbol",), ("none",), ("none", "symbol")])
+    def test_planted_fault_named(self, vocab, channels, value):
+        sample = make_sample("x + 1", vocab, (8, 16))
+        P = sample.probs.copy()
+        places = {"symbol": (vocab.id_of("x"), 5, 9), "none": (vocab.none_id, 2, 3)}
+        marked = np.zeros(P.shape, dtype=bool)
+        for channel in channels:
+            P[places[channel]] = value
+            marked[places[channel]] = True
+        first = int(np.flatnonzero(marked)[0])  # a symbol channel's, when both hold one
+        with pytest.raises(NonFinite) as exc:
+            decode_with_graph(P, sample.self_probs, sample.left, sample.right, vocab)
+        assert exc.value.index == first
+        assert str(exc.value) == f"grid: {value} at flat index {first}"
+
+    def test_decode_mix_never_scans(self, vocab, monkeypatch):
+        scans = self.scans(monkeypatch)
+        profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
+                    NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
+        for sample in bench_samples(vocab, profiles, 100, 95000):
+            decode_with_graph(sample.probs, sample.self_probs, sample.left, sample.right, vocab)
+        assert scans() == 0
+
+    def test_train_chain_never_scans(self, vocab, monkeypatch):
+        """The training chain on teacher inputs mixed with a uniform floor,
+        as a detector's softmax gives them."""
+
+        def floor(m, axis):
+            return ((1.0 - 1e-3) * m + 1e-3 / m.shape[axis]).astype(np.float32)
+
+        scans = self.scans(monkeypatch)
+        for seed in range(20):
+            try:
+                latex = gen_expression(seed, max_depth=3, vocab=vocab)
+                sample = make_sample(latex, vocab, (24, 160), NoiseSpec(flip_prob=0.1), seed)
+            except GridTooSmall:
+                continue
+            seq, P = sample.seq, floor(sample.probs, 0)
+            positions = estimate_positions(sample.attn, seq, vocab)
+            cost = build_cost(P, positions, seq, vocab)
+            target = make_targets(hungarian(cost), seq, vocab, *P.shape[1:])
+            loss_vat(P, target.grid)
+            sp, left, right = (floor(m, 1) for m in teacher_matrices(seq, vocab))
+            loss_pgd(sp, left, right, (target.self_targets, target.left_targets,
+                                       target.right_targets))
+        assert scans() == 0
+
+    def test_logits_scanned_once_integers_never(self, vocab, monkeypatch):
+        scans = self.scans(monkeypatch)
+        logits = np.random.default_rng(5).normal(size=(vocab.grid_classes, 14, 56))
+        logits = logits.astype(np.float32)
+        assert vat_extract(logits, vocab) == loop_vat_extract(logits, vocab)
+        assert scans() == 1
+        ints = np.random.default_rng(6).integers(0, 3, (vocab.grid_classes, 14, 56))
+        assert vat_extract(ints, vocab) == loop_vat_extract(ints, vocab)
+        assert scans() == 1
 
 
 BAD_VALUES =st.sampled_from([np.nan, np.inf, -np.inf])

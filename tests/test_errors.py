@@ -175,3 +175,84 @@ def test_scalar_finiteness():
     assert as_scalar(math.inf, "s", inf=True) == math.inf
     with pytest.raises(NonFinite):
         as_scalar(np.float64("nan"), "s", inf=True)
+
+
+def reference_scan(arr):
+    """The first NaN or infinity of `arr` in row-major order, one Python
+    float at a time: (flat index, value), or None."""
+    for i, v in enumerate(np.asarray(arr, dtype=np.float64).reshape(-1).tolist()):
+        if not math.isfinite(v):
+            return i, v
+    return None
+
+
+def value_class(dtype, kind, rng):
+    """A (3, 4) array of `dtype`: non-negative draws with the values of
+    `kind` planted at two places, the later one of the other sign where
+    that has one."""
+    a = rng.random((3, 4)).astype(dtype)
+    tiny, neg_nan = np.finfo(dtype).smallest_subnormal, np.copysign(np.nan, -1.0)
+    planted = {
+        "nonnegative": (), "negative": (-0.5, -2.0), "neg_zero": (-0.0, -0.0),
+        "subnormal": (tiny, tiny * 3), "pos_nan": (np.nan, neg_nan),
+        "neg_nan": (neg_nan, np.nan), "pos_inf": (np.inf, -np.inf),
+        "neg_inf": (-np.inf, np.inf),
+    }[kind]
+    for (r, c), value in zip(((1, 2), (2, 0)), planted):
+        a[r, c] = value
+    return a
+
+
+def layout(a, form):
+    """`a` as a contiguous array, a 0-d array of its first planted value,
+    an empty array, an unaligned copy, a byte-swapped copy, or a strided
+    view of it."""
+    if form == "0-d":
+        return np.array(a[1, 2])
+    if form == "empty":
+        return a[:0]
+    if form == "unaligned":
+        buf = np.zeros(a.nbytes + 1, dtype=np.uint8)[1:].view(a.dtype).reshape(a.shape)
+        buf[...] = a
+        return buf
+    if form == "byte-swapped":
+        return a.astype(a.dtype.newbyteorder())
+    if form == "strided":
+        return np.repeat(a, 2, axis=1)[:, ::-2]
+    return a
+
+
+KINDS = ["nonnegative", "negative", "neg_zero", "subnormal", "pos_nan", "neg_nan", "pos_inf",
+         "neg_inf"]
+FORMS = ["contiguous", "0-d", "empty", "unaligned", "byte-swapped", "strided"]
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_finite_gate_matches_scan(dtype, kind, form):
+    """Every float input passes, or raises NonFinite at the first bad value
+    in row-major order with the scan's message, whichever read proves it;
+    ``nonnegative_max`` proves exactly the arrays of native floats, all
+    finite and none below +0.0, and gives their maximum."""
+    rng = np.random.default_rng(KINDS.index(kind) * 10 + FORMS.index(form))
+    arr = layout(value_class(dtype, kind, rng), form)
+    if form == "unaligned" and arr.size:
+        assert not arr.flags.aligned
+    bad = reference_scan(arr)
+    if bad is None:
+        assert as_array(arr, None, "a") is arr
+    else:
+        with pytest.raises(NonFinite) as exc:
+            as_array(arr, None, "a")
+        assert exc.value.index == bad[0]
+        assert str(exc.value) == f"a: {bad[1]} at flat index {bad[0]}"
+    top = errors.nonnegative_max(arr)
+    proven = arr.dtype.isnative and bad is None and not np.signbit(arr).any()
+    assert (top is not None) == proven
+    if proven:
+        want = arr.max(initial=0)
+        assert top.dtype == arr.dtype and top.tobytes() == want.tobytes()
+    if proven and arr.ndim == 2:  # an empty reduction gives +0.0
+        want = arr.max(axis=0, initial=0)
+        assert errors.nonnegative_max(arr, axis=0).tobytes() == want.tobytes()
