@@ -32,6 +32,8 @@ from .errors import (
     as_array,
     as_pairs,
     as_scalar,
+    nonnegative_max,
+    scan_finite,
 )
 from .tokens import TokenVocab, _walk, gt_targets
 
@@ -141,7 +143,12 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     Columns that hold the matrix maximum in every row are interchangeable;
     only the `n_rows` lowest-index ones reach the solver.  That changes no
     optimum: an assignment uses at most `n_rows` of them, and any dropped
-    one can be traded for an unused lower one at equal cost.
+    one can be traded for an unused lower one at equal cost.  A cost of
+    values from +0.0 up, as :func:`build_cost` gives, is read once before
+    that: its :func:`~hmegraph.errors.nonnegative_max` proves it finite and
+    is the maximum.  Any other float cost is scanned for NaN and infinity
+    first, and an integer or bool cost is not; either then takes a separate
+    maximum.  The solver and the tie test read only the kept columns.
 
     Returns:
         (row, column) pairs sorted by row.
@@ -155,32 +162,34 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
 
     cost = as_array(cost, (None, None), "cost matrix", finite=False)
     n_rows, n_cols = cost.shape
-    if cost.size:
-        # One scan checks and compresses: NaN spreads through both
-        # reductions, and an infinity shows in one of them.
-        lo = cost.min(axis=0)
-        top = cost.max()
-        if not (np.isfinite(top) and np.isfinite(lo.min())):
-            as_array(cost, None, "cost matrix")  # names the first NaN or infinity
+    # One unsigned read proves a cost of values from +0.0 up finite and is
+    # its maximum; any other float cost is scanned for NaN or infinity.
+    if (top := nonnegative_max(cost)) is None and cost.dtype.kind == "f":
+        scan_finite(cost, "cost matrix")
     if n_rows > n_cols:
         raise Infeasible(f"{n_rows} rows cannot injectively map to {n_cols} columns")
     if n_rows == 0:
         return []
-    keep = lo != top
+    if top is None:
+        top = cost.max()
+    keep = (cost < top).any(axis=0)
     keep[np.flatnonzero(~keep)[:n_rows]] = True
     kept = np.flatnonzero(keep)
-    _, col_ind = linear_sum_assignment(cost[:, kept])  # rows come back as 0..n-1
+    sub = cost.take(kept, axis=1)
+    _, col_ind = linear_sum_assignment(sub)  # rows come back as 0..n-1
     cols = kept[col_ind]
     # Swaps only permute the assigned columns, so ties are read from the
     # n x n block of them: row i on the column that row k was given is
-    # block[i, k].  tied[i, j]: rows i and j can trade columns at equal
-    # total cost, and row j holds the smaller one.  With no such i < j the
-    # loop's first pass swaps nothing.  Array sums round as the loop's do
-    # (Python floats add exactly as float64 does).
-    block = cost[:, cols]
+    # block[i, k].  tied[i, j]: rows i < j can trade columns at equal total
+    # cost, and row j holds the smaller one.  With no such pair the loop's
+    # first pass swaps nothing.  Array sums round as the loop's do (Python
+    # floats add exactly as float64 does), and overflow to inf as silently.
+    block = sub[:, col_ind]
     diag = block.diagonal()
-    tied = (block + block.T == diag[:, None] + diag) & (cols < cols[:, None])
-    if not np.triu(tied, 1).any():
+    rows = np.arange(n_rows)
+    with np.errstate(over="ignore"):
+        tied = block + block.T == diag[:, None] + diag
+    if not (tied & (cols < cols[:, None]) & (rows[:, None] < rows)).any():
         return list(enumerate(cols.tolist()))
     return _swap_ties(block, cols.tolist())
 
@@ -188,24 +197,26 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
 def _swap_ties(block: np.ndarray, cols: list[int]) -> list[tuple[int, int]]:
     """The pairwise tie loop of :func:`hungarian`: repeatedly give the
     earlier of two rows the smaller column wherever they can swap at equal
-    total cost.  Float64 sums run on Python floats, which round alike;
-    other dtypes keep numpy's own arithmetic."""
+    total cost.  Float64 sums run on Python floats, which round alike and
+    overflow to inf silently; other dtypes keep numpy's own arithmetic,
+    with its overflow warning off to match."""
     n_rows = len(cols)
     if block.dtype == np.float64:
         block = block.tolist()
     slot = list(range(n_rows))
     changed = True
-    while changed:
-        changed = False
-        for i in range(n_rows):
-            row_i = block[i]
-            for j in range(i + 1, n_rows):
-                si, sj = slot[i], slot[j]
-                if cols[sj] < cols[si] and (
-                    row_i[sj] + block[j][si] == row_i[si] + block[j][sj]
-                ):
-                    slot[i], slot[j] = sj, si
-                    changed = True
+    with np.errstate(over="ignore"):
+        while changed:
+            changed = False
+            for i in range(n_rows):
+                row_i = block[i]
+                for j in range(i + 1, n_rows):
+                    si, sj = slot[i], slot[j]
+                    if cols[sj] < cols[si] and (
+                        row_i[sj] + block[j][si] == row_i[si] + block[j][sj]
+                    ):
+                        slot[i], slot[j] = sj, si
+                        changed = True
     return [(i, cols[slot[i]]) for i in range(n_rows)]
 
 
@@ -291,21 +302,29 @@ def loss_vat(P: np.ndarray, target_grid: np.ndarray) -> float:
     """
     target_grid = as_array(target_grid, (None, None), "target grid", kinds="iu")
     P = as_array(P, (None, *target_grid.shape), "grid", finite=False)
-    if target_grid.size and (target_grid.min() < 0 or target_grid.max() >= P.shape[0]):
+    if target_grid.size and _unsigned_max(target_grid) >= P.shape[0]:
         raise ShapeMismatch("target grid holds class ids outside the grid channels")
     h, w = target_grid.shape
-    picked = P[target_grid, np.arange(h)[:, None], np.arange(w)[None, :]]
+    # Each cell's target value, by its flat index in P.
+    flat = target_grid.astype(np.intp, copy=False) * (h * w) + np.arange(h * w).reshape(h, w)
+    picked = P.take(flat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        loss = float(np.mean(-np.log(picked.astype(np.float64))))
+        loss = float(-np.mean(np.log(picked.astype(np.float64))))
     if not np.isfinite(loss):
         # Name the first NaN or infinity the loss read, by its flat index in P.
         bad = ~np.isfinite(picked)
         if bad.any():
-            flat = (target_grid * h + np.arange(h)[:, None]) * w + np.arange(w)
             index = int(flat[bad].min())
             raise NonFinite(f"grid: {P.flat[index]} at flat index {index}", index)
         raise NonFinite("cell loss is not finite")
     return loss
+
+
+def _unsigned_max(ids: np.ndarray, axis=None):
+    """The maximum of an integer array read as unsigned integers of its
+    width, so one comparison against a size also refuses a negative id,
+    which wraps to the top of the range."""
+    return ids.view(ids.dtype.str.replace("i", "u")).max(axis=axis)
 
 
 @dataclass
@@ -349,14 +368,16 @@ def loss_pgd(
     self_probs = as_array(self_probs, (n, None), "correction rows", counts=(0,))
     left = as_array(left, (n + 2, n + 2), "left neighbor scores", counts=(0, 1))
     right = as_array(right, (n + 2, n + 2), "right neighbor scores", counts=(0, 1))
-    if t[0].max() >= self_probs.shape[1] or t[0].min() < 0:
+    top = _unsigned_max(t, axis=1)
+    if top[0] >= self_probs.shape[1]:
         raise ShapeMismatch("self target outside correction classes")
-    if t[1:].min() < 0 or t[1:].max() >= n + 2:
+    if top[1:].max() >= n + 2:
         raise ShapeMismatch("neighbor target outside node range")
     rows = np.arange(n)
     picked = self_probs[rows, t[0]], left[rows + 1, t[1]], right[rows + 1, t[2]]
     with np.errstate(divide="ignore", invalid="ignore"):
-        s, lt, rt = (float(np.mean(-np.log(p.astype(np.float64)))) for p in picked)
+        logs = np.log(np.concatenate(picked, dtype=np.float64)).reshape(3, n)
+        s, lt, rt = (-logs.mean(axis=1)).tolist()
     if not (np.isfinite(s) and np.isfinite(lt) and np.isfinite(rt)):
         raise NonFinite("node loss is not finite")
     return PgdLoss(s, lt, rt)

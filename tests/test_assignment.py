@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hmegraph import (
     GridTooSmall,
     HmeGraphError,
     Infeasible,
+    NoiseSpec,
     NonFinite,
     ShapeMismatch,
     StepMismatch,
@@ -38,9 +40,12 @@ from hmegraph import (
     teacher_matrices,
     write_tensor,
 )
-from hmegraph import assignment
+from hmegraph import assignment, errors
 from hmegraph.assignment import BLOCK_COST
 from hmegraph.errors import as_array
+
+# A numpy overflow or invalid-value warning on the training side is a fault.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -328,12 +333,12 @@ def full_matrix_hungarian(cost):
     return [(i, cols[i]) for i in range(n_rows)], swaps
 
 
-def tie_heavy_cost(rng):
+def tie_heavy_cost(rng, max_rows=6):
     """A dyadic cost matrix with forced ties: few distinct values, columns of
     the matrix maximum (blocked), columns of a second constant, repeated
     rows, and sometimes build_cost-style windows in a blocked background."""
-    n_rows = rng.randint(1, 7)
-    n_cols = n_rows if rng.random() < 0.2 else rng.randint(n_rows, 30)
+    n_rows = rng.randint(1, max_rows)
+    n_cols = n_rows if rng.random() < 0.2 else rng.randint(n_rows, 5 * max(max_rows, 6))
     levels = rng.choice([2, 4, 8])
     cost = np.array([[rng.randrange(levels) / 4.0 for _ in range(n_cols)]
                      for _ in range(n_rows)])
@@ -373,6 +378,154 @@ def test_hungarian_pairs_match_full_matrix_solve():
     assert dropped >= 50
     assert swapped >= 50
     assert square >= 50
+
+
+def floor(m, axis):
+    """Uniform mass mixed in, as a detector's softmax gives it; the
+    train-targets benchmark workload uses the same 1e-3 floor."""
+    return ((1.0 - 1e-3) * m + 1e-3 / m.shape[axis]).astype(np.float32)
+
+
+def train_costs(vocab, seeds, km=5):
+    """`build_cost` matrices of train-targets samples (24x160, depth 3,
+    flip 0.1, floored grid) for the seeds whose expression fits the grid."""
+    for seed in seeds:
+        try:
+            latex = gen_expression(seed, max_depth=3, vocab=vocab)
+            sample = make_sample(latex, vocab, (24, 160), NoiseSpec(flip_prob=0.1), seed)
+        except GridTooSmall:
+            continue
+        positions = estimate_positions(sample.attn, sample.seq, vocab)
+        yield build_cost(floor(sample.probs, 0), positions, sample.seq, vocab, km=km)
+
+
+def test_hungarian_matches_full_matrix_solve_at_train_scale(vocab):
+    """Pairs at train-targets scale: build_cost matrices of typical and of
+    the longest labels that fit 24x160, and tie-heavy matrices of up to 40
+    rows, against scipy on every column and the sequential swap loop."""
+    longest = sorted(range(3000), key=lambda seed: -sum(
+        map(vocab.is_predictable, parse_latex(gen_expression(seed, max_depth=3, vocab=vocab),
+                                              vocab))))
+    costs = list(train_costs(vocab, range(16))) + list(train_costs(vocab, longest[:40]))[:6]
+    assert max(cost.shape[0] for cost in costs) >= 100
+    for cost in costs:
+        assert hungarian(cost) == full_matrix_hungarian(cost)[0]
+    rng = random.Random(20261020)
+    big = swapped = 0
+    for _ in range(200):
+        cost = tie_heavy_cost(rng, max_rows=40)
+        want, swaps = full_matrix_hungarian(cost)
+        assert hungarian(cost) == want, cost.tolist()
+        big += cost.shape[0] >= 30
+        swapped += swaps > 0
+    assert big >= 40 and swapped >= 40
+
+
+TIE_BASE = np.array([[0.5, 0.25, 1.0, 2.0, 2.0],
+                     [0.0, 0.75, 0.5, 2.0, 2.0],
+                     [0.25, 0.25, 0.0, 2.0, 2.0]])
+
+
+def _signed_zero():
+    cost = TIE_BASE.copy()
+    cost[1, 0] = -0.0
+    return cost
+
+
+@pytest.mark.parametrize("cost,want", [
+    (TIE_BASE.astype(np.float16), [(0, 1), (1, 0), (2, 2)]),
+    (TIE_BASE.astype(np.float32), [(0, 1), (1, 0), (2, 2)]),
+    (TIE_BASE, [(0, 1), (1, 0), (2, 2)]),
+    (_signed_zero(), [(0, 1), (1, 0), (2, 2)]),
+    (TIE_BASE - 1.0, [(0, 1), (1, 0), (2, 2)]),
+    ((TIE_BASE * 4).astype(np.int64), [(0, 1), (1, 0), (2, 2)]),
+    ((TIE_BASE * 4).astype(np.int8) - 3, [(0, 1), (1, 0), (2, 2)]),
+    ((TIE_BASE * 4).astype(np.uint8), [(0, 1), (1, 0), (2, 2)]),
+    (TIE_BASE > 0.4, [(0, 1), (1, 0), (2, 2)]),
+    (TIE_BASE.astype(">f8"), [(0, 1), (1, 0), (2, 2)]),
+    (np.asfortranarray(TIE_BASE), [(0, 1), (1, 0), (2, 2)]),
+    (TIE_BASE[::-1, ::-1], [(0, 2), (1, 4), (2, 3)]),
+    (np.zeros((3, 5)), [(0, 0), (1, 1), (2, 2)]),
+    (np.zeros((3, 5), dtype=np.int64), [(0, 0), (1, 1), (2, 2)]),
+    (np.full((2, 4), BLOCK_COST), [(0, 0), (1, 1)]),
+    (np.zeros((0, 4)), []),
+    (np.zeros((0, 0)), []),
+    (np.zeros((0, 3), dtype=np.int64), []),
+    (np.zeros((2, 0)), Infeasible("2 rows cannot injectively map to 0 columns")),
+    (np.zeros((2, 0), dtype=bool), Infeasible("2 rows cannot injectively map to 0 columns")),
+], ids=["float16", "float32", "float64", "negative_zero", "signed", "int64", "int8", "uint8",
+        "bool", "byteswapped", "fortran", "reversed_view", "all_tied", "all_tied_int",
+        "all_blocked", "0x4", "0x0", "0x3_int", "2x0", "2x0_bool"])
+def test_hungarian_dtype_table(cost, want):
+    """Every dtype and layout the gate admits: the one-read path (native
+    non-negative floats), the scanned floats, integers and bools that are
+    never scanned, and empty shapes."""
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+            hungarian(cost)
+    else:
+        assert hungarian(cost) == want
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", ["<f2", "<f4", "<f8", ">f8"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["nonnegative", "signed"])
+def test_non_finite_named_anywhere(value, dtype, sign):
+    """A NaN or infinity at any cell is named by its row-major index, on
+    the one-read path and on the scanned one; of two, the first is named."""
+    last = TIE_BASE.size - 1
+    for cell in range(TIE_BASE.size):
+        cost = (sign * TIE_BASE).astype(dtype)
+        cost.flat[cell] = value
+        for second in ([], [last] if cell < last else []):
+            cost.flat[second] = np.nan
+            with pytest.raises(NonFinite) as exc:
+                hungarian(cost)
+            assert (str(exc.value), exc.value.index) == (
+                f"cost matrix: {value} at flat index {cell}", cell)
+
+
+def test_tie_test_overflow_is_silent():
+    """Sums of valid finite costs may overflow to inf in the tie test and
+    in the loop; the pairs are unchanged and no warning is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hungarian(np.array([[1e308, 1e308], [1e308, 0.0]])) == [(0, 0), (1, 1)]
+        # Rows 0 and 1 tie in float32, where 1 + 2**-24 rounds to 1, so the
+        # loop runs, and it adds 3e38 to 3e38 as float32 scalars.
+        cost = np.array([[3e38, 1.0, 1.0], [3e38, 0.0, 2.0**-24], [0.0, 3e38, 3e38]])
+        assert hungarian(cost.astype(np.float32)) == [(0, 1), (1, 2), (2, 0)]
+        # The same tie in float64, summed on Python floats.
+        cost = np.array([[1e308, 1.0, 1.0], [1e308, 0.0, 2.0**-53], [0.0, 1e308, 1e308]])
+        assert hungarian(cost) == [(0, 1), (1, 2), (2, 0)]
+
+
+class TestCostFiniteness:
+    """A cost of values from +0.0 up, as build_cost gives it, is proven
+    finite by one unsigned maximum and never scanned; another float cost
+    is scanned once, and an integer one never."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        scan = errors.scan_finite
+        for module in (errors, assignment):
+            monkeypatch.setattr(module, "scan_finite", lambda *a: calls.append(1) or scan(*a))
+        return calls
+
+    def test_train_costs_never_scanned(self, vocab, scans):
+        costs = list(train_costs(vocab, range(20)))
+        assert len(costs) >= 15
+        for cost in costs:
+            hungarian(cost)
+        assert scans == []
+
+    def test_signed_scanned_once_integers_never(self, vocab, scans):
+        cost = next(train_costs(vocab, range(20)))
+        assert hungarian(cost - 1.0) == hungarian(cost)
+        assert len(scans) == 1
+        assert hungarian((TIE_BASE * 4).astype(np.int64)) == [(0, 1), (1, 0), (2, 2)]
+        assert len(scans) == 1
 
 
 def test_tie_loop_runs_only_when_a_pair_swaps(monkeypatch):
