@@ -333,12 +333,12 @@ def full_matrix_hungarian(cost):
     return [(i, cols[i]) for i in range(n_rows)], swaps
 
 
-def tie_heavy_cost(rng, max_rows=6):
+def tie_heavy_cost(rng, max_rows=7):
     """A dyadic cost matrix with forced ties: few distinct values, columns of
     the matrix maximum (blocked), columns of a second constant, repeated
     rows, and sometimes build_cost-style windows in a blocked background."""
     n_rows = rng.randint(1, max_rows)
-    n_cols = n_rows if rng.random() < 0.2 else rng.randint(n_rows, 5 * max(max_rows, 6))
+    n_cols = n_rows if rng.random() < 0.2 else rng.randint(n_rows, max(30, 5 * (max_rows - 1)))
     levels = rng.choice([2, 4, 8])
     cost = np.array([[rng.randrange(levels) / 4.0 for _ in range(n_cols)]
                      for _ in range(n_rows)])
@@ -399,14 +399,16 @@ def train_costs(vocab, seeds, km=5):
         yield build_cost(floor(sample.probs, 0), positions, sample.seq, vocab, km=km)
 
 
+# Of seeds 0-2999, the six whose depth-3 labels have the most predictable
+# tokens and still fit 24x160 (106 to 112 rows), ranked once and pinned.
+LONGEST_SEEDS = (2084, 745, 976, 1300, 1512, 1956)
+
+
 def test_hungarian_matches_full_matrix_solve_at_train_scale(vocab):
     """Pairs at train-targets scale: build_cost matrices of typical and of
     the longest labels that fit 24x160, and tie-heavy matrices of up to 40
     rows, against scipy on every column and the sequential swap loop."""
-    longest = sorted(range(3000), key=lambda seed: -sum(
-        map(vocab.is_predictable, parse_latex(gen_expression(seed, max_depth=3, vocab=vocab),
-                                              vocab))))
-    costs = list(train_costs(vocab, range(16))) + list(train_costs(vocab, longest[:40]))[:6]
+    costs = list(train_costs(vocab, range(16))) + list(train_costs(vocab, LONGEST_SEEDS))
     assert max(cost.shape[0] for cost in costs) >= 100
     for cost in costs:
         assert hungarian(cost) == full_matrix_hungarian(cost)[0]
