@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -221,6 +222,13 @@ def cmd_gen(args: argparse.Namespace, cfg: Config) -> int:
 
     vocab = resolve_vocab(args, cfg)
     height, width = _parse_grid(args.grid)
+    if args.count < 1:
+        raise ValueError(f"bad --count {args.count}; expected at least 1")
+    for flag in ("flip_prob", "spurious_prob", "conn_flip_prob"):
+        if not 0.0 <= (rate := getattr(args, flag)) <= 1.0:  # NaN fails too
+            raise ValueError(f"bad --{flag.replace('_', '-')} {rate}; expected a rate in [0, 1]")
+    if not 0.0 <= args.temperature < math.inf:
+        raise ValueError(f"bad --temperature {args.temperature}; expected a finite number >= 0")
     noise = NoiseSpec(
         flip_prob=args.flip_prob,
         spurious_prob=args.spurious_prob,

@@ -17,9 +17,11 @@ can be inspected:
 3. :func:`apply_corrections` re-labels every node from a per-node
    correction row and drops nodes whose row votes for deletion.
 4. :func:`build_graph` scores directed edges between surviving nodes from
-   the two neighbor heads, then :func:`prune_and_acyclify` removes weak
-   edges and breaks cycles, never disconnecting start from end; its
-   docstring argues why one path search decides every weak edge.
+   the two neighbor heads, whose matrices are checked in one place: a
+   valid pair passes on one row sum and one minimum of each.  Then
+   :func:`prune_and_acyclify` removes weak edges and breaks cycles, never
+   disconnecting start from end; its docstring argues why one path search
+   decides every weak edge.
    Pruning runs on a weight matrix and an edge mask.  Weak edges are read
    only when strong edges alone miss the end, and then a weak row is
    sorted only when the path search takes an edge from it; one
@@ -236,26 +238,27 @@ def _edge_weights(
     right: np.ndarray,
     alpha_l2r: float,
     alpha_r2l: float,
+    n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Checked inputs of :func:`build_graph` as arrays over graph positions.
 
-    `left` is a 2-d array already, and the caller has checked its type;
-    the alphas and `right` are checked here.  Returns the float64 weight of
-    every i -> j and the mask of admissible edges, those between the
-    positions of `index_map` and the virtual ends.  Raises as
-    :func:`build_graph` documents.
+    The one gate of the alphas and both neighbor matrices, in that order,
+    for N nodes whose positions in `index_map` lie within 1..N.  Returns
+    the float64 weight of every i -> j and the mask of admissible edges,
+    those between the positions of `index_map` and the virtual ends.
+    Raises as :func:`build_graph` documents.
 
-    A valid pair of neighbor matrices passes on one row-sum pass and one
-    minimum, which NaN and infinities fail.  Any other pair is diagnosed
-    one matrix at a time, left before right.  NaN or an infinity makes
-    its row sum non-finite, so only a non-finite sum searches for the bad
-    entry; only a sum off 1 or a negative entry searches for the bad row.
-    A NaN sum from finite entries needs entries of both signs, so the
-    negative entry sends it to the row search.
+    A valid pair of neighbor matrices passes on one row sum and one
+    minimum of each (see :func:`_stochastic`), which NaN and infinities
+    fail.  Any other pair is diagnosed one matrix at a time, left before
+    right.  NaN or an infinity makes its row sum non-finite, so only a
+    non-finite sum searches for the bad entry; only a sum off 1 or a
+    negative entry names a row, the first.  A NaN sum from finite entries
+    needs entries of both signs, so the negative entry names its row.
     """
     alpha_l2r = as_scalar(alpha_l2r, "alpha_l2r")
     alpha_r2l = as_scalar(alpha_r2l, "alpha_r2l")
-    n = max(len(left) - 2, 0)
+    left = as_array(left, (None, None), "left neighbor scores", finite=False)
     right = as_array(right, (None, None), "right neighbor scores", finite=False)
     if not _stochastic(left, right, n):
         with np.errstate(invalid="ignore"):  # inf - inf in a sum: the gate names it
@@ -263,13 +266,10 @@ def _edge_weights(
                 sums = m.sum(axis=1)
                 as_array(m, (n + 2, n + 2), f"{name} neighbor scores", counts=(0, 1),
                          finite=not np.isfinite(sums).all())
-                if np.abs(sums - 1.0).max() > ROW_SUM_TOL or m.min() < -ROW_SUM_TOL:
-                    off = (np.abs(sums - 1.0) > ROW_SUM_TOL) | np.any(m < -ROW_SUM_TOL, axis=1)
+                off = (np.abs(sums - 1.0) > ROW_SUM_TOL) | np.any(m < -ROW_SUM_TOL, axis=1)
+                if off.any():
                     bad = int(np.argmax(off))  # the first True
                     raise NonStochasticRow(bad, float(sums[bad]))
-    for i in index_map:
-        if not 1 <= i <= n:
-            raise NodeCountMismatch(f"node position {i} outside 1..{n}")
     # float64 before scaling, so each weight rounds as the scalar formula would.
     weights = np.multiply(right, alpha_l2r, dtype=np.float64)
     weights += np.multiply(left.T, alpha_r2l, dtype=np.float64)
@@ -285,18 +285,15 @@ def _edge_weights(
 
 def _stochastic(left: np.ndarray, right: np.ndarray, n: int) -> bool:
     """Whether both matrices are (N+2) x (N+2), with every row summing to 1
-    and no entry below 0, within ROW_SUM_TOL.  Row sums round as each
-    matrix's own ``sum(axis=1)`` does: the two are summed in one call only
-    when they share a dtype and are C-contiguous, as their stack is."""
+    and no entry below 0, within ROW_SUM_TOL.  Each matrix sums its own
+    rows, in its own dtype and memory order, and only the two columns of
+    sums are joined."""
     if not left.shape == right.shape == (n + 2, n + 2):
         return False
-    if left.dtype == right.dtype and left.flags.c_contiguous and right.flags.c_contiguous:
-        parts = (np.concatenate((left, right)),)
-    else:
-        parts = (left, right)
     with np.errstate(all="ignore"):  # a fault is named, with its warnings, by the diagnosis
-        return all(np.abs(m.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL and m.min() >= -ROW_SUM_TOL
-                   for m in parts)
+        sums = np.concatenate((left.sum(axis=1), right.sum(axis=1)))
+        return (np.abs(sums - 1.0).max() <= ROW_SUM_TOL
+                and left.min() >= -ROW_SUM_TOL and right.min() >= -ROW_SUM_TOL)
 
 
 def build_graph(
@@ -326,10 +323,14 @@ def build_graph(
     """
     index_map = {node.index: node for node in nodes}
     left = as_array(left, (None, None), "left neighbor scores", finite=False)
-    weights, valid = _edge_weights(index_map, left, right, alpha_l2r, alpha_r2l)
+    n = max(len(left) - 2, 0)  # N, from left's rows
+    for i in index_map:
+        if not 1 <= i <= n:
+            raise NodeCountMismatch(f"node position {i} outside 1..{n}")
+    weights, valid = _edge_weights(index_map, left, right, alpha_l2r, alpha_r2l, n)
     r, c = np.nonzero(valid)  # row-major
     edges = dict(zip(zip(r.tolist(), c.tolist()), weights[r, c].tolist()))
-    return ExprGraph(index_map, edges, n_slots=len(weights) - 2)
+    return ExprGraph(index_map, edges, n_slots=n)
 
 
 def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
@@ -663,6 +664,11 @@ def decode_with_graph(
     Python objects; the path search runs on pruning's successor lists and
     reads weights from the kept-edge dict that the graph returns.
 
+    The arguments are checked in this order, so of several faults the
+    first is named: P, self_probs, the alphas, left, right, epsilon.  Both
+    neighbor matrices are read as 2-d real arrays before either's shape or
+    rows are checked.
+
     Raises:
         ShapeMismatch: an array is not real (numbers, not objects, text or
             complex values) or has the wrong rank, grid channel or
@@ -676,9 +682,7 @@ def decode_with_graph(
     """
     cids, rows, cols, parents = _expand(*_extract(P, vocab), vocab)
     n = len(cids)
-    # _edge_weights holds `right` to the shape of `left`.
-    left = as_array(left, (n + 2, n + 2), "left neighbor scores", counts=(0, 1), finite=False)
     kept = _correct(rows, cols, parents, self_probs, vocab)
-    weights, valid = _edge_weights(kept, left, right, alpha_l2r, alpha_r2l)
+    weights, valid = _edge_weights(kept, left, right, alpha_l2r, alpha_r2l, n)
     edges, live, order = _prune(weights, valid, epsilon)
     return _best_path(kept, live, edges, order, vocab), ExprGraph(kept, edges, n)

@@ -31,6 +31,7 @@ from hmegraph import (
     read_tensor,
     write_tensor,
 )
+from hmegraph import decode
 from hmegraph.cli import Config, build_parser, load_config, merge_config
 from hmegraph.errors import GridTooSmall, NoPath
 from hmegraph.synth import (
@@ -188,6 +189,34 @@ def test_3_longest_path_exact_and_linear():
     if not 0.85 <= slope <= 1.15:
         problems.append(f"runtime exponent {slope:.3f} outside 1.0 +/- 0.15")
     verdict(3, "longest path exact and linear", problems)
+
+
+def test_3_longest_path_counts_are_linear(monkeypatch):
+    """A count companion to acceptance 3, free of wall-clock noise: on its
+    chain graphs, at its sizes, the search pushes one frame per vertex and
+    the DP reads each edge's weight once, so frames == V and relaxations
+    == E exactly."""
+    frames = [0]
+
+    def counted_iter(successors):
+        frames[0] += 1
+        return iter(successors)
+
+    class CountedEdges(dict):
+        reads = 0
+
+        def __getitem__(self, key):
+            self.reads += 1
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(decode, "iter", counted_iter, raising=False)
+    rng = np.random.default_rng(11)
+    for n in [500, 1000, 2000, 4000, 8000]:
+        graph = chain_graph(rng, n)
+        edges = CountedEdges(graph.edges)
+        frames[0] = 0
+        longest_path(ExprGraph(graph.nodes, edges, n), VOCAB)
+        assert (frames[0], edges.reads) == (n + 2, len(edges)), n
 
 
 def test_4_target_grid_bijection():

@@ -348,6 +348,36 @@ class TestExitCodes:
             assert f"error: bad grid '{grid}'" in err
             assert not out.exists(), grid
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--count", "0"], "bad --count 0; expected at least 1"),
+        (["--count", "-3"], "bad --count -3; expected at least 1"),
+        (["--flip-prob", "nan"], "bad --flip-prob nan; expected a rate in [0, 1]"),
+        (["--flip-prob", "7"], "bad --flip-prob 7.0; expected a rate in [0, 1]"),
+        (["--spurious-prob", "-0.1"], "bad --spurious-prob -0.1; expected a rate in [0, 1]"),
+        (["--conn-flip-prob", "inf"], "bad --conn-flip-prob inf; expected a rate in [0, 1]"),
+        (["--temperature", "-1"], "bad --temperature -1.0; expected a finite number >= 0"),
+        (["--temperature", "nan"], "bad --temperature nan; expected a finite number >= 0"),
+        (["--temperature", "inf"], "bad --temperature inf; expected a finite number >= 0"),
+    ])
+    def test_gen_bad_count_or_noise_is_one(self, capsys, tmp_path, flags, message):
+        """A count below 1, a rate outside [0, 1] or NaN, and a temperature
+        that is negative or not finite are refused before `gen` creates its
+        output directory."""
+        out = tmp_path / "out"
+        code, out_text, err = run_cli(capsys, "gen", "--grid", "12x48", *flags, "--out", str(out))
+        assert code == 1
+        assert out_text == ""
+        assert err.strip() == f"error: {message}"
+        assert not out.exists()
+
+    def test_gen_accepts_the_ends_of_each_range(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "gen", "--grid", "12x48", "--count", "1", "--flip-prob", "1",
+            "--spurious-prob", "0", "--conn-flip-prob", "1", "--temperature", "0",
+            "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert json.loads(out)["count"] == 1
+
     def test_gen_gives_up_on_a_grid_nothing_fits(self, capsys, tmp_path, monkeypatch):
         def too_small(*args, **kwargs):
             raise GridTooSmall("nothing fits")

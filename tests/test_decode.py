@@ -62,6 +62,9 @@ from hmegraph.tokens import (
     repair_groups,
 )
 
+# A numpy overflow or invalid-value warning that a test does not expect is a fault.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def grid_for(vocab, placed, h, w):
     P = np.zeros((vocab.grid_classes, h, w), dtype=np.float32)
@@ -334,6 +337,20 @@ class TestBuildGraph:
             if n == 0:
                 assert g.edges == {}
 
+    def test_mixed_dtype_and_order_pairs(self, vocab):
+        """A float32 C-ordered matrix paired with a float64 Fortran-ordered
+        one, either way round, gives the edges of the same pair in one
+        dtype: each matrix sums its own rows."""
+        rng = np.random.default_rng(23)
+        for n in (0, 1, 5, 11):
+            nodes = [Node(0, 0, i, index=i) for i in range(1, n + 1)]
+            left, right = (self.stochastic(rng, n).astype(np.float32) for _ in range(2))
+            want = [(e, repr(w)) for e, w in build_graph(nodes, left, right).edges.items()]
+            for pair in [(left, np.asfortranarray(right, dtype=np.float64)),
+                         (np.asfortranarray(left, dtype=np.float64), right)]:
+                got = build_graph(nodes, *pair).edges
+                assert [(e, repr(w)) for e, w in got.items()] == want, n
+
     def test_non_stochastic_rows(self, vocab):
         nodes = expand_imaginary(plain_nodes(vocab, [vocab.id_of("x")]), vocab)
         bad = np.full((3, 3), 0.5)
@@ -346,27 +363,30 @@ class TestBuildGraph:
         with pytest.raises(NonStochasticRow):
             build_graph(nodes, negative, good)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_row_is_not_stochastic(self, vocab):
-        """Finite float32 entries whose row sum overflows are not NonFinite."""
+        """Finite float32 entries whose row sum overflows are not NonFinite.
+        The diagnosis warns of the overflow, as a plain row sum does, and of
+        nothing else."""
         nodes = expand_imaginary(plain_nodes(vocab, [vocab.id_of("x")]), vocab)
         good = np.full((3, 3), 1.0 / 3, dtype=np.float32)
         big = good.copy()
         big[1] = [3e38, 3e38, 0.0]
-        with pytest.raises(NonStochasticRow) as exc:
+        overflow = pytest.warns(RuntimeWarning, match="overflow encountered")
+        with pytest.raises(NonStochasticRow) as exc, overflow:
             build_graph(nodes, big, good)
         assert type(exc.value) is NonStochasticRow
         assert (exc.value.row, exc.value.total) == (1, np.inf)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_row_summing_to_nan_is_not_stochastic(self, vocab):
-        """Finite float32 entries whose partial sums overflow both ways sum to NaN."""
+        """Finite float32 entries whose partial sums overflow both ways sum
+        to NaN.  Only the overflow warns: inf - inf in the sum does not."""
         nodes = expand_imaginary(plain_nodes(vocab, [vocab.id_of("x")] * 14), vocab)
         good = np.full((16, 16), 1.0 / 16, dtype=np.float32)
         bad = good.copy()
         bad[3, [0, 8]] = 3e38
         bad[3, [1, 9]] = -3e38
-        with pytest.raises(NonStochasticRow) as exc:
+        overflow = pytest.warns(RuntimeWarning, match="overflow encountered")
+        with pytest.raises(NonStochasticRow) as exc, overflow:
             build_graph(nodes, bad, good)
         assert exc.value.row == 3
         assert math.isnan(exc.value.total)
@@ -1389,6 +1409,34 @@ class TestPipeline:
         m = np.eye(2, dtype=np.float32)
         with pytest.raises(NoPath):
             decode_with_graph(P, sp, m, m, vocab)
+
+    def test_decode_names_faults_in_argument_order(self, vocab):
+        """Of several faults, the first in the documented order is named: P,
+        self_probs, the alphas, left, right, epsilon.  A NaN correction row
+        is named before a left matrix one node short."""
+        sample = make_sample("x + 1", vocab, (8, 16))
+
+        def nan_at(a, where):
+            a = a.copy()
+            a[where] = np.nan
+            return a
+
+        faults = [
+            ("P", nan_at(sample.probs, (0, 0, 0)), NonFinite, "grid: nan"),
+            ("self_probs", nan_at(sample.self_probs, (1, 0)), NonFinite, "correction rows: nan"),
+            ("alpha_l2r", math.nan, NonFinite, "alpha_l2r is nan"),
+            ("alpha_r2l", math.nan, NonFinite, "alpha_r2l is nan"),
+            ("left", sample.left[:-1, :-1], NodeCountMismatch, "left neighbor scores has shape"),
+            ("right", nan_at(sample.right, (2, 1)), NonFinite, "right neighbor scores: nan"),
+            ("epsilon", math.nan, NonFinite, "epsilon is nan"),
+        ]
+        valid = dict(P=sample.probs, self_probs=sample.self_probs, left=sample.left,
+                     right=sample.right, vocab=vocab)
+        for k, (_, _, error, message) in enumerate(faults):
+            planted = {name: value for name, value, _, _ in faults[k:]}
+            with pytest.raises(error) as exc:
+                decode_with_graph(**{**valid, **planted})
+            assert type(exc.value) is error and str(exc.value).startswith(message), k
 
     # id: (entry point, array, where the bad value goes, the value, error)
     FAULTS = {
