@@ -173,7 +173,8 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     if top is None:
         top = cost.max()
     keep = (cost < top).any(axis=0)
-    keep[np.flatnonzero(~keep)[:n_rows]] = True
+    # The first n_rows blocked columns lie within the first n_rows + (kept count).
+    keep[np.flatnonzero(~keep[: n_rows + np.count_nonzero(keep)])[:n_rows]] = True
     kept = np.flatnonzero(keep)
     sub = cost.take(kept, axis=1)
     _, col_ind = linear_sum_assignment(sub)  # rows come back as 0..n-1

@@ -222,8 +222,9 @@ def cmd_gen(args: argparse.Namespace, cfg: Config) -> int:
 
     vocab = resolve_vocab(args, cfg)
     height, width = _parse_grid(args.grid)
-    if args.count < 1:
-        raise ValueError(f"bad --count {args.count}; expected at least 1")
+    for flag, low in (("count", 1), ("max_depth", 0)):
+        if (value := getattr(args, flag)) < low:
+            raise ValueError(f"bad --{flag.replace('_', '-')} {value}; expected at least {low}")
     for flag in ("flip_prob", "spurious_prob", "conn_flip_prob"):
         if not 0.0 <= (rate := getattr(args, flag)) <= 1.0:  # NaN fails too
             raise ValueError(f"bad --{flag.replace('_', '-')} {rate}; expected a rate in [0, 1]")
@@ -275,6 +276,7 @@ def cmd_gen(args: argparse.Namespace, cfg: Config) -> int:
         "grid": [height, width],
         "seed": cfg.seed,
         "count": made,
+        "max_depth": args.max_depth,
         "noise": dataclasses.asdict(noise),
         "vocab": "vocab.tsv",
         "samples": samples_meta,

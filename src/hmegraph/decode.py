@@ -22,12 +22,14 @@ can be inspected:
    :func:`prune_and_acyclify` removes weak edges and breaks cycles, never
    disconnecting start from end; its docstring argues why one path search
    decides every weak edge.
-   Pruning runs on a weight matrix and an edge mask.  Weak edges are read
-   only when strong edges alone miss the end, and then a weak row is
-   sorted only when the path search takes an edge from it; one
-   depth-first search, resumed after each removal, breaks every cycle.
-   It gives the kept edges as one dict of weights, with successor lists
-   and that search's postorder.
+   Pruning runs on a weight matrix and an edge mask, whose strong edges
+   become successor lists in one pass over their flat indices.  Weak edges
+   are read only when strong edges alone miss the end, and then a weak
+   row is sorted only when the path search takes an edge from it; a
+   search over kept edges alone offers no weak edge.  One depth-first
+   search, on flat stacks of vertices and of iterators and resumed after
+   each removal, breaks every cycle.  It gives the kept edges as one dict
+   of weights, with successor lists and that search's postorder.
 5. :func:`longest_path` picks the maximum-weight start-to-end path and
    renders it back to LaTeX, reading each weight from the edge dict.
 
@@ -278,7 +280,7 @@ def _edge_weights(
     dst = src.copy()
     src[0] = dst[n + 1] = True
     valid = src[:, None] & dst
-    np.fill_diagonal(valid, False)
+    valid.ravel()[:: n + 3] = False  # the diagonal, through a view
     valid[0, n + 1] = False  # the bare start -> end edge
     return weights, valid
 
@@ -287,12 +289,13 @@ def _stochastic(left: np.ndarray, right: np.ndarray, n: int) -> bool:
     """Whether both matrices are (N+2) x (N+2), with every row summing to 1
     and no entry below 0, within ROW_SUM_TOL.  Each matrix sums its own
     rows, in its own dtype and memory order, and only the two columns of
-    sums are joined."""
+    sums are joined.  Their maximum and minimum decide as the largest
+    ``|sum - 1|`` would, since rounding is monotone; NaN fails both."""
     if not left.shape == right.shape == (n + 2, n + 2):
         return False
     with np.errstate(all="ignore"):  # a fault is named, with its warnings, by the diagnosis
         sums = np.concatenate((left.sum(axis=1), right.sum(axis=1)))
-        return (np.abs(sums - 1.0).max() <= ROW_SUM_TOL
+        return (sums.max() - 1.0 <= ROW_SUM_TOL and 1.0 - sums.min() <= ROW_SUM_TOL
                 and left.min() >= -ROW_SUM_TOL and right.min() >= -ROW_SUM_TOL)
 
 
@@ -408,19 +411,13 @@ def _check_graph(graph: ExprGraph) -> list:
     return pairs
 
 
-def _rows(n: int, src: np.ndarray, values: np.ndarray) -> list[list[int]]:
-    """Per-vertex lists of `values` keyed by `src`, which is ascending."""
-    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
-    values = values.tolist()
-    return [values[i:j] for i, j in zip(bounds, bounds[1:])]
-
-
 def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float):
     """The pruning pass of :func:`prune_and_acyclify` on a weight matrix.
 
     `weights[s, d]` is the float64 weight of s -> d, an edge exactly where
     the bool mask `valid` holds.  Strong edges, those not below `epsilon`,
-    become successor lists in ascending order.  Only when they do not
+    become successor lists in ascending order, in one Python pass over the
+    row-major flat indices of ``valid > below``.  Only when they do not
     reach the end does one search over them and the weak edges find the
     path whose weak edges are kept, as :func:`prune_and_acyclify` argues;
     it reads the weak edges from a key matrix, their weights with -inf
@@ -431,8 +428,10 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float):
     a NaN raises NonFinite, and an infinity makes every edge weak.
     """
     epsilon = as_scalar(epsilon, "epsilon", inf=True)
-    below = weights < epsilon
-    live = _rows(len(weights), *np.nonzero(valid & ~below))  # row-major
+    n, below = len(weights), weights < epsilon
+    live: list[list[int]] = [[] for _ in range(n)]
+    for flat in np.flatnonzero(valid > below).tolist():  # row-major: s * n + d
+        live[flat // n].append(flat % n)
     witness = _find_path(live)
     if witness is None:
         witness = _find_path(live, np.where(valid & below, weights, -math.inf))
@@ -449,21 +448,22 @@ def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float):
         nonlocal witness
         for _, (s, d) in sorted((weights.item(e), e) for e in cycle):
             live[s].remove(d)
-            if (s, d) not in witness:
-                return s, d
-            found = _find_path(live)
+            found = witness if (s, d) not in witness else _find_path(live)
             if found is not None:
                 witness = found
                 return s, d
             insort(live[s], d)
 
     order = _acyclic_order(live, cut)
-    return {(s, d): weights.item(s, d) for s, out in enumerate(live) for d in out}, live, order
+    item = weights.item
+    return {(s, d): item(s, d) for s, out in enumerate(live) for d in out}, live, order
 
 
 def _find_path(live, key=None) -> set[tuple[int, int]] | None:
     """A start-to-end path over the kept edges `live`, and over weak edges
     when `key` is given; None when the end (the last vertex) is unreachable.
+    Without `key` the search is a plain one: it reads no weak edge and
+    sets up no offer, and fails as soon as the kept edges are exhausted.
 
     ``key[s, d]`` is the weight of weak edge s -> d, and -inf where there
     is none; weak edges rank in ``(weight, src, dst)`` order.  The search
@@ -488,15 +488,12 @@ def _find_path(live, key=None) -> set[tuple[int, int]] | None:
     each part is the cheapest.  Returns the path's edges.
     """
     end = len(live) - 1
-    if key is None:
-        best_w = [math.inf] * len(live)  # no weak edge offered
-    else:
+    if key is not None:
         rev = key[:, ::-1]  # reversed rows: argmax takes the last of tied weights
         j = rev.argmax(axis=1)
         best_w = (-rev[np.arange(len(live)), j]).tolist()
         best_d = (j - end).tolist()  # the best target, negated
-    pred = [-1] * len(live)  # -1: not reached yet
-    pred[0] = 0
+    pred = [0] + [-1] * end  # -1: not reached yet
     reached, heap, rest = [0], [], {}
     while True:
         for u in reached:  # grows while it is walked
@@ -504,10 +501,12 @@ def _find_path(live, key=None) -> set[tuple[int, int]] | None:
                 if pred[x] < 0:
                     pred[x] = u
                     reached.append(x)
-            if best_w[u] < math.inf:
-                heappush(heap, (best_w[u], -u, best_d[u]))
         if pred[end] >= 0:
             break
+        if key is not None:  # without it, no offer: the empty heap fails the search
+            for u in reached:
+                if best_w[u] < math.inf:
+                    heappush(heap, (best_w[u], -u, best_d[u]))
         while heap:
             _, u, v = heappop(heap)
             u, v = -u, -v
@@ -543,8 +542,12 @@ def _acyclic_order(succ: list[list[int]], cut) -> list[int]:
     or that edge would have closed an earlier cycle, so it stays finished,
     and the search meets the cycles that a fresh search after each removal
     would meet, in the same order.  The cycle's start is found by walking
-    down from the top of the stack.  Iterative so deep graphs cannot
-    exhaust the interpreter stack.
+    down from the top of the stack, which costs the cycle's length, not
+    the stack's depth: a scan from the bottom is quadratic on a long chain
+    of short cycles.
+    Iterative so deep graphs cannot exhaust the interpreter stack.  A frame
+    is a vertex and its iterator of successors left: the top one is held
+    in two locals, the ones below it on two flat stacks.
     """
     color = [0] * len(succ)  # 0 unseen, 1 on the stack, 2 done
     order: list[int] = []
@@ -552,29 +555,32 @@ def _acyclic_order(succ: list[list[int]], cut) -> list[int]:
         if color[start]:
             continue
         color[start] = 1
-        stack = [(start, iter(succ[start]))]
-        while stack:
-            u, it = stack[-1]
+        stack, its, u, it = [], [], start, iter(succ[start])
+        while True:
             for v in it:
                 if color[v] == 1:
+                    stack.append(u)  # the cycle runs from v up to u
                     k = len(stack) - 1
-                    while stack[k][0] != v:
+                    while stack[k] != v:
                         k -= 1
-                    on_cycle = [frame[0] for frame in stack[k:]]
-                    s, d = cut([(u, v), *zip(on_cycle, on_cycle[1:])])
-                    while stack[-1][0] != s:
-                        color[stack.pop()[0]] = 0
-                    out = succ[s]
-                    stack[-1] = (s, iter(out[bisect_left(out, d):]))
+                    s, d = cut([(u, v), *zip(stack[k:], stack[k + 1:])])
+                    while stack[-1] != s:
+                        color[stack.pop()] = 0
+                    del its[len(stack) - 1:]
+                    u, it = stack.pop(), iter(succ[s][bisect_left(succ[s], d):])
                     break
                 if color[v] == 0:
                     color[v] = 1
-                    stack.append((v, iter(succ[v])))
+                    stack.append(u)
+                    its.append(it)
+                    u, it = v, iter(succ[v])
                     break
             else:
                 color[u] = 2
                 order.append(u)
-                stack.pop()
+                if not stack:
+                    break
+                u, it = stack.pop(), its.pop()
     return order
 
 
@@ -628,20 +634,19 @@ def _best_path(nodes, succ, edges, order, vocab: TokenVocab) -> PathResult:
         if du == -math.inf:
             continue
         for v in succ[u]:
-            cand = du + edges[u, v]
-            if cand > dist[v] or (cand == dist[v] and u < pred[v]):
+            cand, dv = du + edges[u, v], dist[v]
+            if cand > dv or (cand == dv and u < pred[v]):
                 dist[v] = cand
                 pred[v] = u
-    end = n - 1
-    if dist[end] == -math.inf:
+    if dist[-1] == -math.inf:  # the virtual end
         raise NoPath("no start-to-end path after pruning")
-    path = [end]
+    path = [n - 1]
     while path[-1]:
         path.append(pred[path[-1]])
     path.reverse()
     seq = [nodes[i].class_id for i in path[1:-1]]
     latex = " ".join(tokens._walk(tokens._repair(seq, vocab), vocab, [])[2])
-    return PathResult(path, dist[end], latex)
+    return PathResult(path, dist[-1], latex)
 
 
 def decode_with_graph(

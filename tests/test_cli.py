@@ -174,6 +174,7 @@ class TestGenDecodeEval:
         manifest = json.loads((gen_dir / "manifest.json").read_text())
         assert manifest["count"] == 5
         assert manifest["grid"] == [12, 48]
+        assert manifest["max_depth"] == 2
         assert len(manifest["samples"]) == 5
         labels = (gen_dir / "labels.txt").read_text().splitlines()
         assert len(labels) == 5
@@ -358,11 +359,12 @@ class TestExitCodes:
         (["--temperature", "-1"], "bad --temperature -1.0; expected a finite number >= 0"),
         (["--temperature", "nan"], "bad --temperature nan; expected a finite number >= 0"),
         (["--temperature", "inf"], "bad --temperature inf; expected a finite number >= 0"),
+        (["--max-depth", "-5"], "bad --max-depth -5; expected at least 0"),
     ])
     def test_gen_bad_count_or_noise_is_one(self, capsys, tmp_path, flags, message):
-        """A count below 1, a rate outside [0, 1] or NaN, and a temperature
-        that is negative or not finite are refused before `gen` creates its
-        output directory."""
+        """A count below 1, a negative depth, a rate outside [0, 1] or NaN,
+        and a temperature that is negative or not finite are refused before
+        `gen` creates its output directory."""
         out = tmp_path / "out"
         code, out_text, err = run_cli(capsys, "gen", "--grid", "12x48", *flags, "--out", str(out))
         assert code == 1
@@ -374,9 +376,11 @@ class TestExitCodes:
         code, out, _ = run_cli(
             capsys, "gen", "--grid", "12x48", "--count", "1", "--flip-prob", "1",
             "--spurious-prob", "0", "--conn-flip-prob", "1", "--temperature", "0",
-            "--out", str(tmp_path / "out"))
+            "--max-depth", "0", "--out", str(tmp_path / "out"))
         assert code == 0
         assert json.loads(out)["count"] == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["max_depth"] == 0
 
     def test_gen_gives_up_on_a_grid_nothing_fits(self, capsys, tmp_path, monkeypatch):
         def too_small(*args, **kwargs):

