@@ -19,7 +19,7 @@ every graph node still has a location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,9 +84,10 @@ def build_cost(
     km x km window centered on that token's rough position cost
     ``|P[class, cell] - 1|``; all other cells cost 1e6, which keeps the
     assignment inside the windows whenever that is feasible.  Windows clip
-    at the grid border.  Every window is filled at once: one gather of the
-    km x km cells per token from P, and one scatter into the matrix of
-    1e6.  The matrix stays dense because callers read it by flat cell.
+    at the grid border, so one wider than the grid needs is narrowed first.
+    Every window is filled at once: one gather of its cells per token from
+    P, and one scatter into the matrix of 1e6.  The matrix stays dense
+    because callers read it by flat cell.
 
     Returns:
         float64 array of shape (L, H*W).
@@ -107,8 +108,8 @@ def build_cost(
     P = as_array(P, (vocab.grid_classes, None, None), "grid")
     pred = [cid for cid in label if cid < vocab.num_predictable]  # ids are checked >= 0
     span = as_array(positions, (len(pred), 2), "positions", kinds="iu")
-    n, half = len(pred), km // 2
     h, w = P.shape[1:]
+    n, half = len(pred), min(km // 2, max(h, w) - 1)  # a wider window clips to the same cells
     for r, c in span.tolist():
         if not (0 <= r < h and 0 <= c < w):
             raise ShapeMismatch(f"position {(r, c)} outside the {h}x{w} grid")
@@ -221,8 +222,7 @@ def _swap_ties(block: np.ndarray, cols: list[int]) -> list[tuple[int, int]]:
     return [(i, cols[slot[i]]) for i in range(n_rows)]
 
 
-@dataclass
-class AssignmentTarget:
+class AssignmentTarget(NamedTuple):
     """Per-sample supervision derived from one assignment.
 
     grid: (H, W) int64 cell classes, none-filled except assigned cells.
@@ -328,8 +328,7 @@ def _unsigned_max(ids: np.ndarray, axis=None):
     return ids.view(ids.dtype.str.replace("i", "u")).max(axis=axis)
 
 
-@dataclass
-class PgdLoss:
+class PgdLoss(NamedTuple):
     """The three node-supervision terms and their unweighted sum."""
 
     self_term: float

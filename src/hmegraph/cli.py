@@ -18,13 +18,12 @@ only `match` loads scipy.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +33,7 @@ from .tensor_io import export_dot, read_tensor, write_tensor
 from .tokens import TokenVocab, build_vocab, emit_latex, parse_latex
 
 
-@dataclass
-class Config:
+class Config(NamedTuple):
     epsilon: float = 0.5
     km: int = 5
     lam: float = 0.5
@@ -61,7 +59,7 @@ def load_config(path: str) -> Config:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    cfg = Config()
+    values = {}
     for key, value in raw.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}: unknown config key {key!r}")
@@ -69,8 +67,8 @@ def load_config(path: str) -> Config:
         # A JSON integer is a valid float; true and false are neither.
         if not (type(value) is cast or cast is float and type(value) is int):
             raise ValueError(f"{path}: config key {key!r} must be {cast.__name__}, not {value!r}")
-        setattr(cfg, field, cast(value))
-    return cfg
+        values[field] = cast(value)
+    return Config(**values)
 
 
 def merge_config(args: argparse.Namespace, base: Config) -> Config:
@@ -80,7 +78,7 @@ def merge_config(args: argparse.Namespace, base: Config) -> Config:
         value = getattr(args, field, None)
         if value is not None:
             updates[field] = value
-    return dataclasses.replace(base, **updates)
+    return base._replace(**updates)
 
 
 def resolve_vocab(args: argparse.Namespace, cfg: Config) -> TokenVocab:
@@ -158,7 +156,7 @@ def cmd_match(args: argparse.Namespace, cfg: Config) -> int:
     pairs = hungarian(cost)
     height, width = int(probs.shape[1]), int(probs.shape[2])
     target = make_targets(pairs, seq, vocab, height, width)
-    payload = {k: v for k, v in dataclasses.asdict(target).items() if k != "grid"}
+    payload = {k: v for k, v in target._asdict().items() if k != "grid"}
     if args.self_probs or args.left or args.right:
         if not (args.self_probs and args.left and args.right):
             raise ValueError("scoring needs --self, --left, and --right together")
@@ -277,7 +275,7 @@ def cmd_gen(args: argparse.Namespace, cfg: Config) -> int:
         "seed": cfg.seed,
         "count": made,
         "max_depth": args.max_depth,
-        "noise": dataclasses.asdict(noise),
+        "noise": noise._asdict(),
         "vocab": "vocab.tsv",
         "samples": samples_meta,
     }

@@ -51,7 +51,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import NamedTuple
 
@@ -90,8 +89,7 @@ class Node(NamedTuple):
     parent: int | None = None
 
 
-@dataclass
-class ExprGraph:
+class ExprGraph(NamedTuple):
     """Weighted digraph over surviving nodes plus virtual start/end.
 
     nodes: graph position -> Node (real nodes only).
@@ -109,8 +107,7 @@ class ExprGraph:
         return self.n_slots + 1
 
 
-@dataclass
-class PathResult:
+class PathResult(NamedTuple):
     """Winning decode: graph positions, accumulated weight, rendered LaTeX."""
 
     path: list[int]
@@ -367,6 +364,8 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     The edges are written into a weight matrix and an edge mask, the form
     :func:`decode_with_graph` prunes, so neither the decisions nor the
     kept edges' order (by source, then target) follow the dict's order.
+    They span only the positions in use, renumbered in ascending order,
+    which keeps every rank and search order, so n_slots sizes nothing.
 
     Raises:
         ShapeMismatch: an edge key is not a pair of integers, or an edge
@@ -378,14 +377,16 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
             An infinite `epsilon` makes every edge weak.
         NoPath: the end was unreachable before pruning started.
     """
-    _check_graph(graph)
-    n = graph.n_slots + 2
-    weights = np.zeros((n, n))
-    valid = np.zeros((n, n), dtype=bool)
-    for (s, d), w in graph.edges.items():
-        weights[s, d] = w
-        valid[s, d] = True
-    return ExprGraph(dict(graph.nodes), _prune(weights, valid, epsilon)[0], graph.n_slots)
+    pairs = _check_graph(graph)
+    used = sorted({0, graph.eos, *itertools.chain.from_iterable(pairs)})
+    at = {v: i for i, v in enumerate(used)}
+    weights = np.zeros((len(used), len(used)))
+    valid = np.zeros_like(weights, dtype=bool)
+    for (s, d), w in zip(pairs, graph.edges.values()):
+        weights[at[s], at[d]] = w
+        valid[at[s], at[d]] = True
+    edges = {(used[s], used[d]): w for (s, d), w in _prune(weights, valid, epsilon)[0].items()}
+    return ExprGraph(dict(graph.nodes), edges, graph.n_slots)
 
 
 def _check_graph(graph: ExprGraph) -> list:
@@ -645,7 +646,7 @@ def _best_path(nodes, succ, edges, order, vocab: TokenVocab) -> PathResult:
         path.append(pred[path[-1]])
     path.reverse()
     seq = [nodes[i].class_id for i in path[1:-1]]
-    latex = " ".join(tokens._walk(tokens._repair(seq, vocab), vocab, [])[2])
+    latex = " ".join(tokens._walk(tokens._repair(seq, vocab), vocab, [], [])[2])
     return PathResult(path, dist[-1], latex)
 
 

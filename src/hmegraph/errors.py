@@ -25,7 +25,8 @@ is found:
   :func:`scan_finite`.
 
 A list or tuple where an array is expected is read as numpy reads it, so
-it meets the same outcome as that array.  Three faults stay builtin:
+it meets the same outcome as that array; so is one of the package's
+records, each a named tuple of its fields.  Three faults stay builtin:
 
 - a wrong number of arguments: ``TypeError``, from the call itself;
 - a failure of the file system: ``OSError``;

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .errors import EmptyInput, HmeGraphError, LengthMismatch, as_array, as_ints
 from .tokens import TokenVocab, parse_latex
@@ -33,18 +33,21 @@ def token_edit_distance(a: list[int], b: list[int]) -> int:
     return prev[len(b)]
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     """Expression-level accuracy at zero, one, and two token errors."""
 
     exprate: float
     leq1: float
     leq2: float
     n: int
-    per_sample: list[int] = field(repr=False)
+    per_sample: list[int]
+
+    def __repr__(self) -> str:  # leaves out per_sample
+        return (f"EvalReport(exprate={self.exprate!r}, leq1={self.leq1!r}, "
+                f"leq2={self.leq2!r}, n={self.n!r})")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def evaluate(preds: list[str], refs: list[str], vocab: TokenVocab) -> EvalReport:

@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 import numbers
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ _ATOMS = list("abcxyz") + [str(d) for d in range(10)]
 _BINOPS = ["+", "-", "="]
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(NamedTuple):
     """Independent corruption rates for one sample.
 
     flip_prob: chance a plain visible cell shows a wrong class (argmax 0.8
@@ -57,8 +56,7 @@ class NoiseSpec:
     conn_flip_prob: float = 0.0
 
 
-@dataclass
-class SynthSample:
+class SynthSample(NamedTuple):
     """One generated expression with every tensor the decoder needs."""
 
     latex: str
@@ -70,9 +68,9 @@ class SynthSample:
     left: np.ndarray
     right: np.ndarray
     noise: NoiseSpec
-    flipped: list[tuple[int, int]] = field(default_factory=list)
-    spurious: list[tuple[int, int]] = field(default_factory=list)
-    conn_flipped: list[tuple[int, str]] = field(default_factory=list)
+    flipped: list[tuple[int, int]]
+    spurious: list[tuple[int, int]]
+    conn_flipped: list[tuple[int, str]]
 
 
 def gen_expression(seed: int, max_depth: int = 2, vocab: TokenVocab | None = None) -> str:
@@ -351,9 +349,7 @@ def make_sample(
     """Parse `latex` and lay it out; the usual entry point.  Raises as
     :func:`parse_latex` and :func:`layout_and_render` do."""
     seq = parse_latex(latex, vocab)
-    sample = layout_and_render(seq, grid_dims, vocab, noise=noise, seed=seed)
-    sample.latex = latex
-    return sample
+    return layout_and_render(seq, grid_dims, vocab, noise=noise, seed=seed)._replace(latex=latex)
 
 
 # --- builtin corpus ---------------------------------------------------------

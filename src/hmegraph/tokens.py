@@ -500,11 +500,21 @@ def repair_groups(seq: list[int], vocab: TokenVocab) -> list[int]:
         VocabMiss: an id outside the vocabulary.
     """
     vocab.check_ids(seq)
-    return _repair(seq, vocab)
+    out = _repair(seq, vocab)
+    if vocab.sqrt_id in out and vocab.bracket_id in out:
+        strays: list[int] = []
+        try:
+            _walk(out, vocab, None, strays)
+        except IllNested:  # a fault no repair mends; the strays before it still go
+            pass
+        drop = set(strays)
+        out = [cid for pos, cid in enumerate(out) if pos not in drop]
+    return out
 
 
 def _repair(seq: list[int], vocab: TokenVocab) -> list[int]:
-    """:func:`repair_groups` of a range-checked sequence."""
+    """:func:`repair_groups`' interval step on a range-checked sequence; it
+    keeps each ``]``, and a walk given a `strays` list skips the stray ones."""
     step = vocab.step_table
     lo = hi = 0
     out: list[int] = []
@@ -514,14 +524,6 @@ def _repair(seq: list[int], vocab: TokenVocab) -> list[int]:
             lo, hi = max(lo + a, 0), hi + h
             out.append(cid)
     out.extend([vocab.end_id] * lo)
-    if vocab.sqrt_id in out and vocab.bracket_id in out:
-        strays: list[int] = []
-        try:
-            _walk(out, vocab, None, strays)
-        except IllNested:  # a fault no repair mends; the strays before it still go
-            pass
-        drop = set(strays)
-        out = [cid for pos, cid in enumerate(out) if pos not in drop]
     return out
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -112,6 +113,29 @@ class TestBuildCost:
                 assert cost[0, flat] == pytest.approx(0.0)
             else:
                 assert cost[0, flat] == BLOCK_COST
+
+    def test_window_wider_than_grid_costs_the_grid(self, small_vocab):
+        """A window wider than the grid is narrowed first: at a km ten times
+        the grid, every cell is in every window, as in the grid-wide
+        window, and the peak memory is that window's."""
+        v = small_vocab
+        seq = parse_latex("a b c", v)
+        P = np.random.default_rng(0).random((v.grid_classes, 6, 20))
+        positions = [(0, 0), (3, 10), (5, 19)]
+
+        def run(km):
+            tracemalloc.start()
+            try:
+                return build_cost(P, positions, seq, v, km=km), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run(39)  # first-call allocations stay out of the readings
+        wide, wide_peak = run(39)  # 2 * 20 - 1: every window reaches every cell
+        huge, huge_peak = run(201)
+        every_cell = np.abs(P[seq].reshape(len(seq), -1) - 1.0)  # a, b and c are predictable
+        assert np.array_equal(huge, every_cell) and np.array_equal(wide, every_cell)
+        assert huge_peak < 1.25 * wide_peak, (huge_peak, wide_peak)
 
     def test_even_kernel_rejected(self, small_vocab):
         v = small_vocab

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, config precedence, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -448,8 +449,8 @@ class TestExitCodes:
 
     def test_import_leaves_scipy_unloaded(self):
         # Only matching needs scipy; every other command skips its import cost.
-        loaded, scipy = loads_of()
-        assert not scipy
+        loaded, scipy, dataclasses = loads_of()
+        assert not scipy and not dataclasses
         assert loaded == CLI_CORE
 
 
@@ -459,9 +460,9 @@ CLI_CORE = {"hmegraph", "hmegraph.cli", "hmegraph.decode", "hmegraph.errors",
 
 
 def loads_of(*argv):
-    """The `hmegraph.*` modules, and whether scipy, that a fresh
-    interpreter has loaded after running the command line on `argv`
-    (after importing it, when `argv` is empty)."""
+    """The `hmegraph.*` modules, and whether scipy and whether
+    `dataclasses`, that a fresh interpreter has loaded after running the
+    command line on `argv` (after importing it, when `argv` is empty)."""
     code = (
         "import contextlib, io, json, sys\n"
         "from hmegraph.cli import main\n"
@@ -469,13 +470,13 @@ def loads_of(*argv):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(argv) if argv else 0\n"
         "names = sorted(m for m in sys.modules if m.split('.')[0] == 'hmegraph')\n"
-        "print(json.dumps([code, names, 'scipy' in sys.modules]))\n"
+        "print(json.dumps([code, names, 'scipy' in sys.modules, 'dataclasses' in sys.modules]))\n"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    code, names, scipy = json.loads(proc.stdout)
+    code, names, scipy, dataclasses = json.loads(proc.stdout)
     assert code == 0, proc.stderr
-    return set(names), scipy
+    return set(names), scipy, dataclasses
 
 
 # The modules each subcommand loads beyond CLI_CORE.
@@ -487,7 +488,7 @@ EXTRA_LOADS = {"decode": (), "eval": ("metrics",), "gen": ("synth",), "match": (
 def test_subcommand_loads_only_what_it_runs(command, gen_dir, tmp_path):
     """Each subcommand loads the decode path plus the modules only it
     runs; `parse`, `emit` and `vocab` take the builtin vocabulary from
-    `synth`, and only `match` loads scipy."""
+    `synth`, and only `match` loads scipy, and with it `dataclasses`."""
     vocab = ["--vocab", str(gen_dir / "vocab.tsv")]
     inputs = [f"--{k}={gen_dir / f'0000.{k}.namt'}" for k in ("probs", "self", "left", "right")]
     argv = {
@@ -500,6 +501,25 @@ def test_subcommand_loads_only_what_it_runs(command, gen_dir, tmp_path):
         "emit": ["emit", "--ids", "0"],
         "vocab": ["vocab", "--builtin"],
     }[command]
-    loaded, scipy = loads_of(*argv)
+    loaded, scipy, dataclasses = loads_of(*argv)
     assert loaded == CLI_CORE | {f"hmegraph.{name}" for name in EXTRA_LOADS[command]}
     assert scipy == (command == "match")
+    assert dataclasses == (command == "match")
+
+
+def test_package_never_imports_dataclasses():
+    """Every record in the package is a NamedTuple, so no module imports
+    `dataclasses`, which a decode process would otherwise load."""
+    paths = sorted(Path(hmegraph.__file__).parent.glob("*.py"))
+    imports = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno}" for name in names
+                        if name.split(".")[0] == "dataclasses"]
+    assert len(paths) > 1 and imports == []

@@ -15,7 +15,6 @@ where it is read.  A hand-built graph's edge weights are varied, since
 both graph readers check them.  The table calls nothing at random.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -263,7 +262,7 @@ TABLE = {
     "coverage_corpus": _entry(lambda tmp: hmegraph.coverage_corpus()),
     "default_vocab": _entry(lambda tmp: default_vocab()),
     "NoiseSpec": _entry(lambda tmp: NoiseSpec(flip_prob=0.1)),
-    "SynthSample": _entry(lambda tmp: dataclasses.replace(SAMPLE)),
+    "SynthSample": _entry(lambda tmp: SAMPLE._replace()),
     "oracle_hungarian": _entry(lambda tmp, cost=np.eye(2, 3): hmegraph.oracle_hungarian(cost),
                                arrays(cost=np.eye(2, 3))),
     "oracle_longest_path": _entry(lambda tmp: hmegraph.oracle_longest_path(graph())),
@@ -303,8 +302,8 @@ def canon(value):
     """A comparable form of a result: arrays by dtype, shape and bytes."""
     if isinstance(value, np.ndarray):
         return ("array", value.dtype.str, value.shape, value.tobytes())
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (type(value).__name__, canon(vars(value)))
+    if hasattr(value, "_fields") and not isinstance(value, type):  # a record
+        return (type(value).__name__, canon(value._asdict()))
     if isinstance(value, dict):
         return {k: canon(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 import warnings
 from bisect import insort
 
@@ -511,6 +512,24 @@ class TestPrune:
         prune_and_acyclify(g)
         assert g.edges == edges
 
+    def test_memory_follows_edges_not_slots(self, vocab):
+        """Two edges over a thousand slots peak as two edges over one: the
+        matrices span only the positions in use."""
+        def run(n_slots):
+            g = ExprGraph({1: Node(0, 0, 0, index=1)}, {(0, 1): 0.9, (1, n_slots + 1): 0.8},
+                          n_slots)
+            tracemalloc.start()
+            try:
+                return prune_and_acyclify(g).edges, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run(1)  # first-call allocations stay out of the readings
+        small, small_peak = run(1)
+        big, big_peak = run(1000)
+        assert small == {(0, 1): 0.9, (1, 2): 0.8} and big == {(0, 1): 0.9, (1, 1001): 0.8}
+        assert big_peak < 2 * small_peak, (big_peak, small_peak)
+
 
 @pytest.mark.parametrize("stage", [prune_and_acyclify, longest_path])
 @pytest.mark.parametrize("n_slots, bad, w", [
@@ -624,6 +643,18 @@ def random_prune_case(rng):
     return ExprGraph(nodes, edges, n_slots=n)
 
 
+def spread(graph, rng):
+    """`graph` with its nodes moved, in the same order, to far-apart
+    positions of a graph twenty times its size, and the map of positions."""
+    n_slots = 20 * graph.n_slots + 100
+    to = dict(zip(sorted(graph.nodes),
+                  sorted(rng.sample(range(1, n_slots + 1), len(graph.nodes)))))
+    to.update({0: 0, graph.eos: n_slots + 1})
+    far = ExprGraph({to[i]: node._replace(index=to[i]) for i, node in graph.nodes.items()},
+                    {(to[s], to[d]): w for (s, d), w in graph.edges.items()}, n_slots)
+    return far, to
+
+
 def strong_reaches_end(graph, eps):
     """Whether edges at or above `eps` alone lead from start to end."""
     reached, frontier = {0}, [0]
@@ -655,25 +686,29 @@ def count_calls(monkeypatch, name, module=decode):
 
 class TestPruneMatchesOracle:
     def test_random_graphs(self, vocab):
-        rng = random.Random(20241018)
+        rng, spreader = random.Random(20241018), random.Random(29)
         seen = {"nopath": 0, "weak_kept": 0, "cycle_broken": 0, "strong_misses_end": 0}
         for trial in range(1200):
             g = random_prune_case(rng)
             items = list(g.edges.items())
             rng.shuffle(items)
             shuffled = ExprGraph(g.nodes, dict(items), g.n_slots)
+            far, to = spread(g, spreader)
             eps = rng.choice([0.25, 0.5, 0.75])
             try:
                 want = oracle_prune(g, eps)
             except NoPath:
-                for graph in (g, shuffled):
+                for graph in (g, shuffled, far):
                     with pytest.raises(NoPath):
                         prune_and_acyclify(graph, eps)
                 seen["nopath"] += 1
                 continue
             got = prune_and_acyclify(g, eps).edges
-            # Insertion order changes neither the decisions nor the kept order.
+            # Insertion order changes neither the decisions nor the kept order,
+            # and neither do unused positions between the nodes.
             assert list(prune_and_acyclify(shuffled, eps).edges.items()) == list(got.items())
+            moved = [((to[s], to[d]), w) for (s, d), w in got.items()]
+            assert list(prune_and_acyclify(far, eps).edges.items()) == moved
             assert set(got) == set(want), f"trial {trial}"
             assert all(got[e] == g.edges[e] for e in got)
             seen["weak_kept"] += any(w < eps for w in got.values())
@@ -1341,8 +1376,9 @@ class TestRepair:
 
 class TestWalkCounts:
     """`tokens._walk` resolves the groups of a sequence and spells it.
-    Resolving or rendering walks once.  The repair walks a result that
-    holds both \\sqrt and `]` once, however many `]` it drops."""
+    Resolving, emitting or rendering a path walks once.  The repair walks
+    a result that holds both \\sqrt and `]` once, however many `]` it
+    drops."""
 
     def test_resolve_and_emit_walk_once(self, vocab, monkeypatch):
         sq, br, x, end = vocab.id_of("\\sqrt"), vocab.id_of("]"), vocab.id_of("x"), vocab.end_id
@@ -1360,15 +1396,14 @@ class TestWalkCounts:
                 assert len(walks) == 1
 
     def test_render_walks(self, vocab, monkeypatch):
-        """A path renders in one walk plus the repair's, through
-        `longest_path` on chains of random ids and through the decode of
-        the benchmark's default profiles.  The repair changes only ENDs
-        before its walk, so the path's ids tell whether it walks."""
+        """A path renders in one walk, which skips each stray `]` as it
+        meets it, through `longest_path` on chains of random ids and through
+        the decode of the benchmark's default profiles.  It spells what
+        `emit_latex` spells of `repair_groups`' result, or raises the same
+        IllNested with the same message, as a chain that also holds a
+        reserved id does.  The repair walks once when the path holds both
+        \\sqrt and `]`, and otherwise not at all."""
         sq, br = vocab.id_of("\\sqrt"), vocab.id_of("]")
-
-        def expected(seq):
-            dropped = seq.count(br) - repair_groups(seq, vocab).count(br)
-            return 1 + (sq in seq and br in seq), dropped
 
         def chain_of(cids):
             nodes = {i: Node(cid, 0, i, index=i) for i, cid in enumerate(cids, 1)}
@@ -1376,39 +1411,47 @@ class TestWalkCounts:
             edges = {e: 1.0 for e in zip(chain, chain[1:])}
             return ExprGraph(nodes, edges, n_slots=len(cids))
 
-        rng = random.Random(20261019)
+        def spelled(run):
+            try:
+                return run()
+            except IllNested as err:
+                return type(err), str(err), err.position
+
+        rng, faults = random.Random(20261019), random.Random(29)
         pool = [sq, sq, br, br, vocab.end_id, vocab.end_id, vocab.end_id]
-        chains, dropped_total = [], 0
-        for _ in range(1500):
+        cases = []
+        for trial in range(1500):
             cids = [rng.choice(pool + [rng.randrange(vocab.num_predictable)])
                     for _ in range(rng.randint(1, 14))]
-            want, dropped = expected(cids)
-            chains.append((chain_of(cids), want))
-            dropped_total += dropped
-        assert dropped_total >= 100
+            cases.append(cids)
+            if trial % 5 == 0:  # a reserved id: a fault no repair mends
+                reserved = faults.choice(range(vocab.none_id, len(vocab)))
+                cases.append([*cids[:(k := faults.randrange(len(cids) + 1))], reserved, *cids[k:]])
         # A whole index of strays, up to as many as a 14x56 grid has cells.
         for k in (1, 10, 780):
-            cids = [sq, *[br] * k, vocab.end_id, vocab.id_of("x"), vocab.end_id]
-            assert expected(cids) == (2, k)
-            chains.append((chain_of(cids), 2))
+            cases.append([sq, *[br] * k, vocab.end_id, vocab.id_of("x"), vocab.end_id])
         profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
                     NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
-        decodes = []
-        for sample in bench_samples(vocab, profiles, 100, 95000):
-            result, pruned = decode_with_graph(sample.probs, sample.self_probs,
-                                               sample.left, sample.right, vocab)
-            path = [pruned.nodes[i].class_id for i in result.path[1:-1]]
-            decodes.append((sample, expected(path)[0]))
+        samples = list(bench_samples(vocab, profiles, 100, 95000))
 
         walks = count_calls(monkeypatch, "_walk", tokens)
-        for graph, want in chains:
+        dropped_total = faulted = 0
+        for cids in cases:
             walks.clear()
-            longest_path(graph, vocab)
-            assert len(walks) == want, graph.nodes
-        for sample, want in decodes:
+            repaired = repair_groups(cids, vocab)
+            assert len(walks) == (sq in cids and br in cids)  # the repair drops only ENDs and `]`
+            dropped_total += cids.count(br) - repaired.count(br)
+            want = spelled(lambda: emit_latex(repaired, vocab))
+            walks.clear()
+            got = spelled(lambda: longest_path(chain_of(cids), vocab).latex)
+            assert len(walks) == 1, cids
+            assert got == want, cids
+            faulted += type(got) is tuple
+        assert dropped_total >= 100 and faulted >= 100, (dropped_total, faulted)
+        for sample in samples:
             walks.clear()
             decode_with_graph(sample.probs, sample.self_probs, sample.left, sample.right, vocab)
-            assert len(walks) == want
+            assert len(walks) == 1
 
 
 class TestPipeline:

@@ -58,7 +58,8 @@ def sample_for(seed, profile, grid, vocab):
     sample = make_sample(latex, vocab, grid, noise=PROFILES[profile], seed=seed)
     if profile.endswith("-floor"):
         probs = sample.probs
-        sample.probs = ((1.0 - FLOOR) * probs + FLOOR / probs.shape[0]).astype(np.float32)
+        sample = sample._replace(
+            probs=((1.0 - FLOOR) * probs + FLOOR / probs.shape[0]).astype(np.float32))
     return sample
 
 

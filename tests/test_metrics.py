@@ -109,3 +109,7 @@ class TestEvaluate:
             "n": 1,
             "per_sample": [0],
         }
+
+    def test_repr_leaves_out_per_sample(self, vocab):
+        report = evaluate(["x", "y"], ["x", "x"], vocab)
+        assert repr(report) == "EvalReport(exprate=0.5, leq1=1.0, leq2=1.0, n=2)"

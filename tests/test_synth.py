@@ -1,6 +1,5 @@
 """Synthetic sample generation, layout geometry, noise bookkeeping, oracles."""
 
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -146,8 +145,7 @@ def _outcome(label, vocab, dims, noise, seed) -> bytes:
     except HmeGraphError as exc:
         return repr((type(exc).__name__, str(exc))).encode()
     parts = []
-    for f in dataclasses.fields(sample):
-        value = getattr(sample, f.name)
+    for value in sample:
         if isinstance(value, np.ndarray):
             parts.append(repr((value.shape, value.dtype.str)).encode() + value.tobytes())
         else:
