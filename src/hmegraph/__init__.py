@@ -23,8 +23,8 @@ _EXPORTS = {
     ),
     "decode": (
         "ExprGraph", "Node", "PathResult", "apply_corrections", "build_graph",
-        "decode_with_graph", "expand_imaginary", "longest_path", "prune_and_acyclify",
-        "vat_extract",
+        "decode_with_graph", "expand_imaginary", "export_dot", "longest_path",
+        "prune_and_acyclify", "vat_extract",
     ),
     "errors": (
         "BadMagic", "CycleDetected", "DanglingGroup", "DimOverflow", "EmptyCorpus",
@@ -39,7 +39,7 @@ _EXPORTS = {
         "layout_and_render", "make_sample", "oracle_edit", "oracle_hungarian",
         "oracle_longest_path", "oracle_prune", "teacher_matrices",
     ),
-    "tensor_io": ("export_dot", "read_tensor", "write_tensor"),
+    "tensor_io": ("read_tensor", "write_tensor"),
     "tokens": (
         "TokenVocab", "build_vocab", "emit_latex", "group_structure", "gt_targets",
         "parse_latex",

@@ -9,10 +9,10 @@ defaults.  The vocabulary resolves `--vocab`, then the config file's
 `vocab_path`, then the `NAMER_VOCAB` environment variable, then the
 builtin-corpus vocabulary.
 
-Start-up is most of a short call's time, so this module imports only the
-decode path; `assignment`, `metrics` and `synth` are imported inside the
-handlers that use them.  `decode --vocab` loads none of the three, and
-only `match` loads scipy.
+Start-up is most of a short call's time, so this module imports only what
+every subcommand reads: `errors`, `tensor_io` and `tokens`.  `assignment`,
+`decode`, `metrics` and `synth` are imported inside the handlers that use
+them.  `decode --vocab` adds only `decode`, and only `match` loads scipy.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decode import decode_with_graph
 from .errors import GridTooSmall, HmeGraphError
-from .tensor_io import export_dot, read_tensor, write_tensor
+from .tensor_io import read_tensor, write_tensor
 from .tokens import TokenVocab, build_vocab, emit_latex, parse_latex
 
 
@@ -185,6 +184,8 @@ def cmd_match(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_decode(args: argparse.Namespace, cfg: Config) -> int:
+    from .decode import decode_with_graph, export_dot
+
     vocab = resolve_vocab(args, cfg)
     result, graph = decode_with_graph(
         read_tensor(args.probs),
@@ -211,7 +212,7 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     preds = Path(args.pred).read_text(encoding="utf-8").splitlines()
     refs = Path(args.ref).read_text(encoding="utf-8").splitlines()
     report = evaluate(preds, refs, vocab)
-    _emit_json(report.as_dict())
+    _emit_json(report._asdict())
     return 0
 
 

@@ -40,6 +40,10 @@ search on pruning's successor lists and kept-edge dict: it builds a Node
 only for a node that survives corrections, and a dict entry only for a
 kept edge.
 
+Three functions read a handed-in :class:`ExprGraph`, each through one
+gate first: :func:`prune_and_acyclify`, :func:`longest_path`, and
+:func:`export_dot`, which renders it as Graphviz DOT.
+
 Node indices are stable throughout: after expansion, node i sits at graph
 position i+1, the virtual start at 0, the virtual end at N+1.  Score
 matrices are indexed the same way, so deleting a node never reindexes the
@@ -62,6 +66,7 @@ from .errors import (
     NonStochasticRow,
     NoPath,
     as_array,
+    as_ints,
     as_pairs,
     as_scalar,
     nonnegative_max,
@@ -648,6 +653,43 @@ def _best_path(nodes, succ, edges, order, vocab: TokenVocab) -> PathResult:
     seq = [nodes[i].class_id for i in path[1:-1]]
     latex = " ".join(tokens._walk(tokens._repair(seq, vocab), vocab, [], [])[2])
     return PathResult(path, dist[-1], latex)
+
+
+def export_dot(graph, vocab, highlight: tuple | list = ()) -> str:
+    """Render an expression graph as Graphviz DOT source.
+
+    Node labels read ``symbol@(row,col)``; backslash symbols are escaped for
+    the DOT string grammar.  Edge labels carry weights to three decimals.
+    Consecutive pairs from `highlight` (a winning path) are drawn bold.
+
+    Raises:
+        ShapeMismatch: `highlight` is not a sequence of integers, an edge
+            key is not a pair of integers, or an edge weight is not a real
+            number (naming the edge).
+        NodeCountMismatch: n_slots is negative, or an edge end is neither
+            the start, the end, nor a node's position within 1..n_slots.
+        NonFinite: an edge weight is NaN or infinite.
+        VocabMiss: a node's class id is outside the vocabulary.
+    """
+    _check_graph(graph)
+    highlight = as_ints(highlight, "highlight")
+    bold = {(highlight[k], highlight[k + 1]) for k in range(len(highlight) - 1)}
+
+    def esc(s: str) -> str:
+        return s.replace("\\", "\\\\").replace('"', '\\"')
+
+    lines = ["digraph expression {", "  rankdir=LR;"]
+    lines.append(f'  n0 [label="{esc(vocab.symbol_of(vocab.sos_id))}"];')
+    for i in sorted(graph.nodes):
+        n = graph.nodes[i]
+        label = f"{esc(vocab.symbol_of(n.class_id))}@({n.row},{n.col})"
+        lines.append(f'  n{i} [label="{label}"];')
+    lines.append(f'  n{graph.eos} [label="{esc(vocab.symbol_of(vocab.eos_id))}"];')
+    for (s, d), w in sorted(graph.edges.items()):
+        style = ", style=bold" if (s, d) in bold else ""
+        lines.append(f'  n{s} -> n{d} [label="{w:.3f}"{style}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def decode_with_graph(

@@ -46,9 +46,6 @@ class EvalReport(NamedTuple):
         return (f"EvalReport(exprate={self.exprate!r}, leq1={self.leq1!r}, "
                 f"leq2={self.leq2!r}, n={self.n!r})")
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 def evaluate(preds: list[str], refs: list[str], vocab: TokenVocab) -> EvalReport:
     """Score predictions against references on canonical token sequences.

@@ -1,4 +1,4 @@
-"""Fixed-layout tensor container and graph export.
+"""The NAMT tensor container: a fixed binary layout for float tensors.
 
 The on-disk tensor format is deliberately tiny so that recognizer stages can
 exchange grids and score matrices across machines with no framework
@@ -10,8 +10,6 @@ dependency.  Layout, all little-endian regardless of host byte order::
     dims    u32 * ndim   (each < 2**20)
     dtype   u32      1 = float32
     payload float32 * prod(dims), row-major
-
-Graphs export as Graphviz DOT for visual inspection.
 """
 
 from __future__ import annotations
@@ -21,8 +19,7 @@ import struct
 
 import numpy as np
 
-from .decode import _check_graph
-from .errors import BadMagic, DimOverflow, TruncatedPayload, as_array, as_ints, as_scalar
+from .errors import BadMagic, DimOverflow, TruncatedPayload, as_array, as_scalar
 
 MAGIC = b"NAMT"
 VERSION = 1
@@ -107,41 +104,3 @@ def read_tensor(path) -> np.ndarray:
     as_array(flat, None, f"{path}: payload")
     return flat.reshape(dims).astype(np.float32)
 
-
-# --- graph export -----------------------------------------------------------
-
-def export_dot(graph, vocab, highlight: tuple | list = ()) -> str:
-    """Render an expression graph as Graphviz DOT source.
-
-    Node labels read ``symbol@(row,col)``; backslash symbols are escaped for
-    the DOT string grammar.  Edge labels carry weights to three decimals.
-    Consecutive pairs from `highlight` (a winning path) are drawn bold.
-
-    Raises:
-        ShapeMismatch: `highlight` is not a sequence of integers, an edge
-            key is not a pair of integers, or an edge weight is not a real
-            number (naming the edge).
-        NodeCountMismatch: n_slots is negative, or an edge end is neither
-            the start, the end, nor a node's position within 1..n_slots.
-        NonFinite: an edge weight is NaN or infinite.
-        VocabMiss: a node's class id is outside the vocabulary.
-    """
-    _check_graph(graph)
-    highlight = as_ints(highlight, "highlight")
-    bold = {(highlight[k], highlight[k + 1]) for k in range(len(highlight) - 1)}
-
-    def esc(s: str) -> str:
-        return s.replace("\\", "\\\\").replace('"', '\\"')
-
-    lines = ["digraph expression {", "  rankdir=LR;"]
-    lines.append(f'  n0 [label="{esc(vocab.symbol_of(vocab.sos_id))}"];')
-    for i in sorted(graph.nodes):
-        n = graph.nodes[i]
-        label = f"{esc(vocab.symbol_of(n.class_id))}@({n.row},{n.col})"
-        lines.append(f'  n{i} [label="{label}"];')
-    lines.append(f'  n{graph.eos} [label="{esc(vocab.symbol_of(vocab.eos_id))}"];')
-    for (s, d), w in sorted(graph.edges.items()):
-        style = ", style=bold" if (s, d) in bold else ""
-        lines.append(f'  n{s} -> n{d} [label="{w:.3f}"{style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -454,9 +454,9 @@ class TestExitCodes:
         assert loaded == CLI_CORE
 
 
-# What importing the command line loads: the decode path.
-CLI_CORE = {"hmegraph", "hmegraph.cli", "hmegraph.decode", "hmegraph.errors",
-            "hmegraph.tensor_io", "hmegraph.tokens"}
+# What importing the command line loads: what every subcommand reads.
+CLI_CORE = {"hmegraph", "hmegraph.cli", "hmegraph.errors", "hmegraph.tensor_io",
+            "hmegraph.tokens"}
 
 
 def loads_of(*argv):
@@ -480,15 +480,17 @@ def loads_of(*argv):
 
 
 # The modules each subcommand loads beyond CLI_CORE.
-EXTRA_LOADS = {"decode": (), "eval": ("metrics",), "gen": ("synth",), "match": ("assignment",),
-               "parse": ("synth",), "emit": ("synth",), "vocab": ("synth",)}
+EXTRA_LOADS = {"decode": ("decode",), "eval": ("metrics",), "gen": ("synth",),
+               "match": ("assignment",), "parse": ("synth",), "emit": ("synth",),
+               "vocab": ("synth",)}
 
 
 @pytest.mark.parametrize("command", EXTRA_LOADS)
 def test_subcommand_loads_only_what_it_runs(command, gen_dir, tmp_path):
-    """Each subcommand loads the decode path plus the modules only it
-    runs; `parse`, `emit` and `vocab` take the builtin vocabulary from
-    `synth`, and only `match` loads scipy, and with it `dataclasses`."""
+    """Each subcommand loads CLI_CORE plus the modules only it runs:
+    only `decode` loads `decode`, `parse`, `emit` and `vocab` take the
+    builtin vocabulary from `synth`, and only `match` loads scipy, and
+    with it `dataclasses`."""
     vocab = ["--vocab", str(gen_dir / "vocab.tsv")]
     inputs = [f"--{k}={gen_dir / f'0000.{k}.namt'}" for k in ("probs", "self", "left", "right")]
     argv = {

@@ -11,7 +11,7 @@ from bisect import insort
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from hmegraph import (
@@ -1051,6 +1051,11 @@ def dense_decode_inputs(rng, vocab):
     return P, self_probs, left, right, alpha
 
 
+# The benchmark's default noise profiles: quiet, flip, spurious, temperature, conn-flip.
+MIX_PROFILES = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
+                NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
+
+
 def bench_samples(vocab, noises, count, seed):
     """The first `count` samples from `seed` on that fit the benchmark's
     14x56 grid; sample k gets noise ``noises[k % len(noises)]``."""
@@ -1134,10 +1139,8 @@ class TestDecodePruneMatchesAdapter:
             return acyclic_order(succ, counted)
 
         monkeypatch.setattr(decode, "_acyclic_order", recorded)
-        profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
-                    NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
         removed_total = 0
-        for k, sample in enumerate(bench_samples(vocab, profiles, 100, 80000)):
+        for k, sample in enumerate(bench_samples(vocab, MIX_PROFILES, 100, 80000)):
             for seen in (searches, cycles, cuts):
                 seen.clear()
             result, pruned = decode_with_graph(sample.probs, sample.self_probs,
@@ -1171,9 +1174,7 @@ class TestDecodePruneMatchesAdapter:
         monkeypatch.setattr(decode, "Node", CountedNode)
         for name in ("vat_extract", "expand_imaginary", "apply_corrections"):
             monkeypatch.setattr(decode, name, refuse)
-        profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
-                    NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
-        samples = list(bench_samples(vocab, profiles, 100, 85000))
+        samples = list(bench_samples(vocab, MIX_PROFILES, 100, 85000))
         deleted = 0
         for sample in samples:
             built = 0
@@ -1187,9 +1188,7 @@ class TestDecodePruneMatchesAdapter:
         """Decoding reads class roles and group counts from the vocabulary's
         tables after one range check per sequence, never through the
         per-id checked lookup."""
-        profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
-                    NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
-        samples = list(bench_samples(vocab, profiles, 100, 90000))
+        samples = list(bench_samples(vocab, MIX_PROFILES, 100, 90000))
         quiet = [emit_latex(s.seq, vocab) for s in samples[::5]]
 
         def refuse(*args, **kwargs):
@@ -1430,9 +1429,7 @@ class TestWalkCounts:
         # A whole index of strays, up to as many as a 14x56 grid has cells.
         for k in (1, 10, 780):
             cases.append([sq, *[br] * k, vocab.end_id, vocab.id_of("x"), vocab.end_id])
-        profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
-                    NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
-        samples = list(bench_samples(vocab, profiles, 100, 95000))
+        samples = list(bench_samples(vocab, MIX_PROFILES, 100, 95000))
 
         walks = count_calls(monkeypatch, "_walk", tokens)
         dropped_total = faulted = 0
@@ -1671,9 +1668,7 @@ class TestGridFiniteness:
 
     def test_decode_mix_never_scans(self, vocab, monkeypatch):
         scans = self.scans(monkeypatch)
-        profiles = [NoiseSpec(), NoiseSpec(flip_prob=0.1), NoiseSpec(spurious_prob=0.02),
-                    NoiseSpec(score_temperature=0.3), NoiseSpec(conn_flip_prob=0.1)]
-        for sample in bench_samples(vocab, profiles, 100, 95000):
+        for sample in bench_samples(vocab, MIX_PROFILES, 100, 95000):
             decode_with_graph(sample.probs, sample.self_probs, sample.left, sample.right, vocab)
         assert scans() == 0
 
@@ -1764,3 +1759,63 @@ def test_decode_names_fault_or_round_trips(inputs, epsilon, alpha):
         return
     assert all(np.isfinite(a).all() for a in inputs.values())
     assert emit_latex(parse_latex(result.latex, vocab), vocab) == result.latex
+
+
+@st.composite
+def relation_cases(draw):
+    """A decode-mix kind of input: a depth-2 expression on a 14x56 grid
+    under one of the benchmark's default profiles, one time in ten with
+    every node deleted, and an epsilon and a two-sided or one-sided alpha."""
+    vocab = default_vocab()
+    seed = draw(st.integers(0, 10**6))
+    latex = gen_expression(seed, max_depth=2, vocab=vocab)
+    try:
+        sample = make_sample(latex, vocab, (14, 56), noise=draw(st.sampled_from(MIX_PROFILES)),
+                             seed=seed)
+    except GridTooSmall:
+        reject()
+    if draw(st.integers(0, 9)) == 0:  # every correction row deletes its node: NoPath
+        votes = np.zeros_like(sample.self_probs)
+        votes[:, vocab.none_id] = 1.0
+        sample = sample._replace(self_probs=votes)
+    epsilon = draw(st.sampled_from([0.3, 0.5, 0.7]))
+    alpha = draw(st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]))
+    return sample, epsilon, alpha
+
+
+def decode_outcome(P, sample, epsilon, alpha):
+    """The PathResult of a decode, or the message of its NoPath."""
+    try:
+        return decode_with_graph(P, sample.self_probs, sample.left, sample.right,
+                                 default_vocab(), epsilon=epsilon,
+                                 alpha_l2r=alpha[0], alpha_r2l=alpha[1])[0]
+    except NoPath as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=relation_cases())
+def test_doubled_alphas_and_epsilon_double_the_weight(case):
+    """Scaling every weight and the threshold by 2 is exact in float64, so
+    no decision moves: the same path and LaTeX, or the same NoPath, and
+    exactly twice the weight."""
+    sample, epsilon, alpha = case
+    once = decode_outcome(sample.probs, sample, epsilon, alpha)
+    twice = decode_outcome(sample.probs, sample, 2 * epsilon, (2 * alpha[0], 2 * alpha[1]))
+    expected = once if isinstance(once, str) else once._replace(weight=2 * once.weight)
+    assert twice == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=relation_cases(), pad=st.sampled_from([(t, k) for t in range(4) for k in range(4)][1:]))
+def test_blank_rows_on_top_and_columns_on_the_left_change_nothing(case, pad):
+    """Blank cells above and to the left of the grid keep the nodes' raster
+    order, and the score matrices index nodes, not cells, so the decode is
+    identical, NoPath included."""
+    sample, epsilon, alpha = case
+    P = sample.probs
+    padded = np.zeros((P.shape[0], P.shape[1] + pad[0], P.shape[2] + pad[1]), dtype=P.dtype)
+    padded[default_vocab().none_id] = 1.0
+    padded[:, pad[0]:, pad[1]:] = P
+    expected = decode_outcome(P, sample, epsilon, alpha)
+    assert decode_outcome(padded, sample, epsilon, alpha) == expected

@@ -101,7 +101,7 @@ class TestEvaluate:
             evaluate([], [], vocab)
 
     def test_as_dict(self, vocab):
-        d = evaluate(["x"], ["x"], vocab).as_dict()
+        d = evaluate(["x"], ["x"], vocab)._asdict()
         assert d == {
             "exprate": 1.0,
             "leq1": 1.0,
