@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GridTooSmall, HmeGraphError
+from .errors import GridTooSmall, HmeGraphError, read_text
 from .tensor_io import read_tensor, write_tensor
 from .tokens import TokenVocab, build_vocab, emit_latex, parse_latex
 
@@ -54,8 +54,13 @@ _CONFIG_KEYS = {
 
 
 def load_config(path: str) -> Config:
-    """Read a JSON config file; unknown keys and mistyped values are rejected."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a JSON config file.  Text that is not UTF-8 or not JSON, an
+    unknown key and a mistyped value are rejected, naming the file."""
+    text = read_text(path)
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep
+        raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     values = {}
@@ -110,7 +115,7 @@ def cmd_parse(args: argparse.Namespace, cfg: Config) -> int:
     if args.label is not None:
         texts.append(args.label)
     if args.labels:
-        lines = Path(args.labels).read_text(encoding="utf-8").splitlines()
+        lines = read_text(args.labels).splitlines()
         texts.extend(ln for ln in lines if ln.strip())
     if not texts:
         raise ValueError("nothing to parse; pass --label or --labels")
@@ -209,8 +214,8 @@ def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
     from .metrics import evaluate
 
     vocab = resolve_vocab(args, cfg)
-    preds = Path(args.pred).read_text(encoding="utf-8").splitlines()
-    refs = Path(args.ref).read_text(encoding="utf-8").splitlines()
+    preds = read_text(args.pred).splitlines()
+    refs = read_text(args.ref).splitlines()
     report = evaluate(preds, refs, vocab)
     _emit_json(report._asdict())
     return 0
@@ -293,7 +298,7 @@ def cmd_vocab(args: argparse.Namespace, cfg: Config) -> int:
 
         vocab = default_vocab()
     elif args.labels:
-        lines = Path(args.labels).read_text(encoding="utf-8").splitlines()
+        lines = read_text(args.labels).splitlines()
         vocab = build_vocab([ln for ln in lines if ln.strip()])
     else:
         vocab = resolve_vocab(args, cfg)

@@ -22,14 +22,15 @@ can be inspected:
    :func:`prune_and_acyclify` removes weak edges and breaks cycles, never
    disconnecting start from end; its docstring argues why one path search
    decides every weak edge.
-   Pruning runs on a weight matrix and an edge mask, whose strong edges
-   become successor lists in one pass over their flat indices.  Weak edges
-   are read only when strong edges alone miss the end, and then a weak
-   row is sorted only when the path search takes an edge from it; a
-   search over kept edges alone offers no weak edge.  One depth-first
-   search, on flat stacks of vertices and of iterators and resumed after
-   each removal, breaks every cycle.  It gives the kept edges as one dict
-   of weights, with successor lists and that search's postorder.
+   Pruning runs on one weight matrix, NaN where no edge may run, whose
+   strong edges become successor lists in one pass over their flat
+   indices.  Weak edges are read only when strong edges alone miss the
+   end, and then a weak row is sorted only when the path search takes an
+   edge from it; a search over kept edges alone offers no weak edge.
+   One depth-first search, on flat stacks of vertices and of iterators
+   and resumed after each removal, breaks every cycle.  It gives the kept
+   edges as one dict of weights, with successor lists and that search's
+   postorder.
 5. :func:`longest_path` picks the maximum-weight start-to-end path and
    renders it back to LaTeX, reading each weight from the edge dict.
 
@@ -243,14 +244,17 @@ def _edge_weights(
     alpha_l2r: float,
     alpha_r2l: float,
     n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Checked inputs of :func:`build_graph` as arrays over graph positions.
+) -> np.ndarray:
+    """Checked inputs of :func:`build_graph` as one array over graph
+    positions.
 
     The one gate of the alphas and both neighbor matrices, in that order,
     for N nodes whose positions in `index_map` lie within 1..N.  Returns
-    the float64 weight of every i -> j and the mask of admissible edges,
-    those between the positions of `index_map` and the virtual ends.
-    Raises as :func:`build_graph` documents.
+    the float64 weight of every i -> j that may be an edge, one between
+    the positions of `index_map` and the virtual ends, and NaN at every
+    other pair: the rows and columns of deleted nodes, the end's row, the
+    start's column, the diagonal and the bare start -> end pair.  Raises
+    as :func:`build_graph` documents.
 
     A valid pair of neighbor matrices passes on one row sum and one
     minimum of each (see :func:`_stochastic`), which NaN and infinities
@@ -277,14 +281,13 @@ def _edge_weights(
     # float64 before scaling, so each weight rounds as the scalar formula would.
     weights = np.multiply(right, alpha_l2r, dtype=np.float64)
     weights += np.multiply(left.T, alpha_r2l, dtype=np.float64)
-    src = np.zeros(n + 2, dtype=bool)
-    src[list(index_map)] = True
-    dst = src.copy()
-    src[0] = dst[n + 1] = True
-    valid = src[:, None] & dst
-    valid.ravel()[:: n + 3] = False  # the diagonal, through a view
-    valid[0, n + 1] = False  # the bare start -> end edge
-    return weights, valid
+    if len(index_map) < n:  # some node was deleted; a fancy write costs even when empty
+        gone = [i for i in range(1, n + 1) if i not in index_map]
+        weights[gone] = weights[:, gone] = np.nan
+    weights[n + 1] = weights[:, 0] = np.nan
+    np.fill_diagonal(weights, np.nan)  # a Fortran-ordered `weights` ravels to a copy
+    weights[0, n + 1] = np.nan
+    return weights
 
 
 def _stochastic(left: np.ndarray, right: np.ndarray, n: int) -> bool:
@@ -314,9 +317,10 @@ def build_graph(
     ``alpha_l2r * right[i, j] + alpha_r2l * left[j, i]`` (j is i's right
     neighbor exactly when i is j's left neighbor).  Self-edges, edges into
     the virtual start, edges out of the virtual end, and the bare
-    start -> end edge are never created.  Edges are inserted in row-major
-    ``(src, dst)`` order, though :func:`prune_and_acyclify` does not
-    depend on it.
+    start -> end edge are never created: the weight matrix holds NaN
+    there, and every entry that is not NaN is an edge.  Edges are inserted
+    in row-major ``(src, dst)`` order, though :func:`prune_and_acyclify`
+    does not depend on it.
 
     Raises:
         ShapeMismatch: a matrix is not a real 2-d array, or an alpha is
@@ -332,8 +336,8 @@ def build_graph(
     for i in index_map:
         if not 1 <= i <= n:
             raise NodeCountMismatch(f"node position {i} outside 1..{n}")
-    weights, valid = _edge_weights(index_map, left, right, alpha_l2r, alpha_r2l, n)
-    r, c = np.nonzero(valid)  # row-major
+    weights = _edge_weights(index_map, left, right, alpha_l2r, alpha_r2l, n)
+    r, c = np.nonzero(~np.isnan(weights))  # row-major
     edges = dict(zip(zip(r.tolist(), c.tolist()), weights[r, c].tolist()))
     return ExprGraph(index_map, edges, n_slots=n)
 
@@ -366,9 +370,10 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
     witness: a removal off it leaves the end reachable, so only a removal
     on it searches for a new one.
 
-    The edges are written into a weight matrix and an edge mask, the form
-    :func:`decode_with_graph` prunes, so neither the decisions nor the
-    kept edges' order (by source, then target) follow the dict's order.
+    The edges are written into a weight matrix, NaN where there is no
+    edge, the form :func:`decode_with_graph` prunes, so neither the
+    decisions nor the kept edges' order (by source, then target) follow
+    the dict's order.
     They span only the positions in use, renumbered in ascending order,
     which keeps every rank and search order, so n_slots sizes nothing.
 
@@ -379,18 +384,17 @@ def prune_and_acyclify(graph: ExprGraph, epsilon: float = 0.5) -> ExprGraph:
         NodeCountMismatch: n_slots is negative, or an edge end is neither
             the start, the end, nor a node's position within 1..n_slots.
         NonFinite: an edge weight is NaN or infinite, or `epsilon` is NaN.
-            An infinite `epsilon` makes every edge weak.
+            An `epsilon` of +inf makes every edge weak, and -inf every
+            edge strong.
         NoPath: the end was unreachable before pruning started.
     """
     pairs = _check_graph(graph)
     used = sorted({0, graph.eos, *itertools.chain.from_iterable(pairs)})
     at = {v: i for i, v in enumerate(used)}
-    weights = np.zeros((len(used), len(used)))
-    valid = np.zeros_like(weights, dtype=bool)
+    weights = np.full((len(used), len(used)), np.nan)
     for (s, d), w in zip(pairs, graph.edges.values()):
         weights[at[s], at[d]] = w
-        valid[at[s], at[d]] = True
-    edges = {(used[s], used[d]): w for (s, d), w in _prune(weights, valid, epsilon)[0].items()}
+    edges = {(used[s], used[d]): w for (s, d), w in _prune(weights, epsilon)[0].items()}
     return ExprGraph(dict(graph.nodes), edges, graph.n_slots)
 
 
@@ -417,30 +421,31 @@ def _check_graph(graph: ExprGraph) -> list:
     return pairs
 
 
-def _prune(weights: np.ndarray, valid: np.ndarray, epsilon: float):
+def _prune(weights: np.ndarray, epsilon: float):
     """The pruning pass of :func:`prune_and_acyclify` on a weight matrix.
 
-    `weights[s, d]` is the float64 weight of s -> d, an edge exactly where
-    the bool mask `valid` holds.  Strong edges, those not below `epsilon`,
-    become successor lists in ascending order, in one Python pass over the
-    row-major flat indices of ``valid > below``.  Only when they do not
-    reach the end does one search over them and the weak edges find the
-    path whose weak edges are kept, as :func:`prune_and_acyclify` argues;
-    it reads the weak edges from a key matrix, their weights with -inf
-    elsewhere, and ranks only the rows it takes an edge from.  Then one
-    resumable depth-first search breaks every cycle.  Returns the kept
-    edges as a dict of weights, by source and then target, the successor
-    lists, and that search's postorder.  `epsilon` goes through the gate:
-    a NaN raises NonFinite, and an infinity makes every edge weak.
+    `weights[s, d]` is the float64 weight of s -> d, and NaN where there
+    is no edge, which fails every comparison.  Strong edges, those not
+    below `epsilon`, become successor lists in ascending order, in one
+    Python pass over the row-major flat indices of ``weights >= epsilon``.
+    Only when they do not reach the end does one search over them and the
+    weak edges find the path whose weak edges are kept, as
+    :func:`prune_and_acyclify` argues; it reads the weak edges from a key
+    matrix, the weights below `epsilon` with -inf elsewhere, and ranks
+    only the rows it takes an edge from.  Then one resumable depth-first
+    search breaks every cycle.  Returns the kept edges as a dict of
+    weights, by source and then target, the successor lists, and that
+    search's postorder.  `epsilon` goes through the gate: a NaN raises
+    NonFinite; +inf makes every edge weak, and -inf every edge strong.
     """
     epsilon = as_scalar(epsilon, "epsilon", inf=True)
-    n, below = len(weights), weights < epsilon
+    n = len(weights)
     live: list[list[int]] = [[] for _ in range(n)]
-    for flat in np.flatnonzero(valid > below).tolist():  # row-major: s * n + d
+    for flat in np.flatnonzero(weights >= epsilon).tolist():  # row-major: s * n + d
         live[flat // n].append(flat % n)
     witness = _find_path(live)
     if witness is None:
-        witness = _find_path(live, np.where(valid & below, weights, -math.inf))
+        witness = _find_path(live, np.where(weights < epsilon, weights, -math.inf))
         if witness is None:
             raise NoPath("virtual end unreachable before pruning")
         for s, d in witness:
@@ -707,10 +712,10 @@ def decode_with_graph(
     The graph is the one :func:`prune_and_acyclify` makes from
     :func:`build_graph`'s edges, and the nodes are the ones the public
     steps 1-3 give.  But extraction, expansion and corrections run on flat
-    lists, and the weight matrix and edge mask go straight into the
-    pruning core, so only the surviving nodes and the kept edges become
-    Python objects; the path search runs on pruning's successor lists and
-    reads weights from the kept-edge dict that the graph returns.
+    lists, and the weight matrix goes straight into the pruning core, so
+    only the surviving nodes and the kept edges become Python objects; the
+    path search runs on pruning's successor lists and reads weights from
+    the kept-edge dict that the graph returns.
 
     The arguments are checked in this order, so of several faults the
     first is named: P, self_probs, the alphas, left, right, epsilon.  Both
@@ -731,6 +736,6 @@ def decode_with_graph(
     cids, rows, cols, parents = _expand(*_extract(P, vocab), vocab)
     n = len(cids)
     kept = _correct(rows, cols, parents, self_probs, vocab)
-    weights, valid = _edge_weights(kept, left, right, alpha_l2r, alpha_r2l, n)
-    edges, live, order = _prune(weights, valid, epsilon)
+    weights = _edge_weights(kept, left, right, alpha_l2r, alpha_r2l, n)
+    edges, live, order = _prune(weights, epsilon)
     return _best_path(kept, live, edges, order, vocab), ExprGraph(kept, edges, n)

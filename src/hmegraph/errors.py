@@ -24,6 +24,9 @@ is found:
   channels' maximum; any other float array is scanned by
   :func:`scan_finite`.
 
+A text file is read through :func:`read_text`, which raises a class its
+caller picks, naming the file and the line, for bytes that are not UTF-8.
+
 A list or tuple where an array is expected is read as numpy reads it, so
 it meets the same outcome as that array; so is one of the package's
 records, each a named tuple of its fields.  Three faults stay builtin:
@@ -324,3 +327,18 @@ def as_scalar(x, what: str, kind=numbers.Real, inf: bool = False):
     if (x := float(x)) - x and (x != x or not inf):  # x - x is 0 unless NaN or infinite
         raise NonFinite(f"{what} is {x}, not a finite number")
     return x
+
+
+def read_text(path, fault=ValueError) -> str:
+    """The text of the UTF-8 file at `path`, with its line ends read as
+    text mode reads them: ``\\r\\n`` and ``\\r`` become ``\\n``.  Bytes
+    that are not UTF-8 raise `fault`, naming the path and the line of the
+    first of them.  Neither line end is a byte of a longer UTF-8 sequence,
+    so they are replaced before decoding."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise fault(f"{path}: line {line} is not UTF-8 text ({exc.reason})") from None

@@ -41,6 +41,7 @@ from .errors import (
     as_array,
     as_ints,
     as_scalar,
+    read_text,
 )
 
 # Token roles as stored in vocabulary files.
@@ -193,24 +194,23 @@ class TokenVocab:
         by the tables and another by the file.
 
         Raises:
-            VocabMiss: a line that is not ``symbol<TAB>role``, a role that
-                contradicts its symbol (naming the line and the symbol), or
-                a symbol list that :class:`TokenVocab` refuses.
+            VocabMiss: bytes that are not UTF-8 text (naming the file and
+                the line), a line that is not ``symbol<TAB>role``, a role
+                that contradicts its symbol (naming the line and the
+                symbol), or a symbol list that :class:`TokenVocab` refuses.
         """
         symbols = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise VocabMiss(f"line {lineno}: expected 'symbol<TAB>role'")
-                sym, role = parts
-                if role != _role(sym):
-                    raise VocabMiss(f"line {lineno}: symbol {sym!r} has role {_role(sym)!r}, "
-                                    f"not {role!r}")
-                symbols.append(sym)
+        for lineno, line in enumerate(read_text(path, VocabMiss).split("\n"), 1):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise VocabMiss(f"line {lineno}: expected 'symbol<TAB>role'")
+            sym, role = parts
+            if role != _role(sym):
+                raise VocabMiss(f"line {lineno}: symbol {sym!r} has role {_role(sym)!r}, "
+                                f"not {role!r}")
+            symbols.append(sym)
         return cls(symbols)
 
 

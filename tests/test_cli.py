@@ -432,6 +432,38 @@ class TestExitCodes:
             f"error: line {lineno}: symbol {symbol!r} has role {want!r}, not {role!r}"
         )
 
+    @pytest.mark.parametrize("argv, body, message", [
+        (["parse", "--config", "{}", "--label", "x"], b"{not json",
+         "not JSON: Expecting property name enclosed in double quotes: line 1 column 2"),
+        (["parse", "--config", "{}", "--label", "x"], b"[" * 200_000 + b"]" * 200_000,
+         "not JSON: maximum recursion depth exceeded"),
+        (["parse", "--config", "{}", "--label", "x"], b'{"seed":\n "\xff"}',
+         "line 2 is not UTF-8 text (invalid start byte)"),
+        (["parse", "--vocab", "{}", "--label", "x"], b"x\tvisible\r\ny\xff\tvisible\n",
+         "line 2 is not UTF-8 text (invalid start byte)"),
+        (["parse", "--labels", "{}"], b"x + 1\n\nx \xfe 1\n",
+         "line 3 is not UTF-8 text (invalid start byte)"),
+        (["vocab", "--labels", "{}"], b"x + 1\r\xc3\n",
+         "line 2 is not UTF-8 text (invalid continuation byte)"),
+        (["eval", "--pred", "{}", "--ref", "ok"], b"x\xff\n",
+         "line 1 is not UTF-8 text (invalid start byte)"),
+        (["eval", "--pred", "ok", "--ref", "{}"], b"x\ny\xff",
+         "line 2 is not UTF-8 text (invalid start byte)"),
+    ], ids=["config-not-json", "config-too-deep", "config-not-text", "vocab-not-text",
+            "parse-labels-not-text", "vocab-labels-not-text", "eval-pred-not-text",
+            "eval-ref-not-text"])
+    def test_unreadable_text_file_is_one(self, capsys, tmp_path, argv, body, message):
+        """A text file that is not UTF-8, or a config that is not JSON, is
+        one error line naming the file, with exit 1 and no traceback."""
+        bad, ok = tmp_path / "bad", tmp_path / "ok"
+        bad.write_bytes(body)
+        ok.write_text("x\ny\n")
+        argv = [str(bad) if a == "{}" else str(ok) if a == "ok" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1, err
+
     def test_usage_error_is_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["decode"])  # missing required tensors

@@ -977,10 +977,10 @@ class TestCyclePhase:
                 want = frozen_prune(weights, valid, eps)
             except NoPath:
                 with pytest.raises(NoPath):
-                    decode._prune(weights, valid, eps)
+                    decode._prune(np.where(valid, weights, np.nan), eps)
                 seen["nopath"] += 1
                 continue
-            edges, live, order = decode._prune(weights, valid, eps)
+            edges, live, order = decode._prune(np.where(valid, weights, np.nan), eps)
             assert [(e, repr(w)) for e, w in edges.items()] == [
                 (e, repr(w)) for e, w in want[0].items()], f"trial {trial}"
             assert live == want[1], f"trial {trial}"
@@ -1026,7 +1026,7 @@ class TestCyclePhase:
                 want = [(i, i + 1) for i in range(n + 1)]
             frames[0] = 0
             searches.clear()
-            edges = decode._prune(weights, valid, 0.5)[0]
+            edges = decode._prune(np.where(valid, weights, np.nan), 0.5)[0]
             assert list(edges) == want
             assert frames[0] <= 2 * ((n + 2) + int(valid.sum())), (n, frames[0])
             assert len(searches) <= n + 1, (n, len(searches))
@@ -1112,6 +1112,34 @@ class TestDecodePruneMatchesAdapter:
                 w >= eps and e not in got for e, w in graph.edges.items()
             )
         assert min(seen.values()) >= 50, seen
+
+    def test_weight_matrix_is_the_edge_set(self, vocab):
+        """`_edge_weights` holds NaN exactly at the pairs that may not be
+        edges (deleted nodes' rows and columns, the end's row, the start's
+        column, the diagonal, start -> end) and a finite weight at every
+        other, and `build_graph`'s edges are those entries, in row-major
+        order.  Every fourth sample's right matrix is Fortran-ordered."""
+        samples = [*bench_samples(vocab, MIX_PROFILES, 100, 96000),
+                   *bench_samples(vocab, [NoiseSpec(conn_flip_prob=0.30)], 30, 97000)]
+        deleted = 0
+        for k, s in enumerate(samples):
+            alpha = [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)][k % 3]
+            right = np.asfortranarray(s.right) if k % 4 == 0 else s.right
+            kept = apply_corrections(expand_imaginary(vat_extract(s.probs, vocab), vocab),
+                                     s.self_probs, vocab)
+            n = len(s.self_probs)
+            positions = {node.index for node in kept}
+            weights = decode._edge_weights(dict.fromkeys(positions), s.left, right, *alpha, n)
+            may = [[i in {0, *positions} and j in {*positions, n + 1} and i != j
+                    and (i, j) != (0, n + 1) for j in range(n + 2)] for i in range(n + 2)]
+            assert np.array_equal(np.isnan(weights), ~np.array(may)), f"sample {k}"
+            assert np.isfinite(weights[np.array(may)]).all(), f"sample {k}"
+            graph = build_graph(kept, s.left, right, *alpha)
+            want = [((i, j), repr(weights.item(i, j))) for i in range(n + 2) for j in range(n + 2)
+                    if may[i][j]]
+            assert [(e, repr(w)) for e, w in graph.edges.items()] == want, f"sample {k}"
+            deleted += n - len(kept)
+        assert deleted > 0  # spurious samples delete nodes
 
     def test_decode_operation_counts(self, vocab, monkeypatch):
         """Decoding the benchmark's default profiles never builds the dense

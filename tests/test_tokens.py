@@ -154,6 +154,22 @@ class TestVocabLayout:
         with pytest.raises(VocabMiss):
             TokenVocab.load(path)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_load_names_line_that_is_not_utf8(self, vocab, tmp_path, newline):
+        """Bytes that are not UTF-8 raise VocabMiss naming the file and the
+        line, counted as text mode counts lines, whatever the line end; the
+        same file without them loads."""
+        path = tmp_path / "v.tsv"
+        vocab.save(path)
+        lines = path.read_bytes().splitlines()
+        path.write_bytes(newline.join(lines) + newline)
+        assert TokenVocab.load(path).symbols == vocab.symbols
+        lines[2] += b"\xff"
+        path.write_bytes(newline.join(lines) + newline)
+        msg = f"{path}: line 3 is not UTF-8 text (invalid start byte)"
+        with pytest.raises(VocabMiss, match=re.escape(msg)):
+            TokenVocab.load(path)
+
 
 def vocab_digest(vocab, tmp_path):
     """SHA-256 prefix of every table a vocabulary derives, its reserved
